@@ -353,10 +353,7 @@ def enumerate_simple_crusts(fiber, l):
             )
             if not exists:
                 continue
-            try:
-                crusts.append(SimpleCrust(n0, combo, l))
-            except ValueError:
-                continue
+            crusts.append(SimpleCrust(n0, combo, l))
     return crusts
 
 
@@ -385,15 +382,33 @@ def crust_to_json(crust):
     }
 
 
+def _json_int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("crust %s must be an integer, got %r" % (what, value))
+    return value
+
+
 def crust_from_json(fiber, data):
+    """Build a crust from {"n0": int, "subbranches": [[int, ...], ...],
+    "l": int (default 1)}; a malformed object raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("crust must be a JSON object, got %r" % (data,))
+    for key in ("n0", "subbranches"):
+        if key not in data:
+            raise ValueError("crust lacks %r" % key)
     subs = data["subbranches"]
+    if not isinstance(subs, list) or not all(isinstance(vs, list) for vs in subs):
+        raise ValueError("crust subbranches must be a list of lists, got %r" % (subs,))
     if len(subs) != fiber.h:
         raise ValueError("crust lists %d subbranches for %d branches" % (len(subs), fiber.h))
-    n0 = int(data["n0"])
+    n0 = _json_int(data["n0"], "n0")
     return SimpleCrust(
         n0,
-        tuple(Subbranch(n0, tuple(vs), b) for b, vs in zip(fiber.branches, subs)),
-        int(data.get("l", 1)),
+        tuple(
+            Subbranch(n0, tuple(_json_int(v, "subbranch value") for v in vs), b)
+            for b, vs in zip(fiber.branches, subs)
+        ),
+        _json_int(data.get("l", 1), "l"),
     )
 
 

@@ -13,7 +13,7 @@ from itertools import permutations
 from math import isqrt
 
 from .kodaira import FiberClass, euler, standard_monodromy
-from .sl2z import IDENTITY, Mat2, Word, conj, eval_word, inverse, parse_word, trace
+from .sl2z import IDENTITY, Mat2, Word, conj, eval_word, parse_word, trace
 
 FORBIDDEN = "forbidden"
 UNDECIDED = "undecided"
@@ -372,48 +372,86 @@ def all_witnesses():
     return rows
 
 
-def _conjugator_stream(max_len, exp_cap, counter, budget):
-    """All normalized alternating words of length <= max_len, with their
-    evaluations.  Increments counter[0] per word and enforces the budget."""
+def _conjugator_count(max_len, n_exps):
+    """Number of normalized words of length <= max_len when each letter
+    has ``n_exps`` possible exponents: the empty word, 2*n_exps words of
+    length 1, and n_exps times as many at each further length."""
+    total, width = 1, 2 * n_exps
+    for _ in range(max_len):
+        total += width
+        width *= n_exps
+    return total
 
-    def bump():
-        counter[0] += 1
-        if counter[0] > budget:
-            raise SearchBudgetExceeded(
-                "conjugator enumeration exceeded %d nodes" % budget
-            )
 
-    bump()
-    yield Word([]), IDENTITY
-    exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0]
-    frontier = [((("s0", e),), None) for e in exps] + [
-        ((("s2", e),), None) for e in exps
-    ]
-    level = []
-    for letters, _ in frontier:
-        bump()
-        w = Word(list(letters))
-        m = eval_word(w)
-        yield w, m
-        level.append((letters, m))
-    for _ in range(max_len - 1):
+def _conjugate_tables(bases, max_len, exps):
+    """The distinct conjugates g*M*g^-1 of each base M, in one pass over
+    the normalized conjugator words g of length <= max_len.
+
+    Matrices are (a, b, c, d) int tuples.  The words are visited breadth
+    first: the empty word; s0^e then s2^e for e in ``exps``; then, for
+    each word of the previous length in order, one more letter of the
+    other generator with every exponent.  A child's matrix is its
+    parent's times one generator power:
+
+        g*s0^e = (a, a*e + b, c, c*e + d)    g*s2^e = (a - e*b, b, c - e*d, d)
+
+    Returns one dict per base mapping each conjugate to the letters of the
+    first word that produced it; dict order is discovery order.
+    """
+    tables = [{base: ()} for base in bases]
+    pairs = list(zip(bases, tables))
+    frontier = [((), (1, 0, 0, 1))]
+    for depth in range(max_len):
+        keep = depth + 1 < max_len
         nxt = []
-        for letters, m in level:
-            last_gen = letters[-1][0]
-            gen = "s2" if last_gen == "s0" else "s0"
-            for e in exps:
-                bump()
-                new_letters = letters + ((gen, e),)
-                g = m * eval_word(Word([(gen, e)]))
-                yield Word(list(new_letters)), g
-                nxt.append((new_letters, g))
-        level = nxt
+        for letters, (a, b, c, d) in frontier:
+            last = letters[-1][0] if letters else None
+            for gen in ("s0", "s2"):
+                if gen == last:
+                    continue
+                for e in exps:
+                    if gen == "s0":
+                        g0, g1, g2, g3 = a, a * e + b, c, c * e + d
+                    else:
+                        g0, g1, g2, g3 = a - e * b, b, c - e * d, d
+                    child = letters + ((gen, e),)
+                    for (p, q, r, s), table in pairs:
+                        # (g*M) * g^-1 with g^-1 = (g3, -g1, -g2, g0)
+                        x, y = g0 * p + g1 * r, g0 * q + g1 * s
+                        z, w = g2 * p + g3 * r, g2 * q + g3 * s
+                        m = (x * g3 - y * g2, y * g0 - x * g1, z * g3 - w * g2, w * g0 - z * g1)
+                        if m not in table:
+                            table[m] = child
+                    if keep:
+                        nxt.append((child, (g0, g1, g2, g3)))
+        frontier = nxt
+    return tables
 
 
 def search_factorization(
     target, parts, max_conj_len, exp_cap=8, node_budget=10**7
 ):
     """Exhaustive bounded search for a factorization witness.
+
+    Each factor of class f is sought among the conjugates g*M_f*g^-1 of
+    its standard matrix, g running over the normalized words in s0, s2 of
+    length <= max_conj_len with exponents 1 <= |e| <= exp_cap.  Length 0
+    means the empty word only, so every factor is its standard matrix.
+    The words are taken breadth first (the empty word, s0^e and s2^e for
+    e = -exp_cap..exp_cap, then one more alternating letter per length);
+    a conjugate reached by several words keeps the first.  The distinct
+    orderings of ``parts`` are tried in permutation order; for each, a
+    depth-first search runs over the conjugates of all but the last
+    factor, each class's in the order they were first reached, and looks
+    the needed last factor up among its conjugates.  So the first witness
+    found is deterministic.
+
+    Node accounting: one node per conjugator word, one per (word, distinct
+    class) conjugation, and one per depth-first node and per child.  The
+    search raises SearchBudgetExceeded once the count would pass
+    ``node_budget`` (the conjugation phase, whose cost is known, is
+    checked before it runs), so a search that needs exactly
+    ``node_budget`` nodes completes.
 
     Args:
         target: the fiber class whose monodromy is to be factored.
@@ -434,59 +472,92 @@ def search_factorization(
     parts = normalize_multiset(parts)
     if not parts:
         return None
-    target_m = standard_monodromy(target)
-    counter = [0]
-
-    def bump(amount=1):
-        counter[0] += amount
-        if counter[0] > node_budget:
-            raise SearchBudgetExceeded("search exceeded %d nodes" % node_budget)
-
-    # One table of conjugators shared by all factor positions, and one
-    # deduplicated {conjugated matrix: word} map per distinct class.
-    conjugators = list(
-        _conjugator_stream(max_conj_len, exp_cap, counter, node_budget)
+    found = _find_conjugators(
+        standard_monodromy(target).entries(), parts, max_conj_len, exp_cap, node_budget
     )
-    by_class = {}
-    for f in set(parts):
-        base = standard_monodromy(f)
-        table = {}
-        for w, g in conjugators:
-            bump()
-            m = conj(base, g)
-            if m not in table:
-                table[m] = w
-        by_class[f] = table
+    if found is None:
+        return None
+    order, conjugators = found
+    witness = FactorizationWitness(
+        target, tuple((f, Word(letters)) for f, letters in zip(order, conjugators))
+    )
+    if not verify_witness(witness):
+        raise AssertionError("search produced a non-verifying witness")
+    return witness
 
+
+def _find_conjugators(target_m, parts, max_conj_len, exp_cap, node_budget):
+    """The search of search_factorization on (a, b, c, d) tuples.
+
+    ``parts`` is a canonical multiset.  Returns (order, letters), the
+    factor order and each factor's conjugator letters, for the first
+    ordered product equal to ``target_m``; or None.
+    """
+    exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0]
+    classes = list(dict.fromkeys(parts))
+    # The table phase costs a known number of nodes, so the budget is
+    # checked before it runs.
+    words = _conjugator_count(max_conj_len, len(exps))
+    if words > node_budget:
+        raise SearchBudgetExceeded("conjugator enumeration exceeded %d nodes" % node_budget)
+    nodes = words * (1 + len(classes))
+    if nodes > node_budget:
+        raise _budget_exceeded(node_budget)
+    bases = [standard_monodromy(f).entries() for f in classes]
+    tables = dict(zip(classes, _conjugate_tables(bases, max_conj_len, exps)))
+    # The depth-first search carries rest = (product so far)^-1 * target
+    # and steps it by the inverse of each chosen conjugate.
+    inverses = {
+        f: [((d, -b, -c, a), letters) for (a, b, c, d), letters in table.items()]
+        for f, table in tables.items()
+    }
+
+    count = [nodes]
     seen_orders = set()
     for order in permutations(parts):
         if order in seen_orders:
             continue
         seen_orders.add(order)
-        last = order[-1]
-        last_table = by_class[last]
-        prefix = order[:-1]
+        steps = [inverses[f] for f in order[:-1]]
+        found = _complete(steps, 0, target_m, tables[order[-1]], count, node_budget)
+        if found is not None:
+            return order, found[::-1]
+    return None
 
-        def dfs(idx, acc, chosen):
-            bump()
-            if idx == len(prefix):
-                want = inverse(acc) * target_m
-                w = last_table.get(want)
-                if w is None:
-                    return None
-                return FactorizationWitness(
-                    target, tuple(zip(order, list(chosen) + [w]))
-                )
-            for m, w in by_class[order[idx]].items():
-                bump()
-                found = dfs(idx + 1, acc * m, chosen + [w])
-                if found is not None:
-                    return found
-            return None
 
-        witness = dfs(0, IDENTITY, [])
-        if witness is not None:
-            if not verify_witness(witness):
-                raise AssertionError("search produced a non-verifying witness")
-            return witness
+def _budget_exceeded(node_budget):
+    return SearchBudgetExceeded("search exceeded %d nodes" % node_budget)
+
+
+def _complete(steps, idx, rest, last_table, count, node_budget):
+    """Depth-first search for the factors idx.. of one order.
+
+    ``steps[i]`` lists the inverses of factor i's conjugates with their
+    letters, ``rest`` is what factors idx.. must multiply to, and
+    ``last_table`` maps the last factor's conjugates to their letters.
+    ``count`` holds the node count.  Returns the letters found, last
+    factor first, or None.
+    """
+    count[0] += 1
+    if count[0] > node_budget:
+        raise _budget_exceeded(node_budget)
+    if idx == len(steps):
+        w = last_table.get(rest)
+        return None if w is None else [w]
+    r0, r1, r2, r3 = rest
+    for (p, q, r, s), letters in steps[idx]:
+        count[0] += 1
+        if count[0] > node_budget:
+            raise _budget_exceeded(node_budget)
+        found = _complete(
+            steps,
+            idx + 1,
+            (p * r0 + q * r2, p * r1 + q * r3, r * r0 + s * r2, r * r1 + s * r3),
+            last_table,
+            count,
+            node_budget,
+        )
+        if found is not None:
+            found.append(letters)
+            return found
     return None

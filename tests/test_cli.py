@@ -108,6 +108,21 @@ def test_predict_hypothesis_failure_exits_1(capsys):
     assert record["condition"] == "tau_zero_degree"
 
 
+@pytest.mark.parametrize(
+    "crust,problem",
+    [
+        ("[1]", "must be a JSON object"),
+        ('{"n0":1}', "lacks 'subbranches'"),
+        ('{"n0":1,"subbranches":5}', "must be a list of lists"),
+        ("nope", "Expecting value"),
+        ('{"n0":"1","subbranches":[[],[],[]]}', "n0 must be an integer"),
+    ],
+)
+def test_predict_malformed_crust_exits_2(capsys, crust, problem):
+    assert main(["predict", "II*", "--crust", crust]) == 2
+    assert problem in capsys.readouterr().err
+
+
 def test_localcheck(capsys):
     code, record = run_json(
         capsys, ["localcheck", "--m", "6", "--n", "4", "--t", "1+0i", "--c", "1"]

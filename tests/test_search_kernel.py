@@ -1,0 +1,155 @@
+"""The integer-tuple kernel of search_factorization: agreement with the
+Mat2 arithmetic, exact node budgets, and frozen first witnesses."""
+
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from barkfib.kodaira import parse_fiber, standard_monodromy
+from barkfib.sl2z import IDENTITY, Word, conj, eval_word, format_word
+from barkfib.splitting import (
+    SearchBudgetExceeded,
+    _conjugate_tables,
+    _find_conjugators,
+    multiset,
+    search_factorization,
+)
+
+BASES = ["I1", "I2", "I3", "II", "III", "IV", "I0*", "I1*", "II*", "III*", "IV*"]
+EXP_CAP = 3
+EXPS = [e for e in range(-EXP_CAP, EXP_CAP + 1) if e != 0]
+OTHER = {"s0": "s2", "s2": "s0"}
+
+
+def F(text):
+    return parse_fiber(text)
+
+
+def entries(name):
+    return standard_monodromy(F(name)).entries()
+
+
+@st.composite
+def conjugators(draw, max_len):
+    """Letters of a normalized word with exponents in EXPS."""
+    gen = draw(st.sampled_from(["s0", "s2"]))
+    letters = []
+    for e in draw(st.lists(st.sampled_from(EXPS), max_size=max_len)):
+        letters.append((gen, e))
+        gen = OTHER[gen]
+    return tuple(letters)
+
+
+@functools.lru_cache(maxsize=None)
+def tables(max_len):
+    return dict(zip(BASES, _conjugate_tables([entries(b) for b in BASES], max_len, EXPS)))
+
+
+def words_in_search_order(max_len):
+    """The conjugator words the search visits, in its order."""
+    out = [()]
+    level = [()]
+    for _ in range(max_len):
+        level = [
+            w + ((gen, e),)
+            for w in level
+            for gen in ("s0", "s2")
+            if not w or w[-1][0] != gen
+            for e in EXPS
+        ]
+        out += level
+    return out
+
+
+def test_tables_match_mat2_enumeration():
+    """Same keys, same first words, same order as building the tables
+    with Mat2 conjugation over the words in search order."""
+    for base in BASES:
+        m = standard_monodromy(F(base))
+        expected = {}
+        for letters in words_in_search_order(2):
+            expected.setdefault(conj(m, eval_word(Word(letters))).entries(), letters)
+        assert list(tables(2)[base].items()) == list(expected.items()), base
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugators(3))
+def test_tuple_conjugation_equals_conj(g):
+    for base in BASES:
+        m = standard_monodromy(F(base))
+        want = conj(m, eval_word(Word(g))).entries()
+        table = tables(3)[base]
+        assert want in table
+        assert conj(m, eval_word(Word(table[want]))).entries() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from(BASES), min_size=2, max_size=3).flatmap(
+        lambda names: st.tuples(
+            st.just(names),
+            st.lists(
+                conjugators(2 if len(names) == 2 else 1),
+                min_size=len(names),
+                max_size=len(names),
+            ),
+        )
+    )
+)
+def test_tuple_products_equal_mat2_products(case):
+    """A product of conjugates built with Mat2.__mul__ is found, and the
+    conjugators found multiply back to it."""
+    names, gs = case
+    target = IDENTITY
+    for name, g in zip(names, gs):
+        target = target * conj(standard_monodromy(F(name)), eval_word(Word(g)))
+    parts = multiset(*map(F, names))
+    found = _find_conjugators(target.entries(), parts, max(map(len, gs)), EXP_CAP, 10**7)
+    assert found is not None
+    order, letters = found
+    product = IDENTITY
+    for f, w in zip(order, letters):
+        product = product * conj(standard_monodromy(f), eval_word(Word(w)))
+    assert product == target
+
+
+# The smallest budget with which each search completes.
+BUDGET_EDGES = [
+    ("II", ["I1", "I1"], 2, 1093),
+    ("IV", ["I2", "I2"], 2, 1575),
+    ("I0*", ["I3", "I2", "I1"], 1, 3810),
+    ("IV", ["I3", "I1"], 2, 1652),
+    ("III", ["I1", "I1", "I1"], 1, 71),
+    # Length 0 is the empty conjugator only: one word, one conjugation,
+    # one search node.
+    ("I1", ["I1"], 0, 3),
+]
+
+
+@pytest.mark.parametrize("target,parts,length,budget", BUDGET_EDGES)
+def test_budget_edges(target, parts, length, budget):
+    args = (F(target), [F(p) for p in parts], length)
+    search_factorization(*args, node_budget=budget)
+    with pytest.raises(SearchBudgetExceeded):
+        search_factorization(*args, node_budget=budget - 1)
+
+
+FIRST_WITNESSES = [
+    ("II", ["I1", "I1"], 2, [("I1", ""), ("I1", "s0^-1 s2^-1")]),
+    ("IV", ["I3", "I1"], 2, [("I1", "s2^-2"), ("I3", "s2^-1")]),
+    ("III*", ["I6", "I1", "I2"], 3, [("I1", "s2^-3"), ("I2", "s2^-1"), ("I6", "")]),
+]
+
+
+@pytest.mark.parametrize("target,parts,length,factors", FIRST_WITNESSES)
+def test_first_witness_is_frozen(target, parts, length, factors):
+    w = search_factorization(F(target), [F(p) for p in parts], length)
+    assert [(str(f), format_word(g)) for f, g in w.factors] == factors
+
+
+def test_length_zero_uses_standard_matrices_only():
+    assert search_factorization(F("III"), [F("II"), F("I1")], 0) is not None
+    assert search_factorization(F("II"), [F("I1"), F("I1")], 0) is None
+
