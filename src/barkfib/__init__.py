@@ -7,88 +7,4 @@ crust combinatorics, subordinate-fiber counting laws, and a numeric
 check of the local models.
 """
 
-from .sl2z import (
-    EMPTY_WORD,
-    IDENTITY,
-    S0,
-    S2,
-    Mat2,
-    Word,
-    conj,
-    eval_word,
-    format_word,
-    inverse,
-    parse_word,
-    trace,
-    word,
-    word_of,
-)
-from .kodaira import (
-    FiberClass,
-    all_reduced_classes,
-    classify,
-    euler,
-    parse_fiber,
-    standard_monodromy,
-    standard_word,
-)
-from .splitting import (
-    FORBIDDEN,
-    UNDECIDED,
-    FactorizationWitness,
-    SearchBudgetExceeded,
-    WITNESS_TABLE,
-    all_witnesses,
-    decomposition_verdict,
-    enumerate_multisets,
-    euler_deficit,
-    multiset,
-    normalize_multiset,
-    obstruction_I_k_pair,
-    obstruction_central_pair,
-    obstruction_central_triple_I_k,
-    search_factorization,
-    verify_witness,
-    witness_I_star_family,
-)
-from .crust import (
-    STELLAR_MODELS,
-    Branch,
-    SimpleCrust,
-    StellarFiber,
-    Subbranch,
-    classify_subbranch,
-    core_section_exists,
-    crust_from_json,
-    crust_to_json,
-    enumerate_simple_crusts,
-    extend_subbranch,
-    is_proportional,
-    stellar_from_json,
-    stellar_to_json,
-    validate_branch,
-)
-from .subord import (
-    NEAR_CORE,
-    NEAR_PROPORTIONAL_EDGE,
-    CoreInvariantInput,
-    HypothesisError,
-    SplittingReport,
-    SubordinateProfile,
-    core_invariant,
-    count_bounds,
-    determine_types,
-    full_report,
-    predict_counts,
-)
-from .localmodel import (
-    CoreSectionData,
-    LocalCurveSpec,
-    essential_zeros,
-    hessian_sing_type,
-    singular_points,
-    singular_s_values,
-    subordinate_s_from_core,
-)
-
 __version__ = "0.1.0"

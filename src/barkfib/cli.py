@@ -7,16 +7,14 @@ Exit codes: 0 success, 1 verification mismatch or search failure,
 import argparse
 import json
 import sys
-from importlib import resources
 from math import gcd
-from pathlib import Path
 
 from .crust import (
     STELLAR_MODELS,
     crust_from_json,
     crust_to_json,
     enumerate_simple_crusts,
-    stellar_from_json,
+    load_catalog,
 )
 from .kodaira import classify, euler, parse_fiber
 from .localmodel import LocalCurveSpec, singular_points, singular_s_values
@@ -224,26 +222,8 @@ def cmd_localcheck(args):
     return 0 if ok else 1
 
 
-def _load_fixture(path):
-    if path is None:
-        text = resources.files("barkfib").joinpath("fixtures/catalog.json").read_text()
-    else:
-        text = Path(path).read_text()
-    return json.loads(text)
-
-
-def _canon_multiset(strings):
-    return tuple(sorted(strings))
-
-
 def cmd_report(args):
-    data = _load_fixture(args.fixture)
-    models = {
-        name: stellar_from_json(raw)
-        for name, raw in data.get("stellar_models", {}).items()
-        if not raw.get("constellar")
-    }
-    cases = data["cases"]
+    models, cases = load_catalog(args.fixture)
     if args.case is not None:
         cases = [c for c in cases if c["id"] == args.case]
         if not cases:
@@ -261,10 +241,8 @@ def cmd_report(args):
                 return 2
             crust = crust_from_json(model, case["crust"])
         report = full_report(original, main_fiber, crust=crust, model=model)
-        got = {
-            _canon_multiset(str(f) for f in ms) for ms in report.determined
-        }
-        want = {_canon_multiset(ms) for ms in case["expected"]}
+        got = {tuple(sorted(str(f) for f in ms)) for ms in report.determined}
+        want = {tuple(sorted(ms)) for ms in case["expected"]}
         ok = got == want
         all_ok = all_ok and ok
         rec = report.to_json(case_id=case["id"])
@@ -387,8 +365,8 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=1)
-    p.add_argument("--t", default="1", help="complex, e.g. '1+0i'")
-    p.add_argument("--c", default="1", help="complex, e.g. '1+0i'")
+    p.add_argument("--t", default="1", help="complex, e.g. '1+0i'; negative: --t=-2+1i")
+    p.add_argument("--c", default="1", help="complex, e.g. '1+0i'; negative: --c=-2+1i")
     p.set_defaults(func=cmd_localcheck)
 
     p = sub.add_parser(

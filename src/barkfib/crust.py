@@ -15,9 +15,12 @@ when every subbranch carries one of these labels and the core admits a
 suitable meromorphic section.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from itertools import product as _cartesian
+from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -357,6 +360,12 @@ def enumerate_simple_crusts(fiber, l):
     return crusts
 
 
+def _json_int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
 def stellar_to_json(fiber):
     return {
         "core_mult": fiber.core_mult,
@@ -366,11 +375,20 @@ def stellar_to_json(fiber):
 
 
 def stellar_from_json(data):
-    core = int(data["core_mult"])
+    """Build a stellar fiber from {"core_mult": int, "core_genus": int
+    (default 0), "branches": [[int, ...], ...]}; a malformed object
+    raises ValueError."""
+    branches = data.get("branches")
+    if not isinstance(branches, list) or not all(isinstance(ms, list) for ms in branches):
+        raise ValueError("stellar branches must be a list of lists, got %r" % (branches,))
+    core = _json_int(data.get("core_mult"), "stellar core_mult")
     return StellarFiber(
         core,
-        int(data.get("core_genus", 0)),
-        tuple(Branch(core, tuple(ms)) for ms in data["branches"]),
+        _json_int(data.get("core_genus", 0), "stellar core_genus"),
+        tuple(
+            Branch(core, tuple(_json_int(m, "stellar branch value") for m in ms))
+            for ms in branches
+        ),
     )
 
 
@@ -380,12 +398,6 @@ def crust_to_json(crust):
         "subbranches": [list(sb.values) for sb in crust.subbranches],
         "l": crust.l,
     }
-
-
-def _json_int(value, what):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("crust %s must be an integer, got %r" % (what, value))
-    return value
 
 
 def crust_from_json(fiber, data):
@@ -401,42 +413,73 @@ def crust_from_json(fiber, data):
         raise ValueError("crust subbranches must be a list of lists, got %r" % (subs,))
     if len(subs) != fiber.h:
         raise ValueError("crust lists %d subbranches for %d branches" % (len(subs), fiber.h))
-    n0 = _json_int(data["n0"], "n0")
+    n0 = _json_int(data["n0"], "crust n0")
     return SimpleCrust(
         n0,
         tuple(
-            Subbranch(n0, tuple(_json_int(v, "subbranch value") for v in vs), b)
+            Subbranch(n0, tuple(_json_int(v, "crust subbranch value") for v in vs), b)
             for b, vs in zip(fiber.branches, subs)
         ),
-        _json_int(data.get("l", 1), "l"),
+        _json_int(data.get("l", 1), "crust l"),
     )
 
 
-# Normally minimal stellar models of the splittable fiber types.  The
-# chain condition holds for every branch (checked in the test suite).
-# I_n* fibers are constellar (two cores joined by a chain) and carry no
-# StellarFiber model here; their splittings ship as fixture data only.
-STELLAR_MODELS = {
-    name: stellar_from_json(raw)
-    for name, raw in {
-        "II": {"core_mult": 6, "core_genus": 0, "branches": [[3], [2], [1]]},
-        "III": {"core_mult": 4, "core_genus": 0, "branches": [[2], [1], [1]]},
-        "IV": {"core_mult": 3, "core_genus": 0, "branches": [[1], [1], [1]]},
-        "II*": {
-            "core_mult": 6,
-            "core_genus": 0,
-            "branches": [[5, 4, 3, 2, 1], [4, 2], [3]],
-        },
-        "III*": {
-            "core_mult": 4,
-            "core_genus": 0,
-            "branches": [[3, 2, 1], [3, 2, 1], [2]],
-        },
-        "IV*": {
-            "core_mult": 3,
-            "core_genus": 0,
-            "branches": [[2, 1], [2, 1], [2, 1]],
-        },
-        "I0*": {"core_mult": 2, "core_genus": 0, "branches": [[1], [1], [1], [1]]},
-    }.items()
-}
+def load_catalog(path=None):
+    """Stellar models and cases of a catalog JSON file (default: the
+    packaged ``fixtures/catalog.json``).
+
+    ``stellar_models`` is optional; its ``"constellar"`` entries carry no
+    StellarFiber and are skipped.  Every case needs ``id``, ``original``,
+    ``main`` and ``expected`` (a list of lists of fiber names).  A
+    malformed file raises ValueError naming the case and the key.
+
+    Returns
+    -------
+    (models, cases) : (dict of str -> StellarFiber, list of dict)
+    """
+    if path is None:
+        source = resources.files(__package__) / "fixtures" / "catalog.json"
+    else:
+        source = Path(path)
+    data = json.loads(source.read_text())
+    if not isinstance(data, dict):
+        raise ValueError("catalog must be a JSON object, got %r" % (data,))
+    raw_models = data.get("stellar_models", {})
+    if not isinstance(raw_models, dict) or not all(
+        isinstance(raw, dict) for raw in raw_models.values()
+    ):
+        raise ValueError("catalog stellar_models must be an object of objects")
+    cases = data.get("cases")
+    if not isinstance(cases, list) or not all(isinstance(c, dict) for c in cases):
+        raise ValueError("catalog cases must be a list of objects, got %r" % (cases,))
+    for i, case in enumerate(cases):
+        name = case.get("id", "#%d" % i)
+        for key in ("id", "original", "main", "expected"):
+            if key not in case:
+                raise ValueError("case %s lacks %r" % (name, key))
+        for key in ("original", "main"):
+            if not isinstance(case[key], str):
+                raise ValueError("case %s: %r must be a string" % (name, key))
+        expected = case["expected"]
+        if not isinstance(expected, list) or not all(
+            isinstance(ms, list) and all(isinstance(f, str) for f in ms)
+            for ms in expected
+        ):
+            raise ValueError(
+                "case %s: 'expected' must be a list of lists of strings, got %r"
+                % (name, expected)
+            )
+    models = {
+        name: stellar_from_json(raw)
+        for name, raw in raw_models.items()
+        if not raw.get("constellar")
+    }
+    return models, cases
+
+
+# Normally minimal stellar models of the splittable fiber types, read from
+# the packaged catalog (the chain condition holds for every branch; checked
+# in the test suite).  I_n* fibers are constellar (two cores joined by a
+# chain) and have no StellarFiber model; their splittings ship as catalog
+# cases only.
+STELLAR_MODELS, _ = load_catalog()

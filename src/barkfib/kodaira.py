@@ -136,31 +136,6 @@ def euler(f):
     raise AssertionError(kind)
 
 
-# Trace of the standard monodromy, per conjugacy class.
-TRACES = {
-    "I": 2,
-    "II": 1,
-    "III": 0,
-    "IV": -1,
-    "I*": -2,
-    "II*": 1,
-    "III*": 0,
-    "IV*": -1,
-}
-
-# Sign of the lower-left entry, constant on each elliptic conjugacy
-# class (trace in {-1, 0, 1}): negative for the plain classes, positive
-# for the starred ones.
-ELLIPTIC_SIGN = {
-    "II": -1,
-    "III": -1,
-    "IV": -1,
-    "II*": 1,
-    "III*": 1,
-    "IV*": 1,
-}
-
-
 def standard_word(f):
     """Standard word of a fiber class (empty for I_0)."""
     kind = f.kind
@@ -242,11 +217,3 @@ def classify(m):
         return FiberClass("IV*" if starred else "IV")
     return None
 
-
-def all_reduced_classes(max_index=4):
-    """Convenience sweep of representative reduced classes."""
-    classes = [FiberClass("I", n) for n in range(max_index + 1)]
-    classes += [FiberClass(k) for k in ("II", "III", "IV")]
-    classes += [FiberClass("I*", n) for n in range(max_index + 1)]
-    classes += [FiberClass(k) for k in ("II*", "III*", "IV*")]
-    return classes

@@ -17,7 +17,7 @@ tolerance.  All residual checks are relative to the coefficient scale.
 """
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite
 
@@ -43,9 +43,7 @@ class LocalCurveSpec:
     """Exponent data of the local hypersurface model.
 
     ``m``, ``n``, ``l`` must satisfy m - l*n > 0 and the optional chart
-    exponents m' - l*n' >= 0.  ``c`` is the unit value h(0, 0); the
-    deformation exponent ``d`` only rescales t and is kept at 1 in all
-    numeric work.
+    exponents m' - l*n' >= 0.  ``c`` is the unit value h(0, 0).
     """
 
     m: int
@@ -55,11 +53,10 @@ class LocalCurveSpec:
     c: complex
     mprime: int = 0
     nprime: int = 0
-    d: int = 1
 
     def __post_init__(self):
-        if min(self.m, self.n, self.l, self.d) < 1:
-            raise ValueError("m, n, l, d must be positive")
+        if min(self.m, self.n, self.l) < 1:
+            raise ValueError("m, n, l must be positive")
         if self.m - self.l * self.n <= 0:
             raise ValueError("need m - l*n > 0")
         if self.mprime < 0 or self.nprime < 0 or self.mprime - self.l * self.nprime < 0:
@@ -328,34 +325,3 @@ def subordinate_s_from_core(data, t, zeros, tol=CLUSTER_TOL):
     s_values.sort(key=_sort_key)
     return s_values, len(invariants)
 
-
-def hessian_sing_type(f, point, step=1e-5, tol=1e-6):
-    """Crude node test: "A1" iff the 2x2 Hessian of f at the point has
-    determinant bounded away from zero, else "degenerate".
-
-    Chart caveat: a model with no z-dependence (for instance the local
-    fiber equation at its singular point) is degenerate in the plane
-    chart; testing it as an A1 requires suspending the fiber direction,
-    e.g. passing lambda z, w: f(z, w) + z**2.
-    """
-    z0, w0 = point
-    h = step
-
-    def fzz():
-        return (f(z0 + h, w0) - 2 * f(z0, w0) + f(z0 - h, w0)) / h**2
-
-    def fww():
-        return (f(z0, w0 + h) - 2 * f(z0, w0) + f(z0, w0 - h)) / h**2
-
-    def fzw():
-        return (
-            f(z0 + h, w0 + h)
-            - f(z0 + h, w0 - h)
-            - f(z0 - h, w0 + h)
-            + f(z0 - h, w0 - h)
-        ) / (4 * h**2)
-
-    a, b, c = fzz(), fww(), fzw()
-    det = a * b - c * c
-    scale = 1.0 + max(abs(a), abs(b), abs(c)) ** 2
-    return "A1" if abs(det) > tol * scale else "degenerate"

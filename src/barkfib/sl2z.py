@@ -82,11 +82,6 @@ S0 = Mat2(1, 1, 0, 1)
 S2 = Mat2(1, 0, -1, 1)
 
 
-def mul(x, y):
-    """Product x*y."""
-    return x * y
-
-
 def inverse(m):
     """Inverse; for determinant 1 this is the adjugate."""
     return Mat2(m.d, -m.b, -m.c, m.a)

@@ -30,19 +30,13 @@ def multiset(*fibers):
     return tuple(sorted(fibers, key=FiberClass.sort_key))
 
 
-def normalize_multiset(fibers):
-    return multiset(*fibers)
-
-
-def euler_deficit(original, main, genus=1):
+def euler_deficit(original, main):
     """Total Euler number available to subordinate fibers.
 
     The genus-g correction terms 2(1-g) cancel between the two fibers,
-    so for every base genus >= 1 the deficit is e(original) - e(main).
+    so for every base genus the deficit is e(original) - e(main).
     A negative difference means ``main`` cannot arise from ``original``.
     """
-    if genus < 1:
-        raise ValueError("base genus must be at least 1")
     d = euler(original) - euler(main)
     if d < 0:
         raise ValueError(
@@ -469,7 +463,7 @@ def search_factorization(
     """
     if max_conj_len < 0:
         raise ValueError("max_conj_len must be nonnegative")
-    parts = normalize_multiset(parts)
+    parts = multiset(*parts)
     if not parts:
         return None
     found = _find_conjugators(

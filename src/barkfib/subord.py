@@ -203,7 +203,7 @@ class SplittingReport:
         return rec
 
 
-def full_report(original, main, crust=None, model=None, genus=1):
+def full_report(original, main, crust=None, model=None):
     """Determine the subordinate fibers of a splitting, as far as the
     exact methods reach.
 
@@ -213,7 +213,7 @@ def full_report(original, main, crust=None, model=None, genus=1):
     the obstruction survivors are reported with chi-based bounds quoted
     as evidence only.
     """
-    deficit = euler_deficit(original, main, genus)
+    deficit = euler_deficit(original, main)
     evidence = ["euler deficit %d" % deficit]
     if deficit == 0:
         return SplittingReport(

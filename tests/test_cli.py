@@ -134,6 +134,12 @@ def test_localcheck(capsys):
         assert len(row["points"]) == 2  # gcd(6,4)
 
 
+def test_localcheck_negative_complex_with_equals(capsys):
+    # "--t -2+1i" would read "-2+1i" as an option; the "=" form does not
+    assert main(["localcheck", "--m", "3", "--n", "1", "--t=-2+1i"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("ok:")
+
+
 def test_report_full_catalog(capsys):
     assert main(["report"]) == 0
     out = capsys.readouterr().out
@@ -174,6 +180,47 @@ def test_report_mismatch_exits_1(tmp_path, capsys):
     path.write_text(json.dumps(fixture))
     assert main(["report", "--fixture", str(path)]) == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "fixture,problem",
+    [
+        ([1], "catalog must be a JSON object"),
+        ({"cases": 5}, "catalog cases must be a list of objects"),
+        ({"stellar_models": [1], "cases": []}, "stellar_models must be an object"),
+        ({"cases": [{"id": "a"}]}, "case a lacks 'original'"),
+        (
+            {"cases": [{"id": "b", "original": "II", "main": "I1", "expected": 5}]},
+            "case b: 'expected' must be a list of lists of strings",
+        ),
+        (
+            {"stellar_models": {"II": {"core_mult": 6, "branches": 5}}, "cases": []},
+            "stellar branches must be a list of lists",
+        ),
+    ],
+)
+def test_report_malformed_fixture_exits_2(tmp_path, capsys, fixture, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(fixture))
+    assert main(["report", "--fixture", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert problem in err
+
+
+def test_report_fixture_keeps_its_own_models(tmp_path, capsys):
+    """A --fixture file is not topped up with the packaged models."""
+    case = {
+        "id": "y.1",
+        "original": "II",
+        "main": "I1",
+        "crust": {"n0": 1, "subbranches": [[], [], [1]], "l": 1},
+        "expected": [["I1"]],
+    }
+    path = tmp_path / "no_models.json"
+    path.write_text(json.dumps({"stellar_models": {}, "cases": [case]}))
+    assert main(["report", "--fixture", str(path)]) == 2
+    assert "case y.1 names no stellar model" in capsys.readouterr().err
 
 
 def test_verify_words_all_pass(capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from barkfib.kodaira import (
     FiberClass,
-    all_reduced_classes,
     classify,
     euler,
     parse_fiber,
@@ -14,6 +13,17 @@ from barkfib.kodaira import (
     standard_word,
 )
 from barkfib.sl2z import IDENTITY, Mat2, S0, S2, conj, eval_word, trace
+
+
+def all_reduced_classes(max_index=4):
+    """Representative reduced classes: I_n and I_n* up to max_index plus
+    the six elliptic classes."""
+    classes = [FiberClass("I", n) for n in range(max_index + 1)]
+    classes += [FiberClass(k) for k in ("II", "III", "IV")]
+    classes += [FiberClass("I*", n) for n in range(max_index + 1)]
+    classes += [FiberClass(k) for k in ("II*", "III*", "IV*")]
+    return classes
+
 
 CATALOG = [
     # name, euler, trace, (a, b, c, d)

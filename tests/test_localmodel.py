@@ -15,7 +15,6 @@ from barkfib.localmodel import (
     CoreSectionData,
     LocalCurveSpec,
     essential_zeros,
-    hessian_sing_type,
     singular_points,
     singular_s_values,
     subordinate_s_from_core,
@@ -223,22 +222,3 @@ def test_subordinate_values_scale_with_t():
     big, _ = subordinate_s_from_core(core, 1.0, zeros)
     ratio = (abs(small[0]) / abs(big[0])) ** 5
     assert abs(ratio - 0.5**6) < 1e-9
-
-
-# ----------------------------------------------------------- hessian probe
-
-
-def test_hessian_detects_nodes():
-    assert hessian_sing_type(lambda z, w: z * z + w * w, (0, 0)) == "A1"
-    assert hessian_sing_type(lambda z, w: z * z - 3 * w * w + z * w, (0, 0)) == "A1"
-    assert hessian_sing_type(lambda z, w: z * z + w**3, (0, 0)) == "degenerate"
-    assert hessian_sing_type(lambda z, w: z**3 + w**3, (0, 0)) == "degenerate"
-
-
-def test_hessian_suspension_convention():
-    spec = LocalCurveSpec(3, 1, 1, 1.0, 1.0)
-    (s,) = singular_s_values(spec)
-    ((z0, zeta0),) = singular_points(spec, s)
-    F = spec.curve(s)
-    assert hessian_sing_type(F, (z0, zeta0)) == "degenerate"
-    assert hessian_sing_type(lambda z, w: F(z, w) + z * z, (z0, zeta0)) == "A1"

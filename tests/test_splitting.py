@@ -16,7 +16,6 @@ from barkfib.splitting import (
     enumerate_multisets,
     euler_deficit,
     multiset,
-    normalize_multiset,
     obstruction_I_k_pair,
     obstruction_central_pair,
     obstruction_central_triple_I_k,
@@ -40,14 +39,12 @@ def names(ms):
 def test_euler_deficit():
     assert euler_deficit(F("II*"), F("I2*")) == 2
     assert euler_deficit(F("IV"), F("IV")) == 0
-    assert euler_deficit(F("I5"), F("I5"), genus=3) == 0
+    assert euler_deficit(F("I5"), F("I5")) == 0
 
 
 def test_euler_deficit_errors():
     with pytest.raises(ValueError):
         euler_deficit(F("II"), F("IV"))  # negative
-    with pytest.raises(ValueError):
-        euler_deficit(F("II"), F("I1"), genus=0)
 
 
 # ------------------------------------------------------------ enumeration
@@ -80,7 +77,7 @@ def test_enumeration_is_exhaustive_and_balanced(deficit):
 
 
 def test_normalize_multiset_sorts_canonically():
-    ms = normalize_multiset([F("III"), F("I1"), F("II"), F("I2")])
+    ms = multiset(F("III"), F("I1"), F("II"), F("I2"))
     assert names(ms) == "I1+I2+II+III"
     assert multiset(F("II"), F("I1")) == multiset(F("I1"), F("II"))
 
