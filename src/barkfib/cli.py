@@ -50,7 +50,8 @@ def _parse_mat(text):
 
 
 def _parse_complex(text):
-    return complex(text.strip().replace(" ", "").replace("i", "j"))
+    s = text.strip().replace(" ", "")
+    return complex(s[:-1] + "j" if s.endswith("i") else s)
 
 
 def _c(z):

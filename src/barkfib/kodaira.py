@@ -8,6 +8,8 @@ generators s0, s2, and the monodromy matrix the word evaluates to:
     IV*   : (s0 s2)^4               III*: (s0 s2)^4 s0   II* : (s0 s2)^5
 
 The letter count of each word equals the Euler number of the fiber.
+In closed form I_n is [[1, n], [0, 1]] and I_n* is [[-1, -n], [0, -1]],
+since (s0 s2)^3 = -I; the six elliptic matrices are evaluated once.
 Classification of an arbitrary determinant-1 integer matrix onto these
 conjugacy classes dispatches on the trace: parabolic (trace 2) and
 quasi-parabolic (trace -2) classes reduce to a normal-form index, and
@@ -160,8 +162,18 @@ def standard_word(f):
 
 
 def standard_monodromy(f):
-    """The monodromy matrix, i.e. eval_word(standard_word(f))."""
-    return eval_word(standard_word(f))
+    """The monodromy matrix, equal to eval_word(standard_word(f)): I_n is
+    [[1, n], [0, 1]], I_n* is [[-1, -n], [0, -1]], the rest by table."""
+    if f.kind == "I":
+        return Mat2(1, f.n, 0, 1)
+    if f.kind == "I*":
+        return Mat2(-1, -f.n, 0, -1)
+    return _ELLIPTIC_MONODROMY[f.kind]
+
+
+_ELLIPTIC_MONODROMY = {
+    k: eval_word(standard_word(FiberClass(k))) for k in _PLAIN_KINDS[1:] + _STAR_KINDS[1:]
+}
 
 
 def _parabolic_index(m):

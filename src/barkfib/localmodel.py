@@ -61,6 +61,8 @@ class LocalCurveSpec:
             raise ValueError("need m - l*n > 0")
         if self.mprime < 0 or self.nprime < 0 or self.mprime - self.l * self.nprime < 0:
             raise ValueError("need m' - l*n' >= 0")
+        if not (cmath.isfinite(self.t) and cmath.isfinite(self.c)):
+            raise ValueError("t and c must be finite")
 
     @property
     def reduced_pair(self):

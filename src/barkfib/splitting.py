@@ -9,16 +9,16 @@ monodromy into conjugates of the factors' standard matrices.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import isqrt
+from operator import itemgetter
 
 from .kodaira import FiberClass, euler, standard_monodromy
-from .sl2z import IDENTITY, Mat2, Word, conj, eval_word, parse_word, trace
+from .sl2z import IDENTITY, Word, conj, eval_word, parse_word, trace
 
 FORBIDDEN = "forbidden"
 UNDECIDED = "undecided"
 
-MINUS_IDENTITY = Mat2(-1, 0, 0, -1)
+_NO_RULE = "no trace obstruction applies to %d factors"
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -58,10 +58,18 @@ def _int_partitions(total, cap=None):
             yield (first,) + rest
 
 
-def _part_key(f):
-    # Larger Euler number first; at equal size the cusp/tacnode class
-    # precedes the nodal one (II before I2, III before I3).
-    return (-euler(f), 0 if f.kind in ("II", "III") else 1)
+def order_weights(deficit):
+    """Weights (w_I, w_II, w_III), I_n weighing w_I[n], whose sum over a
+    candidate's parts is its sort key: fewer parts first, then part by part
+    from the largest, larger Euler number first and II/III before I2/I3.
+
+    A part of rank r weighs B^R - B^r, with B = deficit + 1 and R above every
+    rank (I_n: 2n - 1, II: 4, III: 6); no rank's count reaches B.
+    """
+    base = deficit + 1
+    top = base ** max(2 * deficit, 7)
+    w_I = [top - base ** (2 * n - 1) for n in range(max(deficit, 3) + 1)]
+    return w_I, top - base**4, top - base**6
 
 
 def enumerate_multisets(deficit):
@@ -72,27 +80,32 @@ def enumerate_multisets(deficit):
     excluded (an ordinary triple point is not an A-singularity), as are
     all starred and multiple classes.
 
-    The output order is deterministic: fewer parts first, then larger
-    parts first, with II/III preceding the equal-size nodal class.
+    Each candidate is a canonical multiset (I_n ascending, then II, then
+    III).  The output order is deterministic: fewer parts first, then
+    larger parts first, with II/III preceding the equal-size nodal class;
+    that is, ascending in the sum of order_weights(deficit) over the parts.
     """
     if deficit < 1:
         raise ValueError("deficit must be positive")
-    I1 = FiberClass("I", 1)
-    out = []
-    for part_sizes in _int_partitions(deficit):
-        k2 = part_sizes.count(2)
-        k3 = part_sizes.count(3)
-        plain = [FiberClass("I", n) for n in part_sizes if n not in (2, 3)]
+    I_n = [FiberClass("I", n) for n in range(max(deficit, 3) + 1)]
+    II, III = FiberClass("II"), FiberClass("III")
+    w_I, w_II, w_III = order_weights(deficit)
+    to_II, to_III = w_II - w_I[2], w_III - w_I[3]
+    keyed = []
+    for sizes in _int_partitions(deficit):
+        k2, k3 = sizes.count(2), sizes.count(3)
+        ones = (I_n[1],) * sizes.count(1)
+        big = tuple(I_n[n] for n in reversed(sizes) if n > 3)
+        key = sum(w_I[n] for n in sizes)
         for a2 in range(k2 + 1):
+            head = ones + (I_n[2],) * (k2 - a2)
             for a3 in range(k3 + 1):
-                ms = list(plain)
-                ms += [FiberClass("II")] * a2
-                ms += [FiberClass("I", 2)] * (k2 - a2)
-                ms += [FiberClass("III")] * a3
-                ms += [FiberClass("I", 3)] * (k3 - a3)
-                out.append(multiset(*ms))
-    out.sort(key=lambda ms: (len(ms), [_part_key(f) for f in sorted(ms, key=_part_key)]))
-    return out
+                keyed.append((
+                    key + a2 * to_II + a3 * to_III,
+                    head + (I_n[3],) * (k3 - a3) + big + (II,) * a2 + (III,) * a3,
+                ))
+    keyed.sort(key=itemgetter(0))
+    return [ms for _, ms in keyed]
 
 
 def _fiber_trace(f):
@@ -153,8 +166,13 @@ def obstruction_I_k_pair(target, k, other):
     return UNDECIDED if _shift_admissible(delta // k, other) else FORBIDDEN
 
 
+def _is_central(target):
+    """Monodromy -I: only I_0*, as standard_monodromy(I_n*) = -[[1, n], [0, 1]]."""
+    return target.kind == "I*" and target.n == 0
+
+
 def _require_central(target):
-    if standard_monodromy(target) != MINUS_IDENTITY:
+    if not _is_central(target):
         raise ValueError("target %s does not have central monodromy -I" % (target,))
 
 
@@ -192,11 +210,14 @@ def decomposition_verdict(target, parts):
     subordinates).  Central targets with two or three factors use the
     centrality rules; non-central targets with two factors use the I_k
     pair rule for each unipotent factor.  Longer factor lists carry no
-    trace obstruction.  Returns (verdict, reasons).
+    trace obstruction and return before any matrix is built.  Returns
+    (verdict, reasons).
     """
     parts = list(parts)
+    central = _is_central(target)
+    if len(parts) > (3 if central else 2):
+        return UNDECIDED, [_NO_RULE % len(parts)]
     reasons = []
-    central = standard_monodromy(target) == MINUS_IDENTITY
     if central and len(parts) == 2:
         v = obstruction_central_pair(target, parts[0], parts[1])
         if v == FORBIDDEN:
@@ -224,20 +245,13 @@ def decomposition_verdict(target, parts):
                 other = parts[1 - i]
                 v = obstruction_I_k_pair(target, p.n, other)
                 if v == FORBIDDEN:
+                    delta = _fiber_trace(target) - _fiber_trace(other)
                     return FORBIDDEN, [
                         "trace shift rule: trace(%s)-trace(%s) = %d admits no valid"
-                        " multiple of %d"
-                        % (
-                            target,
-                            other,
-                            _fiber_trace(target) - _fiber_trace(other),
-                            p.n,
-                        )
+                        " multiple of %d" % (target, other, delta, p.n)
                     ]
                 reasons.append("trace shift rule passed for I_%d factor" % p.n)
-    if not reasons:
-        reasons.append("no trace obstruction applies to %d factors" % len(parts))
-    return UNDECIDED, reasons
+    return UNDECIDED, reasons or [_NO_RULE % len(parts)]
 
 
 @dataclass(frozen=True)
@@ -461,8 +475,8 @@ def search_factorization(
     Raises:
         SearchBudgetExceeded: when the bounded space is still too large.
     """
-    if max_conj_len < 0:
-        raise ValueError("max_conj_len must be nonnegative")
+    if min(max_conj_len, exp_cap, node_budget) < 0:
+        raise ValueError("max_conj_len, exp_cap and node_budget must be nonnegative")
     parts = multiset(*parts)
     if not parts:
         return None
@@ -507,16 +521,24 @@ def _find_conjugators(target_m, parts, max_conj_len, exp_cap, node_budget):
     }
 
     count = [nodes]
-    seen_orders = set()
-    for order in permutations(parts):
-        if order in seen_orders:
-            continue
-        seen_orders.add(order)
+    for order in _distinct_orders(parts):
         steps = [inverses[f] for f in order[:-1]]
         found = _complete(steps, 0, target_m, tables[order[-1]], count, node_budget)
         if found is not None:
             return order, found[::-1]
     return None
+
+
+def _distinct_orders(parts):
+    """The distinct orderings of the sorted tuple ``parts``, lexicographic in
+    its order: the order of their first occurrences in permutations(parts)."""
+    if len(parts) <= 1:
+        yield parts
+        return
+    for i, first in enumerate(parts):
+        if i == 0 or first != parts[i - 1]:
+            for rest in _distinct_orders(parts[:i] + parts[i + 1:]):
+                yield (first,) + rest
 
 
 def _budget_exceeded(node_budget):

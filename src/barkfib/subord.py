@@ -22,11 +22,11 @@ from .crust import STELLAR_MODELS, core_section_exists
 from .kodaira import FiberClass, euler
 from .splitting import (
     FORBIDDEN,
-    _part_key,
     decomposition_verdict,
     enumerate_multisets,
     euler_deficit,
     multiset,
+    order_weights,
 )
 
 NEAR_CORE = "near_core"
@@ -143,16 +143,17 @@ def determine_types(profile, deficit):
             )
         return [multiset(*[FiberClass("I", sigma)] * fibers)]
     by_mu = {1: FiberClass("I", 1), 2: FiberClass("II"), 3: FiberClass("III")}
-    found = []
-    for combo in _mu_combinations(fibers, deficit):
-        found.append(multiset(*(by_mu[mu] for mu in combo)))
+    w_I, w_II, w_III = order_weights(deficit)
+    weight = {1: w_I[1], 2: w_II, 3: w_III}
+    found = sorted(
+        _mu_combinations(fibers, deficit), key=lambda combo: sum(weight[mu] for mu in combo)
+    )
     if not found:
         raise ValueError(
             "infeasible: cannot split deficit %d into %d Milnor numbers <= 3"
             % (deficit, fibers)
         )
-    found.sort(key=lambda ms: [_part_key(f) for f in sorted(ms, key=_part_key)])
-    return found
+    return [multiset(*(by_mu[mu] for mu in combo)) for combo in found]
 
 
 def _mu_combinations(count, total):

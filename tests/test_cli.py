@@ -80,6 +80,16 @@ def test_factorize_not_found_exits_1(capsys):
     assert record["found"] is False
 
 
+@pytest.mark.parametrize("flag", [["--exp-cap", "-1"], ["--budget", "-5"]])
+def test_factorize_negative_bound_exits_2(capsys, flag):
+    assert main(["factorize", "II", "I1", "I1"] + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "must be nonnegative" in lines[0]
+
+
 def test_crusts_enumeration(capsys):
     code, record = run_json(capsys, ["crusts", "I0*"])
     assert code == 0
@@ -138,6 +148,16 @@ def test_localcheck_negative_complex_with_equals(capsys):
     # "--t -2+1i" would read "-2+1i" as an option; the "=" form does not
     assert main(["localcheck", "--m", "3", "--n", "1", "--t=-2+1i"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("ok:")
+
+
+@pytest.mark.parametrize(
+    "flag", [["--t", "nan"], ["--t", "inf"], ["--t=-inf"], ["--c", "nan"]]
+)
+def test_localcheck_non_finite_exits_2(capsys, flag):
+    assert main(["localcheck", "--m", "3", "--n", "1"] + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: t and c must be finite"]
 
 
 def test_report_full_catalog(capsys):

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from barkfib.kodaira import (
+    KINDS,
     FiberClass,
     classify,
     euler,
@@ -58,6 +61,19 @@ def test_word_letter_count_is_euler(name, e, tr, entries):
     w = standard_word(f)
     assert w.letter_count() == e
     assert eval_word(w) == standard_monodromy(f)
+
+
+def test_standard_monodromy_closed_form_equals_word():
+    classes = all_reduced_classes(60)
+    assert {f.kind for f in classes} == set(KINDS)
+    for f in classes:
+        assert standard_monodromy(f) == eval_word(standard_word(f)), f
+
+
+@given(st.sampled_from(["I", "I*"]), st.integers(0, 10**6), st.integers(1, 3))
+def test_standard_monodromy_closed_form_property(kind, n, multiplicity):
+    f = FiberClass(kind, n, multiplicity)
+    assert standard_monodromy(f) == eval_word(standard_word(f))
 
 
 def test_parse_round_trip():

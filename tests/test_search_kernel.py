@@ -2,6 +2,7 @@
 Mat2 arithmetic, exact node budgets, and frozen first witnesses."""
 
 import functools
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from barkfib.sl2z import IDENTITY, Word, conj, eval_word, format_word
 from barkfib.splitting import (
     SearchBudgetExceeded,
     _conjugate_tables,
+    _distinct_orders,
     _find_conjugators,
     multiset,
     search_factorization,
@@ -153,3 +155,30 @@ def test_length_zero_uses_standard_matrices_only():
     assert search_factorization(F("III"), [F("II"), F("I1")], 0) is not None
     assert search_factorization(F("II"), [F("I1"), F("I1")], 0) is None
 
+
+
+def test_distinct_orders_follow_permutation_order():
+    # the order of first occurrence in permutations(parts), which the first
+    # witnesses and node counts are pinned to, for every multiset of up to
+    # 6 parts over {I1, I2, II}
+    classes = [F("I1"), F("I2"), F("II")]
+    for size in range(1, 7):
+        for combo in combinations_with_replacement(classes, size):
+            parts = multiset(*combo)
+            assert list(_distinct_orders(parts)) == list(dict.fromkeys(permutations(parts)))
+
+
+def test_many_identical_factors_search_one_order():
+    # one distinct order of ten I1 factors, not 10! index permutations
+    assert search_factorization(F("II*"), [F("I1")] * 10, 0) is None
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [dict(max_conj_len=-1), dict(exp_cap=-1), dict(node_budget=-5)],
+)
+def test_negative_bounds_are_rejected(bounds):
+    args = dict(max_conj_len=1, exp_cap=2, node_budget=100)
+    args.update(bounds)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        search_factorization(F("II"), [F("I1"), F("I1")], **args)

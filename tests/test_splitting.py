@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from barkfib.kodaira import parse_fiber
+from barkfib.kodaira import FiberClass, euler, parse_fiber
 from barkfib.sl2z import parse_word, word
 from barkfib.splitting import (
     FORBIDDEN,
     UNDECIDED,
     FactorizationWitness,
     SearchBudgetExceeded,
+    _int_partitions,
     all_witnesses,
     decomposition_verdict,
     enumerate_multisets,
@@ -64,16 +65,57 @@ def test_enumerate_deficit_three():
     ]
 
 
-@pytest.mark.parametrize("deficit", range(1, 8))
+@pytest.mark.parametrize("deficit", range(1, 21))
 def test_enumeration_is_exhaustive_and_balanced(deficit):
-    from barkfib.kodaira import euler
-
     seen = enumerate_multisets(deficit)
     assert len(set(seen)) == len(seen)
     for ms in seen:
+        assert ms == multiset(*ms)
         assert sum(euler(f) for f in ms) == deficit
         for f in ms:
             assert str(f).rstrip("0123456789") in ("I", "II", "III")
+
+
+def _part_key(f):
+    return (-euler(f), 0 if f.kind in ("II", "III") else 1)
+
+
+def oracle_enumerate_multisets(deficit):
+    """The sort-based enumeration the closed-form order must reproduce:
+    every split of every partition, canonicalised by multiset() and
+    sorted by part count, then by the parts' (-euler, nodal) keys."""
+    out = []
+    for part_sizes in _int_partitions(deficit):
+        k2, k3 = part_sizes.count(2), part_sizes.count(3)
+        plain = [FiberClass("I", n) for n in part_sizes if n not in (2, 3)]
+        for a2 in range(k2 + 1):
+            for a3 in range(k3 + 1):
+                ms = list(plain)
+                ms += [FiberClass("II")] * a2 + [FiberClass("I", 2)] * (k2 - a2)
+                ms += [FiberClass("III")] * a3 + [FiberClass("I", 3)] * (k3 - a3)
+                out.append(multiset(*ms))
+    out.sort(key=lambda ms: (len(ms), [_part_key(f) for f in sorted(ms, key=_part_key)]))
+    return out
+
+
+@pytest.mark.parametrize("deficit", range(1, 23))
+def test_enumeration_matches_sort_oracle(deficit):
+    assert enumerate_multisets(deficit) == oracle_enumerate_multisets(deficit)
+
+
+def test_enumeration_counts():
+    counts = [len(enumerate_multisets(d)) for d in range(1, 21)]
+    assert counts == [
+        1, 3, 5, 9, 14, 24, 35, 55, 80, 118,
+        167, 240, 331, 462, 629, 857, 1148, 1540, 2033, 2686,
+    ]
+
+
+def test_enumeration_order_interleaves_partitions():
+    # equal first parts: the cusp class precedes the nodal one across
+    # partitions, so II+II+III (3,2,2) sorts before I1+I3+I3 (3,3,1)
+    order = [names(ms) for ms in enumerate_multisets(7)]
+    assert order.index("II+II+III") < order.index("I1+I3+I3")
 
 
 def test_normalize_multiset_sorts_canonically():

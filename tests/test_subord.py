@@ -13,8 +13,8 @@ from barkfib.crust import (
     Subbranch,
     crust_from_json,
 )
-from barkfib.kodaira import parse_fiber
-from barkfib.splitting import multiset
+from barkfib.kodaira import euler, parse_fiber
+from barkfib.splitting import enumerate_multisets, multiset
 from barkfib.subord import (
     NEAR_CORE,
     NEAR_PROPORTIONAL_EDGE,
@@ -143,6 +143,23 @@ def test_determine_types_single_point_fibers():
     assert type_names(determine_types(prof, 3)) == ["I1+I1+I1"]
     prof = SubordinateProfile(2, 1, NEAR_CORE, "Chi1")
     assert type_names(determine_types(prof, 4)) == ["I1+III", "II+II"]
+
+
+def test_determine_types_order_matches_part_keys():
+    # every single-point split, ordered by the part keys: parts compared
+    # from the largest down, II/III before the equal-size I2/I3
+    def part_key(f):
+        return (-euler(f), 0 if f.kind in ("II", "III") else 1)
+
+    for fibers in range(1, 7):
+        for deficit in range(fibers, 3 * fibers + 1):
+            got = determine_types(SubordinateProfile(fibers, 1, NEAR_CORE, "Chi1"), deficit)
+            expected = sorted(
+                {ms for ms in enumerate_multisets(deficit) if len(ms) == fibers
+                 and all(f.kind != "I" or f.n == 1 for f in ms)},
+                key=lambda ms: [part_key(f) for f in sorted(ms, key=part_key)],
+            )
+            assert got == expected
 
 
 def test_determine_types_infeasible():
