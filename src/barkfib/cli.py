@@ -22,8 +22,9 @@ from .sl2z import Mat2, eval_word, format_word, parse_word, word
 from .splitting import (
     FactorizationWitness,
     SearchBudgetExceeded,
-    decomposition_verdict,
     all_witnesses,
+    decomposition_verdict,
+    format_identity,
     search_factorization,
     verify_witness,
 )
@@ -82,11 +83,6 @@ def cmd_euler(args):
     return 0
 
 
-def _factor_text(base, conjugator):
-    w = format_word(conjugator)
-    return str(base) if not w else "%s^(%s)" % (base, w)
-
-
 def cmd_factorize(args):
     target = parse_fiber(args.target)
     parts = [parse_fiber(p) for p in args.parts]
@@ -112,11 +108,7 @@ def cmd_factorize(args):
             for base, w in witness.factors
         ],
     }
-    lines = [
-        "%s = %s"
-        % (target, " . ".join(_factor_text(base, w) for base, w in witness.factors))
-    ]
-    _emit(args, record, lines)
+    _emit(args, record, [format_identity(witness)])
     return 0
 
 

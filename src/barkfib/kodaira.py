@@ -113,52 +113,40 @@ def parse_fiber(text):
     raise ValueError("cannot parse fiber string %r" % (text,))
 
 
+# kind -> (number of (s0 s2) pairs, trailing s0 exponent; None means n):
+# the standard word is (s0 s2)^pairs s0^tail, and its letter count
+# 2*pairs + tail is the Euler number.
+_WORD_SHAPE = {
+    "I": (0, None),
+    "II": (1, 0),
+    "III": (1, 1),
+    "IV": (2, 0),
+    "I*": (3, None),
+    "IV*": (4, 0),
+    "III*": (4, 1),
+    "II*": (5, 0),
+}
+
+
+def _word_shape(f):
+    pairs, tail = _WORD_SHAPE[f.kind]
+    return pairs, f.n if tail is None else tail
+
+
 def euler(f):
-    """Euler characteristic of the underlying reduced fiber.
+    """Euler characteristic of the underlying reduced fiber: the letter
+    count of its standard word.
 
     Multiplicity is ignored (a multiple torus mI_0 has Euler number 0).
     """
-    kind = f.kind
-    if kind == "I":
-        return f.n
-    if kind == "II":
-        return 2
-    if kind == "III":
-        return 3
-    if kind == "IV":
-        return 4
-    if kind == "I*":
-        return 6 + f.n
-    if kind == "II*":
-        return 10
-    if kind == "III*":
-        return 9
-    if kind == "IV*":
-        return 8
-    raise AssertionError(kind)
+    pairs, tail = _word_shape(f)
+    return 2 * pairs + tail
 
 
 def standard_word(f):
     """Standard word of a fiber class (empty for I_0)."""
-    kind = f.kind
-    if kind == "I":
-        return Word([("s0", f.n)])
-    pair = [("s0", 1), ("s2", 1)]
-    if kind == "II":
-        return Word(pair)
-    if kind == "III":
-        return Word(pair + [("s0", 1)])
-    if kind == "IV":
-        return Word(pair * 2)
-    if kind == "I*":
-        return Word(pair * 3 + [("s0", f.n)])
-    if kind == "IV*":
-        return Word(pair * 4)
-    if kind == "III*":
-        return Word(pair * 4 + [("s0", 1)])
-    if kind == "II*":
-        return Word(pair * 5)
-    raise AssertionError(kind)
+    pairs, tail = _word_shape(f)
+    return Word([("s0", 1), ("s2", 1)] * pairs + [("s0", tail)])
 
 
 def standard_monodromy(f):

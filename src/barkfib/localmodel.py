@@ -101,7 +101,8 @@ def singular_s_values(spec):
 
         s^nbar = (l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar * (t*c)^mbar
 
-    where (mbar, nbar) = (m, n)/gcd(m, n).
+    where (mbar, nbar) = (m, n)/gcd(m, n).  A right-hand side that
+    overflows or underflows to 0 in floating point raises ValueError.
     """
     if spec.mprime or spec.nprime:
         raise ValueError(
@@ -115,8 +116,13 @@ def singular_s_values(spec):
     rational = Fraction(ln, ln - spec.m) ** (spec.l * nbar) * Fraction(
         ln - spec.m, spec.m
     ) ** mbar
-    rhs = complex(rational) * (spec.t * spec.c) ** mbar
-    roots = _nth_roots(rhs, nbar)
+    try:
+        rhs = complex(rational) * (spec.t * spec.c) ** mbar
+        roots = _nth_roots(rhs, nbar) if rhs and cmath.isfinite(rhs) else None
+    except OverflowError:
+        roots = None
+    if roots is None:
+        raise ValueError("singular values out of floating-point range")
     roots.sort(key=_sort_key)
     return roots
 

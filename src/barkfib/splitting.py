@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from math import isqrt
 from operator import itemgetter
 
-from .kodaira import FiberClass, euler, standard_monodromy
-from .sl2z import IDENTITY, Word, conj, eval_word, parse_word, trace
+from .kodaira import FiberClass, euler, parse_fiber, standard_monodromy
+from .sl2z import IDENTITY, Word, conj, eval_word, format_word, parse_word, trace
 
 FORBIDDEN = "forbidden"
 UNDECIDED = "undecided"
@@ -274,93 +274,72 @@ def verify_witness(w):
     return w.product() == standard_monodromy(w.target)
 
 
-def _witness(target_text, *factor_texts):
-    from .kodaira import parse_fiber
+def format_identity(w):
+    """The identity text ``T = A . B^(w) ...`` of a witness: the target,
+    then the factors in product order, each conjugator word w in ``^( )``
+    unless it is empty."""
+    return "%s = %s" % (
+        w.target,
+        " . ".join(
+            "%s^(%s)" % (base, format_word(g)) if len(g) else str(base)
+            for base, g in w.factors
+        ),
+    )
 
+
+def parse_identity(text):
+    """The FactorizationWitness that format_identity prints as ``text``.
+
+    Raises:
+        ValueError: if the text is not ``TARGET = FACTOR . FACTOR ...`` with
+        each factor a fiber, optionally followed by ``^(WORD)``.
+    """
+    target, sep, product = text.partition(" = ")
+    if not sep:
+        raise ValueError("identity %r lacks ' = '" % (text,))
     factors = []
-    for item in factor_texts:
-        if isinstance(item, str):
-            base, word_text = item, ""
-        else:
-            base, word_text = item
-        factors.append((parse_fiber(base), parse_word(word_text)))
-    return FactorizationWitness(parse_fiber(target_text), tuple(factors))
+    for factor in product.split(" . "):
+        base, hat, rest = factor.partition("^(")
+        if hat and not rest.endswith(")"):
+            raise ValueError("unclosed '^(' in factor %r" % (factor,))
+        factors.append((parse_fiber(base), parse_word(rest[:-1])))
+    return FactorizationWitness(parse_fiber(target), tuple(factors))
 
 
 def witness_I_star_family(n):
     """The splitting I_n* -> I_{n+4} + I_1 + I_1, valid for every n >= 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _witness(
-        "I%d*" % n, ("I1", "s0 s2"), ("I1", "s0^3 s2"), ("I%d" % (n + 4), "")
-    )
+    return parse_identity("I%d* = I1^(s0 s2) . I1^(s0^3 s2) . I%d" % (n, n + 4))
 
 
 # Exact product identities, one per known splitting with an explicit
-# word.  Each verifies by verify_witness; the tuple order is the product
-# order (left to right).
+# word, as (text, witness) rows; the factor order is the product order.
+# Each verifies by verify_witness.
 WITNESS_TABLE = [
-    ("II = I1 . I1^(s0 s2)", _witness("II", "I1", ("I1", "s0 s2"))),
-    ("III = II . I1", _witness("III", "II", "I1")),
-    ("III = I2 . I1^(s2)", _witness("III", "I2", ("I1", "s2"))),
-    ("IV = II . II", _witness("IV", "II", "II")),
-    ("IV = I2 . II^(s2)", _witness("IV", "I2", ("II", "s2"))),
-    ("IV = III . I1^(s0 s2)", _witness("IV", "III", ("I1", "s0 s2"))),
-    ("IV = I3 . I1^(s2)", _witness("IV", "I3", ("I1", "s2"))),
-    ("II* = IV* . II", _witness("II*", "IV*", "II")),
-    (
+    (text, parse_identity(text))
+    for text in (
+        "II = I1 . I1^(s0 s2)",
+        "III = II . I1",
+        "III = I2 . I1^(s2)",
+        "IV = II . II",
+        "IV = I2 . II^(s2)",
+        "IV = III . I1^(s0 s2)",
+        "IV = I3 . I1^(s2)",
+        "II* = IV* . II",
         "II* = I2* . I1^(s2) . I1^(s0 s2)",
-        _witness("II*", "I2*", ("I1", "s2"), ("I1", "s0 s2")),
-    ),
-    (
         "II* = I5 . I1^(s2) . I1 . I1^(s0 s2) . I1^(s0 s2) . I1",
-        _witness(
-            "II*",
-            "I5",
-            ("I1", "s2"),
-            "I1",
-            ("I1", "s0 s2"),
-            ("I1", "s0 s2"),
-            "I1",
-        ),
-    ),
-    (
         "II* = I8 . I1^(s0^-1 s2) . I1^(s0^-1 s2^-2)",
-        _witness("II*", "I8", ("I1", "s0^-1 s2"), ("I1", "s0^-1 s2^-2")),
-    ),
-    ("III* = I1*^(s2^-1) . I2", _witness("III*", ("I1*", "s2^-1"), "I2")),
-    (
+        "III* = I1*^(s2^-1) . I2",
         "III* = I0* . I1 . I1^(s0 s2) . I1",
-        _witness("III*", "I0*", "I1", ("I1", "s0 s2"), "I1"),
-    ),
-    (
         "III* = I7 . I1^(s0^-4 s2) . I1^(s0^-1 s2)",
-        _witness("III*", "I7", ("I1", "s0^-4 s2"), ("I1", "s0^-1 s2")),
-    ),
-    (
         "III* = I6 . II^(s0^-4 s2) . I1^(s0^-1 s2)",
-        _witness("III*", "I6", ("II", "s0^-4 s2"), ("I1", "s0^-1 s2")),
-    ),
-    (
         "III* = I6 . I1^(s0^-2 s2) . I2^(s2)",
-        _witness("III*", "I6", ("I1", "s0^-2 s2"), ("I2", "s2")),
-    ),
-    (
         "IV* = I0* . I1 . I1^(s0 s2)",
-        _witness("IV*", "I0*", "I1", ("I1", "s0 s2")),
-    ),
-    (
         "IV* = I6 . I1^(s0^-3 s2) . I1^(s2)",
-        _witness("IV*", "I6", ("I1", "s0^-3 s2"), ("I1", "s2")),
-    ),
-    (
         "I0* = I4 . I1^(s0^-1 s2) . I1^(s0 s2)",
-        _witness("I0*", "I4", ("I1", "s0^-1 s2"), ("I1", "s0 s2")),
-    ),
-    (
         "I0* = I3 . II^(s0^-2) . I1^(s0 s2)",
-        _witness("I0*", "I3", ("II", "s0^-2"), ("I1", "s0 s2")),
-    ),
+    )
 ]
 
 # The I_n* family instantiated at small n; together with WITNESS_TABLE
@@ -369,23 +348,19 @@ WITNESS_FAMILY_RANGE = range(1, 7)
 
 
 def all_witnesses():
-    rows = list(WITNESS_TABLE)
-    for n in WITNESS_FAMILY_RANGE:
-        rows.append(
-            (
-                "I%d* = I1^(s0 s2) . I1^(s0^3 s2) . I%d" % (n, n + 4),
-                witness_I_star_family(n),
-            )
-        )
-    return rows
+    family = [witness_I_star_family(n) for n in WITNESS_FAMILY_RANGE]
+    return WITNESS_TABLE + [(format_identity(w), w) for w in family]
 
 
-def _conjugator_count(max_len, n_exps):
+def _conjugator_count(max_len, n_exps, limit):
     """Number of normalized words of length <= max_len when each letter
     has ``n_exps`` possible exponents: the empty word, 2*n_exps words of
-    length 1, and n_exps times as many at each further length."""
+    length 1, and n_exps times as many at each further length.  The count
+    stops growing once it passes ``limit``."""
     total, width = 1, 2 * n_exps
     for _ in range(max_len):
+        if total > limit or not width:
+            break
         total += width
         width *= n_exps
     return total
@@ -409,7 +384,7 @@ def _conjugate_tables(bases, max_len, exps):
     tables = [{base: ()} for base in bases]
     pairs = list(zip(bases, tables))
     frontier = [((), (1, 0, 0, 1))]
-    for depth in range(max_len):
+    for depth in range(max_len if exps else 0):
         keep = depth + 1 < max_len
         nxt = []
         for letters, (a, b, c, d) in frontier:
@@ -501,16 +476,16 @@ def _find_conjugators(target_m, parts, max_conj_len, exp_cap, node_budget):
     factor order and each factor's conjugator letters, for the first
     ordered product equal to ``target_m``; or None.
     """
-    exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0]
     classes = list(dict.fromkeys(parts))
     # The table phase costs a known number of nodes, so the budget is
-    # checked before it runs.
-    words = _conjugator_count(max_conj_len, len(exps))
+    # checked, from the counts alone, before any exponent list is built.
+    words = _conjugator_count(max_conj_len, 2 * exp_cap, node_budget)
     if words > node_budget:
         raise SearchBudgetExceeded("conjugator enumeration exceeded %d nodes" % node_budget)
     nodes = words * (1 + len(classes))
     if nodes > node_budget:
         raise _budget_exceeded(node_budget)
+    exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0] if max_conj_len else []
     bases = [standard_monodromy(f).entries() for f in classes]
     tables = dict(zip(classes, _conjugate_tables(bases, max_conj_len, exps)))
     # The depth-first search carries rest = (product so far)^-1 * target

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from barkfib.cli import main
+from barkfib.splitting import parse_identity, verify_witness
 
 
 def run_json(capsys, argv):
@@ -72,6 +73,13 @@ def test_factorize_found(capsys):
     assert code == 0
     assert record["found"] is True
     assert len(record["factors"]) == 2
+
+
+def test_factorize_text_is_a_verifying_identity(capsys):
+    assert main(["factorize", "II", "I1", "I1"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert line == "II = I1 . I1^(s0^-1 s2^-1)"
+    assert verify_witness(parse_identity(line))
 
 
 def test_factorize_not_found_exits_1(capsys):
@@ -150,14 +158,34 @@ def test_localcheck_negative_complex_with_equals(capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("ok:")
 
 
+_NOT_FINITE = "t and c must be finite"
+_OUT_OF_RANGE = "singular values out of floating-point range"
+
+
 @pytest.mark.parametrize(
-    "flag", [["--t", "nan"], ["--t", "inf"], ["--t=-inf"], ["--c", "nan"]]
+    "args,message",
+    [
+        pytest.param(args, message, id="flag%d" % i)
+        for i, (args, message) in enumerate(
+            [
+                (["--m", "3", "--t", "nan"], _NOT_FINITE),
+                (["--m", "3", "--t", "inf"], _NOT_FINITE),
+                (["--m", "3", "--t=-inf"], _NOT_FINITE),
+                (["--m", "3", "--c", "nan"], _NOT_FINITE),
+                # finite t whose singular values overflow, or underflow to 0
+                (["--m", "3", "--t=1e308+1e308i"], _OUT_OF_RANGE),
+                (["--m", "24", "--t=1e200"], _OUT_OF_RANGE),
+                (["--m", "24", "--t=1e13"], _OUT_OF_RANGE),
+                (["--m", "24", "--t=1e-200"], _OUT_OF_RANGE),
+            ]
+        )
+    ],
 )
-def test_localcheck_non_finite_exits_2(capsys, flag):
-    assert main(["localcheck", "--m", "3", "--n", "1"] + flag) == 2
+def test_localcheck_non_finite_exits_2(capsys, args, message):
+    assert main(["localcheck", "--n", "1"] + args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: t and c must be finite"]
+    assert captured.err.splitlines() == ["error: " + message]
 
 
 def test_report_full_catalog(capsys):

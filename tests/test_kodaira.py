@@ -15,7 +15,7 @@ from barkfib.kodaira import (
     standard_monodromy,
     standard_word,
 )
-from barkfib.sl2z import IDENTITY, Mat2, S0, S2, conj, eval_word, trace
+from barkfib.sl2z import IDENTITY, Mat2, S0, S2, conj, eval_word, format_word, trace
 
 
 def all_reduced_classes(max_index=4):
@@ -61,6 +61,27 @@ def test_word_letter_count_is_euler(name, e, tr, entries):
     w = standard_word(f)
     assert w.letter_count() == e
     assert eval_word(w) == standard_monodromy(f)
+
+
+STANDARD_WORDS = [
+    ("I0", ""),
+    ("I1", "s0"),
+    ("I5", "s0^5"),
+    ("II", "s0 s2"),
+    ("III", "s0 s2 s0"),
+    ("IV", "s0 s2 s0 s2"),
+    ("I0*", "s0 s2 s0 s2 s0 s2"),
+    ("I3*", "s0 s2 s0 s2 s0 s2 s0^3"),
+    ("IV*", "s0 s2 s0 s2 s0 s2 s0 s2"),
+    ("III*", "s0 s2 s0 s2 s0 s2 s0 s2 s0"),
+    ("II*", "s0 s2 s0 s2 s0 s2 s0 s2 s0 s2"),
+    ("2I3", "s0^3"),
+]
+
+
+@pytest.mark.parametrize("name,text", STANDARD_WORDS)
+def test_standard_word_spelling(name, text):
+    assert format_word(standard_word(parse_fiber(name))) == text
 
 
 def test_standard_monodromy_closed_form_equals_word():

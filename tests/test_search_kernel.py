@@ -2,6 +2,7 @@
 Mat2 arithmetic, exact node budgets, and frozen first witnesses."""
 
 import functools
+import tracemalloc
 from itertools import combinations_with_replacement, permutations
 
 import pytest
@@ -15,7 +16,9 @@ from barkfib.splitting import (
     _conjugate_tables,
     _distinct_orders,
     _find_conjugators,
+    format_identity,
     multiset,
+    parse_identity,
     search_factorization,
 )
 
@@ -149,6 +152,45 @@ FIRST_WITNESSES = [
 def test_first_witness_is_frozen(target, parts, length, factors):
     w = search_factorization(F(target), [F(p) for p in parts], length)
     assert [(str(f), format_word(g)) for f, g in w.factors] == factors
+
+
+@pytest.mark.parametrize("target,parts,length,factors", FIRST_WITNESSES)
+def test_first_witness_identity_round_trips(target, parts, length, factors):
+    w = search_factorization(F(target), [F(p) for p in parts], length)
+    assert parse_identity(format_identity(w)) == w
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_over_budget_search_builds_no_exponent_list():
+    # 8*10^6 + 1 length-1 words: over the default budget, known from the count
+    def call():
+        with pytest.raises(SearchBudgetExceeded):
+            search_factorization(F("II"), [F("I1"), F("I1")], 1, exp_cap=4 * 10**6)
+
+    assert _peak_bytes(call) < 10**6
+
+
+def test_length_zero_search_builds_no_exponent_list():
+    def call():
+        assert search_factorization(F("I1"), [F("I1")], 0, exp_cap=10**6) is not None
+
+    assert _peak_bytes(call) < 10**6
+
+
+def test_huge_length_is_bounded_by_the_count():
+    # the count stops at the budget, and no exponents leave only the empty word
+    with pytest.raises(SearchBudgetExceeded):
+        search_factorization(F("II"), [F("I1"), F("I1")], 10**9)
+    assert search_factorization(F("I1"), [F("I1")], 10**9, exp_cap=0) is not None
 
 
 def test_length_zero_uses_standard_matrices_only():

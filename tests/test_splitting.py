@@ -16,10 +16,12 @@ from barkfib.splitting import (
     decomposition_verdict,
     enumerate_multisets,
     euler_deficit,
+    format_identity,
     multiset,
     obstruction_I_k_pair,
     obstruction_central_pair,
     obstruction_central_triple_I_k,
+    parse_identity,
     search_factorization,
     verify_witness,
     witness_I_star_family,
@@ -200,6 +202,31 @@ def test_all_witnesses_verify():
     assert len(rows) == 26
     for label, w in rows:
         assert verify_witness(w), label
+
+
+def test_identity_labels_round_trip():
+    for label, w in all_witnesses():
+        assert format_identity(w) == label
+        assert parse_identity(label) == w
+        assert format_identity(parse_identity(label)) == label
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "II I1 . I1",  # no " = "
+        "II=I1 . I1",
+        "II = I1 . I1^(s0 s2",  # unclosed "^("
+        "II = I1^(s0 s2 . I1",
+        "II = I1 . I1^(",
+        "II = ",
+        "II = I1 . I1^(s1)",
+        "X = I1",
+    ],
+)
+def test_parse_identity_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_identity(text)
 
 
 def test_tampered_witness_fails():
