@@ -20,6 +20,7 @@ from .kodaira import classify, euler, parse_fiber
 from .localmodel import LocalCurveSpec, singular_points, singular_s_values
 from .sl2z import Mat2, eval_word, format_word, parse_word, word
 from .splitting import (
+    FORBIDDEN,
     FactorizationWitness,
     SearchBudgetExceeded,
     all_witnesses,
@@ -98,7 +99,18 @@ def cmd_factorize(args):
         _fail(str(exc))
         return 1
     if witness is None:
-        _emit(args, {"found": False, "target": str(target)}, ["no factorization found"])
+        verdict, reasons = decomposition_verdict(target, parts)
+        record = {
+            "found": False,
+            "target": str(target),
+            "verdict": verdict,
+            "reasons": list(reasons),
+        }
+        if verdict == FORBIDDEN:
+            line = "no factorization exists: %s" % "; ".join(reasons)
+        else:
+            line = "no factorization found"
+        _emit(args, record, [line])
         return 1
     record = {
         "found": True,
@@ -391,6 +403,10 @@ def main(argv=None):
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
+    # argparse reads `--opt=--` as an empty list; a '+' positional is never empty
+    if [] in vars(args).values():
+        _fail("an option's value cannot be '--'")
+        return 2
     try:
         return args.func(args)
     except HypothesisError as exc:

@@ -17,6 +17,7 @@ tolerance.  All residual checks are relative to the coefficient scale.
 """
 
 import cmath
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite
@@ -101,8 +102,10 @@ def singular_s_values(spec):
 
         s^nbar = (l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar * (t*c)^mbar
 
-    where (mbar, nbar) = (m, n)/gcd(m, n).  A right-hand side that
-    overflows or underflows to 0 in floating point raises ValueError.
+    where (mbar, nbar) = (m, n)/gcd(m, n).  A right-hand side whose
+    magnitude overflows, or underflows below the smallest normal float
+    (to 0, or to a subnormal too coarse to tell the fibers apart), raises
+    ValueError.
     """
     if spec.mprime or spec.nprime:
         raise ValueError(
@@ -118,11 +121,12 @@ def singular_s_values(spec):
     ) ** mbar
     try:
         rhs = complex(rational) * (spec.t * spec.c) ** mbar
-        roots = _nth_roots(rhs, nbar) if rhs and cmath.isfinite(rhs) else None
+        in_range = sys.float_info.min <= abs(rhs) <= sys.float_info.max
     except OverflowError:
-        roots = None
-    if roots is None:
+        in_range = False
+    if not in_range:
         raise ValueError("singular values out of floating-point range")
+    roots = _nth_roots(rhs, nbar)
     roots.sort(key=_sort_key)
     return roots
 
@@ -131,9 +135,10 @@ def singular_points(spec, s, tol=RESIDUAL_TOL):
     """Singular points (z, zeta) of the fiber over a singular value s.
 
     All lie on z = 0 with zeta an n-th root of ((l*n - m)/m)*t*c;
-    exactly gcd(m, n) of those roots land on the fiber of the given s.
-    Every returned point is re-verified: |F| and both partials must stay
-    below tol * scale, else a RuntimeError with the residuals is raised.
+    exactly gcd(m, n) of those roots land on the fiber of the given s,
+    that is, have |F| <= tol * |s|.  Every returned point is re-verified:
+    both partials must stay below tol * (1 + max(|s|, |t*c|)), else a
+    RuntimeError with the residuals is raised.
     """
     if spec.mprime or spec.nprime:
         raise ValueError("singular points at s != 0 require m' = n' = 0")
@@ -143,7 +148,7 @@ def singular_points(spec, s, tol=RESIDUAL_TOL):
     points = []
     for zeta in _nth_roots(w, spec.n):
         value = F(0.0, zeta)
-        if abs(value) > tol * scale:
+        if abs(value) > tol * abs(s):
             continue
         fz = 0.0  # F has no z-dependence in this chart
         inner = zeta**spec.n + spec.t * spec.c

@@ -434,7 +434,8 @@ def search_factorization(
     search raises SearchBudgetExceeded once the count would pass
     ``node_budget`` (the conjugation phase, whose cost is known, is
     checked before it runs), so a search that needs exactly
-    ``node_budget`` nodes completes.
+    ``node_budget`` nodes completes.  A decomposition the trace rules
+    forbid costs no nodes and never raises.
 
     Args:
         target: the fiber class whose monodromy is to be factored.
@@ -444,8 +445,11 @@ def search_factorization(
         node_budget: hard cap on explored nodes.
 
     Returns:
-        A verified FactorizationWitness, or None if no witness exists
-        within the bounds.  None is evidence, not an impossibility proof.
+        A verified FactorizationWitness, or None.  When
+        decomposition_verdict(target, parts) is ``forbidden``, None is
+        returned before any conjugate is built and is a proof that no
+        factorization exists at any bound; otherwise None means no witness
+        exists within the bounds, which is evidence, not a proof.
 
     Raises:
         SearchBudgetExceeded: when the bounded space is still too large.
@@ -453,7 +457,7 @@ def search_factorization(
     if min(max_conj_len, exp_cap, node_budget) < 0:
         raise ValueError("max_conj_len, exp_cap and node_budget must be nonnegative")
     parts = multiset(*parts)
-    if not parts:
+    if not parts or decomposition_verdict(target, parts)[0] == FORBIDDEN:
         return None
     found = _find_conjugators(
         standard_monodromy(target).entries(), parts, max_conj_len, exp_cap, node_budget

@@ -1,8 +1,12 @@
 """CLI behavior: exit codes, JSON schema, fixture diffing."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from barkfib.cli import main
 from barkfib.splitting import parse_identity, verify_witness
@@ -49,6 +53,27 @@ def test_parse_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--mat=--"],
+        ["classify", "--word=--"],
+        ["factorize", "II", "I1", "I1", "--budget=--"],
+        ["localcheck", "--m=--", "--n", "1"],
+        ["localcheck", "--m", "3", "--n", "1", "--t=--"],
+        ["predict", "II*", "--crust=--"],
+        ["crusts", "IV", "-l=--"],
+        ["report", "--case=--"],
+    ],
+)
+def test_double_dash_option_value_exits_2(capsys, argv):
+    # argparse hands `--opt=--` over as an empty list instead of failing
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: an option's value cannot be '--'"]
+
+
 def test_euler(capsys):
     code, record = run_json(capsys, ["euler", "I5", "II*"])
     assert code == 0
@@ -86,6 +111,44 @@ def test_factorize_not_found_exits_1(capsys):
     code, record = run_json(capsys, ["factorize", "IV", "I2", "I2", "--max-conj-len", "2"])
     assert code == 1
     assert record["found"] is False
+    _, obstruct = run_json(capsys, ["obstruct", "IV", "I2", "I2"])
+    assert record["verdict"] == obstruct["verdict"] == "forbidden"
+    assert record["reasons"] == obstruct["reasons"]
+
+
+def test_factorize_undecided_not_found_json(capsys):
+    code, record = run_json(capsys, ["factorize", "II", "I1", "I1", "--max-conj-len", "0"])
+    assert code == 1
+    assert record["found"] is False
+    assert record["verdict"] == "undecided"
+    assert record["reasons"] == ["trace shift rule passed for I_1 factor"] * 2
+
+
+_SHIFT_PROOF = (
+    "no factorization exists: trace shift rule: trace(IV)-trace(I2) = -3"
+    " admits no valid multiple of 2"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["IV", "I2", "I2", "--max-conj-len", "4"], _SHIFT_PROOF),
+        # a forbidden decomposition is proved, never searched: no budget error
+        (["IV", "I2", "I2", "--max-conj-len", "99"], _SHIFT_PROOF),
+        (
+            ["I0*", "I3", "I2", "I1", "--max-conj-len", "2"],
+            "no factorization exists: central triple rule: 3 does not divide"
+            " trace(I2)+trace(I1)",
+        ),
+        (["II", "I1", "I1", "--max-conj-len", "0"], "no factorization found"),
+    ],
+)
+def test_factorize_not_found_text(capsys, argv, line):
+    assert main(["factorize"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [line]
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("flag", [["--exp-cap", "-1"], ["--budget", "-5"]])
@@ -177,6 +240,8 @@ _OUT_OF_RANGE = "singular values out of floating-point range"
                 (["--m", "24", "--t=1e200"], _OUT_OF_RANGE),
                 (["--m", "24", "--t=1e13"], _OUT_OF_RANGE),
                 (["--m", "24", "--t=1e-200"], _OUT_OF_RANGE),
+                # s = -1.57e-314 is subnormal: underflow, not a singular value
+                (["--m", "24", "--t=1e-13"], _OUT_OF_RANGE),
             ]
         )
     ],
@@ -292,3 +357,33 @@ def test_verify_words_corrupt_out_of_range(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# Text for the fuzz: arbitrary strings, and near-misses built from the
+# pieces the parsers look for.
+_PIECES = st.sampled_from(["s0", "s2", "^", "-", "I", "II", "*", "1", "0", ",", " ", "e3"])
+_FUZZ = st.one_of(st.text(), st.lists(_PIECES | st.text(max_size=3)).map("".join))
+
+
+@pytest.mark.parametrize(
+    "argv,codes",
+    [
+        (["classify", "--mat={}"], {0, 3}),
+        (["classify", "--word={}"], {0, 3}),
+        (["euler", "--", "{}"], {0}),
+        (["factorize", "--max-conj-len", "0", "--", "{}", "I1"], {0, 1}),
+        (["factorize", "--max-conj-len", "0", "--", "II", "{}"], {0, 1}),
+    ],
+    ids=["classify-mat", "classify-word", "euler", "factorize-target", "factorize-part"],
+)
+@given(text=_FUZZ)
+def test_cli_fuzz_fails_with_one_error_line(argv, codes, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.replace("{}", text) for arg in argv])
+    if code == 2:
+        assert out.getvalue() == ""
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+    else:
+        assert code in codes and err.getvalue() == ""

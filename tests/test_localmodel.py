@@ -120,6 +120,23 @@ def test_singular_point_count_is_gcd(m, n, l):
         assert len(singular_points(spec, s)) == gcd(m, n)
 
 
+def test_singular_points_separate_fibers_near_zero():
+    # |s| = 1.48e-16: an absolute tolerance puts s, 2s and -s on one fiber
+    spec = LocalCurveSpec(3, 1, 1, 1e-5, 1.0)
+    (s,) = singular_s_values(spec)
+    assert len(singular_points(spec, s)) == 1
+    assert singular_points(spec, 2 * s) == singular_points(spec, -s) == []
+
+
+@pytest.mark.parametrize(
+    "m,n,l,t", [(3, 2, 1, 1e-6), (7, 2, 1, 1e-3 + 2e-3j), (13, 2, 1, -0.05 - 0.001j)]
+)
+def test_small_singular_values_keep_their_own_points(m, n, l, t):
+    spec = LocalCurveSpec(m, n, l, t, 1.0)
+    for s in singular_s_values(spec):
+        assert len(singular_points(spec, s)) == gcd(m, n)
+
+
 def test_resultant_vanishes_only_at_singular_values():
     m, n, l, tc = 5, 2, 1, 1.0
     spec = LocalCurveSpec(m, n, l, 1.0, 1.0)

@@ -1,5 +1,6 @@
 """The integer-tuple kernel of search_factorization: agreement with the
-Mat2 arithmetic, exact node budgets, and frozen first witnesses."""
+Mat2 arithmetic, exact node budgets, frozen first witnesses, and the
+trace-rule shortcut that runs before it."""
 
 import functools
 import tracemalloc
@@ -9,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barkfib.kodaira import parse_fiber, standard_monodromy
+from barkfib.kodaira import euler, parse_fiber, standard_monodromy
 from barkfib.sl2z import IDENTITY, Word, conj, eval_word, format_word
 from barkfib.splitting import (
+    FORBIDDEN,
     SearchBudgetExceeded,
     _conjugate_tables,
     _distinct_orders,
     _find_conjugators,
+    decomposition_verdict,
     format_identity,
     multiset,
     parse_identity,
@@ -120,16 +123,22 @@ def test_tuple_products_equal_mat2_products(case):
     assert product == target
 
 
-# The smallest budget with which each search completes.
+# The smallest budget with which each search completes.  The ids are
+# fixed so that the test names do not depend on the rows' positions.
 BUDGET_EDGES = [
-    ("II", ["I1", "I1"], 2, 1093),
-    ("IV", ["I2", "I2"], 2, 1575),
-    ("I0*", ["I3", "I2", "I1"], 1, 3810),
-    ("IV", ["I3", "I1"], 2, 1652),
-    ("III", ["I1", "I1", "I1"], 1, 71),
+    pytest.param("II", ["I1", "I1"], 2, 1093, id="II-parts0-2-1093"),
+    pytest.param("IV", ["I3", "I1"], 2, 1652, id="IV-parts3-2-1652"),
+    pytest.param("III", ["I1", "I1", "I1"], 1, 71, id="III-parts4-1-71"),
     # Length 0 is the empty conjugator only: one word, one conjugation,
     # one search node.
-    ("I1", ["I1"], 0, 3),
+    pytest.param("I1", ["I1"], 0, 3, id="I1-parts5-0-3"),
+]
+
+# Searches the trace rules forbid: search_factorization returns None
+# without searching, so the kernel's node accounting is pinned directly.
+KERNEL_BUDGET_EDGES = [
+    ("IV", ["I2", "I2"], 2, 1575),
+    ("I0*", ["I3", "I2", "I1"], 1, 3810),
 ]
 
 
@@ -139,6 +148,53 @@ def test_budget_edges(target, parts, length, budget):
     search_factorization(*args, node_budget=budget)
     with pytest.raises(SearchBudgetExceeded):
         search_factorization(*args, node_budget=budget - 1)
+
+
+@pytest.mark.parametrize("target,parts,length,budget", KERNEL_BUDGET_EDGES)
+def test_kernel_budget_edges(target, parts, length, budget):
+    args = (entries(target), multiset(*map(F, parts)), length, 8)
+    assert _find_conjugators(*args, budget) is None
+    with pytest.raises(SearchBudgetExceeded):
+        _find_conjugators(*args, budget - 1)
+
+
+@pytest.mark.parametrize("target,parts,length,budget", KERNEL_BUDGET_EDGES)
+def test_forbidden_search_builds_nothing(target, parts, length, budget):
+    assert decomposition_verdict(F(target), map(F, parts))[0] == FORBIDDEN
+
+    def call():
+        args = (F(target), [F(p) for p in parts])
+        assert search_factorization(*args, length, node_budget=0) is None
+        assert search_factorization(*args, 10**9) is None
+
+    assert _peak_bytes(call) < 10**6
+
+
+# I0..I8, II, III, IV, I0*..I4*, II*, III*, IV*, in canonical order.
+CLASSES = multiset(
+    *(F("I%d" % n) for n in range(9)),
+    *(F("I%d*" % n) for n in range(5)),
+    *map(F, ["II", "III", "IV", "II*", "III*", "IV*"]),
+)
+
+
+def test_forbidden_decompositions_have_no_witness():
+    # The search stops at a forbidden verdict, so the rule must never hide
+    # a witness the kernel would find: every Euler-matched pair at length 2
+    # and triple at length 1 over CLASSES that the rules forbid.
+    forbidden = [
+        (target, parts)
+        for size in (2, 3)
+        for target in CLASSES
+        for parts in combinations_with_replacement(CLASSES, size)
+        if sum(map(euler, parts)) == euler(target)
+        and decomposition_verdict(target, parts)[0] == FORBIDDEN
+    ]
+    assert len(forbidden) == 94
+    for target, parts in forbidden:
+        length = 2 if len(parts) == 2 else 1
+        m = standard_monodromy(target).entries()
+        assert _find_conjugators(m, parts, length, 8, 10**7) is None, (target, parts)
 
 
 FIRST_WITNESSES = [
