@@ -11,6 +11,7 @@ from math import gcd
 
 from .crust import (
     STELLAR_MODELS,
+    _decode_json,
     crust_from_json,
     crust_to_json,
     enumerate_simple_crusts,
@@ -26,6 +27,7 @@ from .splitting import (
     all_witnesses,
     decomposition_verdict,
     format_identity,
+    multiset,
     search_factorization,
     verify_witness,
 )
@@ -163,7 +165,7 @@ def cmd_predict(args):
     if model is None:
         _fail("no stellar model for %s" % fiber)
         return 2
-    crust = crust_from_json(model, json.loads(args.crust))
+    crust = crust_from_json(model, _decode_json(args.crust))
     try:
         profile = predict_counts(model, crust)
     except HypothesisError as exc:
@@ -227,6 +229,11 @@ def cmd_localcheck(args):
     return 0 if ok else 1
 
 
+def _names(fibers):
+    """Fiber names in string order: how `report` displays a multiset."""
+    return sorted(str(f) for f in fibers)
+
+
 def cmd_report(args):
     models, cases = load_catalog(args.fixture)
     if args.case is not None:
@@ -246,21 +253,23 @@ def cmd_report(args):
                 return 2
             crust = crust_from_json(model, case["crust"])
         report = full_report(original, main_fiber, crust=crust, model=model)
-        got = {tuple(sorted(str(f) for f in ms)) for ms in report.determined}
-        want = {tuple(sorted(ms)) for ms in case["expected"]}
+        got = set(report.determined)
+        want = {multiset(*ms) for ms in case["expected"]}
         ok = got == want
         all_ok = all_ok and ok
         rec = report.to_json(case_id=case["id"])
         rec["ok"] = ok
-        rec["expected"] = [sorted(ms) for ms in case["expected"]]
+        rec["expected"] = [_names(ms) for ms in case["expected"]]
         out.append(rec)
         shown = " or ".join(
-            "+".join(ms) or "(none)" for ms in sorted(got)
+            "+".join(ms) or "(none)" for ms in sorted(map(_names, got))
         )
         if ok:
             lines.append("case %s  %s -> %s: %s" % (case["id"], original, main_fiber, shown))
         else:
-            wanted = " or ".join("+".join(ms) for ms in sorted(want))
+            wanted = " or ".join(
+                "+".join(ms) for ms in sorted(map(_names, want))
+            )
             lines.append(
                 "case %s  %s -> %s: MISMATCH expected %s, got %s"
                 % (case["id"], original, main_fiber, wanted, shown)

@@ -22,18 +22,22 @@ from importlib import resources
 from itertools import product as _cartesian
 from pathlib import Path
 
+from .kodaira import parse_fiber
+
 
 @dataclass(frozen=True)
 class Branch:
     """One chain of a stellar fiber.
+
+    Construction checks the chain condition: every m_i > 0 and every r_i
+    an integer > 1 (strict decrease follows, as r_i >= 2 and m_lam > 0).
 
     Parameters
     ----------
     core_mult : int
         Multiplicity m0 of the core the chain is attached to.
     mults : tuple of int
-        Chain multiplicities m1, ..., m_lam (possibly invalid; see
-        `validate_branch`).
+        Chain multiplicities m1, ..., m_lam.
     """
 
     core_mult: int
@@ -43,8 +47,10 @@ class Branch:
         object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
         if self.core_mult < 1:
             raise ValueError("core multiplicity must be positive")
-        if any(m < 1 for m in self.mults):
-            raise ValueError("branch multiplicities must be positive")
+        for i in range(1, self.length + 1):
+            num, den = self.mult(i - 1) + self.mult(i + 1), self.mult(i)
+            if den < 1 or num % den or num < 2 * den:
+                raise ValueError("%r violates the chain condition at m_%d" % (self, i))
 
     @property
     def length(self):
@@ -62,31 +68,15 @@ class Branch:
 
     def ratio(self, i):
         """The integer r_i = (m_{i-1} + m_{i+1}) / m_i, for 1 <= i <= lam."""
-        num = self.mult(i - 1) + self.mult(i + 1)
-        den = self.mult(i)
-        if num % den != 0:
-            raise ValueError(
-                "branch ratio r_%d = %d/%d is not an integer" % (i, num, den)
-            )
-        return num // den
+        return (self.mult(i - 1) + self.mult(i + 1)) // self.mult(i)
 
-
-def validate_branch(b):
-    """Check the chain condition: strict decrease and all r_i integral, > 1.
-
-    Returns
-    -------
-    bool
-    """
-    seq = (b.core_mult,) + b.mults
-    if any(x <= y for x, y in zip(seq, seq[1:])):
-        return False
-    for i in range(1, b.length + 1):
-        num = b.mult(i - 1) + b.mult(i + 1)
-        den = b.mult(i)
-        if num % den != 0 or num // den <= 1:
-            return False
-    return True
+    def forced(self, n0, n1):
+        """The values n1, n2, ..., n_{lam+1} that the recurrence
+        n_{i+1} = r_i n_i - n_{i-1} forces from n0 and n1."""
+        seq = [n0, n1]
+        for i in range(1, self.length + 1):
+            seq.append(self.ratio(i) * seq[i] - seq[i - 1])
+        return tuple(seq[1:])
 
 
 @dataclass(frozen=True)
@@ -116,9 +106,8 @@ class Subbranch:
     """A recurrence-compatible partial chain over a branch.
 
     The values n1, ..., n_nu (nu >= 0 entries) satisfy 0 < n_i <= m_i
-    and, from the second entry on, the parent's recurrence
-    n_{i+1} = r_i n_i - n_{i-1}.  ``n0`` is the crust's core multiplicity
-    and seeds the recurrence.
+    and are the ones `Branch.forced` gives from ``n0``, the crust's core
+    multiplicity, and n1.
     """
 
     n0: int
@@ -131,20 +120,16 @@ class Subbranch:
             raise ValueError("n0 must be positive")
         if len(self.values) > self.parent.length:
             raise ValueError("subbranch longer than its branch")
-        for i, v in enumerate(self.values, start=1):
+        forced = self.parent.forced(self.n0, self.values[0]) if self.values else ()
+        for i, (v, expect) in enumerate(zip(self.values, forced), start=1):
             if not 1 <= v <= self.parent.mult(i):
                 raise ValueError(
                     "subbranch value n_%d = %d outside (0, m_%d = %d]"
                     % (i, v, i, self.parent.mult(i))
                 )
-        for i in range(1, len(self.values)):
-            expect = self.parent.ratio(i) * self.values[i - 1] - (
-                self.values[i - 2] if i >= 2 else self.n0
-            )
-            if self.values[i] != expect:
+            if v != expect:
                 raise ValueError(
-                    "subbranch breaks the recurrence at n_%d: %d != %d"
-                    % (i + 1, self.values[i], expect)
+                    "subbranch breaks the recurrence at n_%d: %d != %d" % (i, v, expect)
                 )
 
     @property
@@ -162,10 +147,9 @@ def extend_subbranch(sb):
     For nu = 0 the sentinel is defined to be 0.  The result may be
     nonpositive; that is what the type-A test looks for.
     """
-    nu = sb.nu
-    if nu == 0:
+    if sb.nu == 0:
         return 0
-    return sb.parent.ratio(nu) * sb.value(nu) - sb.value(nu - 1)
+    return sb.parent.forced(sb.n0, sb.value(1))[sb.nu]
 
 
 def classify_subbranch(sb, l):
@@ -202,22 +186,10 @@ def classify_subbranch(sb, l):
 
 
 def is_proportional(sb):
-    """Whether the subbranch scales the branch: m0*n1 = n0*m1.
-
-    Proportionality propagates down the recurrence, so n_i/m_i is the
-    constant n0/m0 along the whole subbranch (checked here).  Inside a
-    simple crust a proportional subbranch is necessarily of type A and
-    runs the full branch length; that stronger fact is enforced where
-    crusts are assembled, since a bare subbranch may be truncated.
-    """
-    if sb.nu == 0:
-        return False
-    prop = sb.parent.core_mult * sb.value(1) == sb.n0 * sb.parent.mult(1)
-    if prop:
-        for i in range(1, sb.nu + 1):
-            if sb.parent.core_mult * sb.value(i) != sb.n0 * sb.parent.mult(i):
-                raise AssertionError("proportional subbranch with drifting ratio")
-    return prop
+    """Whether the subbranch scales the branch: m0*n1 = n0*m1.  The shared
+    recurrence then keeps every n_i/m_i at n0/m0, sentinel included, so a
+    labelled proportional subbranch is full-length and of type A."""
+    return sb.nu > 0 and sb.parent.core_mult * sb.value(1) == sb.n0 * sb.parent.mult(1)
 
 
 def core_section_exists(fiber, n0, first_values):
@@ -257,8 +229,9 @@ def core_section_exists(fiber, n0, first_values):
 
 @dataclass(frozen=True)
 class SimpleCrust:
-    """A crust all of whose subbranches classify as A_l, B_l, or C_l and
-    whose core section exists.  Construction validates everything."""
+    """A crust whose core section exists and all of whose subbranches
+    classify as A_l, B_l, or C_l.  Construction is the one test of
+    simplicity: it checks the core section first, as the cheaper test."""
 
     n0: int
     subbranches: tuple
@@ -266,8 +239,6 @@ class SimpleCrust:
 
     def __post_init__(self):
         object.__setattr__(self, "subbranches", tuple(self.subbranches))
-        if self.l < 1:
-            raise ValueError("bark multiplicity must be positive")
         if not self.subbranches:
             raise ValueError("a crust needs one subbranch per branch")
         m0 = self.subbranches[0].parent.core_mult
@@ -276,22 +247,15 @@ class SimpleCrust:
         for sb in self.subbranches:
             if sb.n0 != self.n0:
                 raise ValueError("subbranch n0 disagrees with crust n0")
-            if sb.parent.core_mult != m0:
-                raise ValueError("subbranch parents belong to different fibers")
-            labels = classify_subbranch(sb, self.l)
-            if not labels:
+        exists, _ = self.core_section()
+        if not exists:
+            raise ValueError("crust admits no core section (r0 > r0')")
+        for sb in self.subbranches:
+            if not classify_subbranch(sb, self.l):
                 raise ValueError(
                     "subbranch %s is not of type A/B/C for l = %d"
                     % (list(sb.values), self.l)
                 )
-            if is_proportional(sb):
-                if "A" not in labels or sb.nu != sb.parent.length:
-                    raise ValueError(
-                        "proportional subbranch must be full-length of type A"
-                    )
-        exists, _ = self.core_section()
-        if not exists:
-            raise ValueError("crust admits no core section (r0 > r0')")
 
     def fiber(self):
         m0 = self.subbranches[0].parent.core_mult
@@ -310,22 +274,15 @@ class SimpleCrust:
 def _subbranch_options(branch, n0, l):
     """Admissible subbranches of one branch, deterministically ordered:
     the empty one first, then by (n1, nu)."""
-    options = []
-    empty = Subbranch(n0, (), branch)
-    if classify_subbranch(empty, l):
-        options.append(empty)
-    for n1 in range(1, branch.mult(1) + 1 if branch.length else 1):
-        vals = [n1]
-        for i in range(1, branch.length):
-            nxt = branch.ratio(i) * vals[i - 1] - (vals[i - 2] if i >= 2 else n0)
-            if not 1 <= nxt <= branch.mult(i + 1):
+    runs = [()]
+    for n1 in range(1, branch.mult(1) + 1):
+        forced = branch.forced(n0, n1)
+        for nu, (n, m) in enumerate(zip(forced, branch.mults), start=1):
+            if not 1 <= n <= m:
                 break
-            vals.append(nxt)
-        for nu in range(1, len(vals) + 1):
-            sb = Subbranch(n0, tuple(vals[:nu]), branch)
-            if classify_subbranch(sb, l):
-                options.append(sb)
-    return options
+            runs.append(forced[:nu])
+    subs = (Subbranch(n0, vals, branch) for vals in runs)
+    return [sb for sb in subs if classify_subbranch(sb, l)]
 
 
 def enumerate_simple_crusts(fiber, l):
@@ -333,14 +290,9 @@ def enumerate_simple_crusts(fiber, l):
 
     The search runs n0 over 1..m0-1 and, per branch, the empty subbranch
     or a leading value n1 in 1..m1 with the rest forced by the
-    recurrence; combinations are kept when all subbranches classify and
-    the core section exists.  Output order is deterministic.
+    recurrence; a combination is kept when it builds a `SimpleCrust`.
+    Output order is deterministic.
     """
-    if l < 1:
-        raise ValueError("bark multiplicity must be positive")
-    for b in fiber.branches:
-        if not validate_branch(b):
-            raise ValueError("fiber branch %s violates the chain condition" % (b,))
     if fiber.core_genus != 0:
         raise ValueError("crust enumeration requires a rational core")
     crusts = []
@@ -348,16 +300,20 @@ def enumerate_simple_crusts(fiber, l):
         if l * n0 > fiber.core_mult:
             continue
         per_branch = [_subbranch_options(b, n0, l) for b in fiber.branches]
-        if any(not opts for opts in per_branch):
-            continue
         for combo in _cartesian(*per_branch):
-            exists, _ = core_section_exists(
-                fiber, n0, [sb.value(1) if sb.nu >= 1 else 0 for sb in combo]
-            )
-            if not exists:
-                continue
-            crusts.append(SimpleCrust(n0, combo, l))
+            try:
+                crusts.append(SimpleCrust(n0, combo, l))
+            except ValueError:
+                pass
     return crusts
+
+
+def _decode_json(text):
+    """``json.loads``, with nesting too deep to decode a ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply to decode") from None
 
 
 def _json_int(value, what):
@@ -430,8 +386,9 @@ def load_catalog(path=None):
 
     ``stellar_models`` is optional; its ``"constellar"`` entries carry no
     StellarFiber and are skipped.  Every case needs ``id``, ``original``,
-    ``main`` and ``expected`` (a list of lists of fiber names).  A
-    malformed file raises ValueError naming the case and the key.
+    ``main`` and ``expected`` (a list of lists of fiber names, returned
+    parsed: a list of tuples of FiberClass).  A malformed file raises
+    ValueError naming the case and the key.
 
     Returns
     -------
@@ -441,7 +398,7 @@ def load_catalog(path=None):
         source = resources.files(__package__) / "fixtures" / "catalog.json"
     else:
         source = Path(path)
-    data = json.loads(source.read_text())
+    data = _decode_json(source.read_text())
     if not isinstance(data, dict):
         raise ValueError("catalog must be a JSON object, got %r" % (data,))
     raw_models = data.get("stellar_models", {})
@@ -469,6 +426,10 @@ def load_catalog(path=None):
                 "case %s: 'expected' must be a list of lists of strings, got %r"
                 % (name, expected)
             )
+        try:
+            case["expected"] = [tuple(parse_fiber(f) for f in ms) for ms in expected]
+        except ValueError as exc:
+            raise ValueError("case %s: 'expected': %s" % (name, exc)) from None
     models = {
         name: stellar_from_json(raw)
         for name, raw in raw_models.items()
@@ -478,8 +439,7 @@ def load_catalog(path=None):
 
 
 # Normally minimal stellar models of the splittable fiber types, read from
-# the packaged catalog (the chain condition holds for every branch; checked
-# in the test suite).  I_n* fibers are constellar (two cores joined by a
+# the packaged catalog.  I_n* fibers are constellar (two cores joined by a
 # chain) and have no StellarFiber model; their splittings ship as catalog
 # cases only.
 STELLAR_MODELS, _ = load_catalog()

@@ -310,6 +310,25 @@ def test_report_mismatch_exits_1(tmp_path, capsys):
             {"stellar_models": {"II": {"core_mult": 6, "branches": 5}}, "cases": []},
             "stellar branches must be a list of lists",
         ),
+        (
+            {"cases": [{"id": "c", "original": "II", "main": "I1", "expected": [["I1x"]]}]},
+            "case c: 'expected': cannot parse fiber string 'I1x'",
+        ),
+        (
+            {
+                "stellar_models": {"IV": {"core_mult": 6, "branches": [[4], [2], [1]]}},
+                "cases": [
+                    {
+                        "id": "d",
+                        "original": "IV",
+                        "main": "I1",
+                        "crust": {"n0": 1, "subbranches": [[1], [1], []], "l": 1},
+                        "expected": [["I1", "I1", "I1"]],
+                    }
+                ],
+            },
+            "violates the chain condition",
+        ),
     ],
 )
 def test_report_malformed_fixture_exits_2(tmp_path, capsys, fixture, problem):
@@ -319,6 +338,21 @@ def test_report_malformed_fixture_exits_2(tmp_path, capsys, fixture, problem):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert problem in err
+
+
+@pytest.mark.parametrize("command", ["predict", "report"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    deep = "[" * 100000
+    if command == "predict":
+        argv = ["predict", "II", "--crust", deep]
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        argv = ["report", "--fixture", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: JSON nests too deeply to decode"]
 
 
 def test_report_fixture_keeps_its_own_models(tmp_path, capsys):
@@ -359,10 +393,31 @@ def test_help_exits_0(capsys):
     capsys.readouterr()
 
 
-# Text for the fuzz: arbitrary strings, and near-misses built from the
-# pieces the parsers look for.
-_PIECES = st.sampled_from(["s0", "s2", "^", "-", "I", "II", "*", "1", "0", ",", " ", "e3"])
-_FUZZ = st.one_of(st.text(), st.lists(_PIECES | st.text(max_size=3)).map("".join))
+# Text for the fuzz: arbitrary strings, near-misses built from the pieces
+# the parsers look for, numbers, and JSON: any value, and crust-shaped
+# objects.
+_PIECES = st.sampled_from(
+    ["s0", "s2", "^", "-", "I", "II", "*", "1", "0", ",", " ", "e3", "j", "+", "[", "{"]
+)
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(0, 6) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n0", "subbranches", "l"]), inner),
+    max_leaves=12,
+)
+_CRUST = st.fixed_dictionaries(
+    {
+        "n0": st.integers(1, 3),
+        "subbranches": st.lists(st.sampled_from([[], [1]]), min_size=3, max_size=4),
+    },
+    optional={"l": st.integers(1, 2)},
+)
+_FUZZ = st.one_of(
+    st.text(),
+    st.lists(_PIECES | st.text(max_size=3)).map("".join),
+    (st.integers(-9, 9) | st.floats() | st.complex_numbers()).map(str),
+    (_JSON_VALUE | _CRUST).map(json.dumps),
+)
 
 
 @pytest.mark.parametrize(
@@ -373,8 +428,22 @@ _FUZZ = st.one_of(st.text(), st.lists(_PIECES | st.text(max_size=3)).map("".join
         (["euler", "--", "{}"], {0}),
         (["factorize", "--max-conj-len", "0", "--", "{}", "I1"], {0, 1}),
         (["factorize", "--max-conj-len", "0", "--", "II", "{}"], {0, 1}),
+        (["predict", "II", "--crust={}"], {0, 1}),
+        (["predict", "I0*", "--crust={}"], {0, 1}),
+        (["localcheck", "--m", "3", "--n", "2", "--t={}"], {0, 1}),
+        (["localcheck", "--m", "3", "--n", "2", "--c={}"], {0, 1}),
     ],
-    ids=["classify-mat", "classify-word", "euler", "factorize-target", "factorize-part"],
+    ids=[
+        "classify-mat",
+        "classify-word",
+        "euler",
+        "factorize-target",
+        "factorize-part",
+        "predict-II",
+        "predict-I0*",
+        "localcheck-t",
+        "localcheck-c",
+    ],
 )
 @given(text=_FUZZ)
 def test_cli_fuzz_fails_with_one_error_line(argv, codes, text):

@@ -5,6 +5,8 @@ strictly decreasing with integral ratio condition, and subbranches obey
 the linear recurrence n_{i+1} = r_i n_i - n_{i-1}.
 """
 
+from itertools import combinations
+
 import pytest
 
 from barkfib.crust import (
@@ -22,23 +24,25 @@ from barkfib.crust import (
     is_proportional,
     stellar_from_json,
     stellar_to_json,
-    validate_branch,
 )
 
 
-def test_validate_branch_examples():
-    assert validate_branch(Branch(6, (5, 4, 3, 2, 1)))
-    assert validate_branch(Branch(6, (3,)))
-    assert not validate_branch(Branch(5, (3,)))  # ratio 5/3 not integral
-    assert not validate_branch(Branch(6, (6,)))  # not strictly decreasing
-    assert not validate_branch(Branch(4, (3, 2)))  # (4+2)/3 = 2 ok, (3+0)/2 no
+def test_branch_checks_chain_condition():
+    Branch(6, (5, 4, 3, 2, 1))
+    Branch(6, (3,))
+    with pytest.raises(ValueError, match="chain condition"):
+        Branch(5, (3,))  # ratio 5/3 not integral
+    with pytest.raises(ValueError, match="chain condition"):
+        Branch(6, (6,))  # not strictly decreasing
+    with pytest.raises(ValueError, match="chain condition"):
+        Branch(4, (3, 2))  # (4+2)/3 = 2 ok, (3+0)/2 no
 
 
 def test_branch_mult_conventions():
-    b = Branch(6, (3, 1))
+    b = Branch(6, (4, 2))
     assert b.mult(0) == 6
-    assert b.mult(1) == 3
-    assert b.mult(2) == 1
+    assert b.mult(1) == 4
+    assert b.mult(2) == 2
     assert b.mult(3) == 0  # one past the tip
     with pytest.raises(IndexError):
         b.mult(4)
@@ -52,9 +56,11 @@ def test_branch_ratios():
 
 
 def test_all_model_branches_satisfy_chain_condition():
+    """A model is refused where it is read when a branch breaks the chain."""
     for name, fiber in STELLAR_MODELS.items():
-        for b in fiber.branches:
-            assert validate_branch(b), (name, b)
+        assert stellar_from_json(stellar_to_json(fiber)) == fiber, name
+    with pytest.raises(ValueError, match="chain condition"):
+        stellar_from_json({"core_mult": 6, "branches": [[4], [2], [1]]})
 
 
 def test_stellar_fiber_checks_branch_cores():
@@ -99,6 +105,68 @@ def test_is_proportional():
     assert not is_proportional(Subbranch(2, (), Branch(6, (3,))))  # nu = 0
     # truncated proportional subbranch is still recognized as proportional
     assert is_proportional(Subbranch(3, (2,), Branch(6, (4, 2))))
+
+
+def _chain_branches(max_core, max_length):
+    """Every branch with m0 <= max_core and lam <= max_length that passes
+    the chain condition."""
+    found = []
+    for m0 in range(1, max_core + 1):
+        for lam in range(max_length + 1):
+            for mults in combinations(range(m0 - 1, 0, -1), lam):
+                try:
+                    found.append(Branch(m0, mults))
+                except ValueError:
+                    pass
+    return found
+
+
+def _recurrence_subbranches(b):
+    """Every nonempty subbranch of b: each n0 < m0, each n1 <= m1, and
+    each longer prefix the recurrence allows."""
+    for n0 in range(1, b.core_mult):
+        for n1 in range(1, b.mult(1) + 1):
+            sb = Subbranch(n0, (n1,), b)
+            yield sb
+            while sb.nu < b.length:
+                try:
+                    sb = Subbranch(n0, sb.values + (extend_subbranch(sb),), b)
+                except ValueError:
+                    break
+                yield sb
+
+
+def test_labelled_proportional_subbranch_is_full_length_type_a():
+    """A proportional subbranch that carries any label is full-length and
+    of type A, so a simple crust needs no separate check for it.
+
+    Branch and subbranch follow the same recurrence, so a proportional
+    subbranch has n_i = (n0/m0) m_i for every i <= nu + 1, sentinel
+    included.
+
+    * Truncated (nu < lam): the sentinel (n0/m0) m_{nu+1} is > 0, so not A.
+    * C needs n_nu = n_{nu+1}, i.e. m_nu = m_{nu+1}; the chain strictly
+      decreases down to m_{lam+1} = 0, so never.
+    * B needs n_nu = 1 and m_nu = l, so n_i = m_i / l and l | m_{nu-1};
+      then l | m_{nu+1} = r_nu l - m_{nu-1} < l, so m_{nu+1} = 0: the
+      subbranch is full-length, and its sentinel 0 makes it A as well.
+
+    The sweep runs every chain with m0 <= 14 and lam <= 6, every
+    recurrence subbranch on it and l = 1..4.
+    """
+    branches = _chain_branches(14, 6)
+    assert len(branches) == 98
+    cases = witnessed = 0
+    for b in branches:
+        for sb in _recurrence_subbranches(b):
+            for l in range(1, 5):
+                cases += 1
+                labels = classify_subbranch(sb, l)
+                if labels and is_proportional(sb):
+                    witnessed += 1
+                    assert sb.nu == b.length and "A" in labels, (sb, l)
+    assert cases == 20228
+    assert witnessed > 0
 
 
 def test_core_section_examples():
