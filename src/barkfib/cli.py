@@ -64,7 +64,8 @@ def _c(z):
 
 
 def _fail(message):
-    print("error: %s" % message, file=sys.stderr)
+    # one line, also when the message quotes input text with line breaks
+    print("error: %s" % " ".join(message.splitlines()), file=sys.stderr)
 
 
 def cmd_classify(args):
@@ -167,7 +168,7 @@ def cmd_predict(args):
         return 2
     crust = crust_from_json(model, _decode_json(args.crust))
     try:
-        profile = predict_counts(model, crust)
+        profile = predict_counts(crust)
     except HypothesisError as exc:
         _emit(
             args,
@@ -245,14 +246,14 @@ def cmd_report(args):
     for case in cases:
         original = parse_fiber(case["original"])
         main_fiber = parse_fiber(case["main"])
-        crust = model = None
+        crust = None
         if case.get("crust") is not None:
             model = models.get(str(original.reduced()))
             if model is None:
                 _fail("case %s names no stellar model" % case["id"])
                 return 2
             crust = crust_from_json(model, case["crust"])
-        report = full_report(original, main_fiber, crust=crust, model=model)
+        report = full_report(original, main_fiber, crust=crust)
         got = set(report.determined)
         want = {multiset(*ms) for ms in case["expected"]}
         ok = got == want

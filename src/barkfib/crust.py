@@ -1,7 +1,7 @@
 """Stellar fibers, branches, subbranches, and simple crusts.
 
-A stellar fiber is a core component of multiplicity m0 (a projective
-line unless stated otherwise) with chains of projective lines attached.
+A stellar fiber is a core component of multiplicity m0, a projective
+line, with chains of projective lines attached.
 Along each chain the multiplicities m0 > m1 > ... > m_lam > 0 satisfy
 the integrality condition that every
 
@@ -81,11 +81,10 @@ class Branch:
 
 @dataclass(frozen=True)
 class StellarFiber:
-    """A core of multiplicity ``core_mult`` and genus ``core_genus`` with
+    """A rational core of multiplicity ``core_mult`` with
     ``h = len(branches)`` chains attached."""
 
     core_mult: int
-    core_genus: int
     branches: tuple
 
     def __post_init__(self):
@@ -198,7 +197,6 @@ def core_section_exists(fiber, n0, first_values):
     Parameters
     ----------
     fiber : StellarFiber
-        Must have a rational core (core_genus 0).
     n0 : int
         Crust core multiplicity.
     first_values : sequence of int
@@ -212,8 +210,6 @@ def core_section_exists(fiber, n0, first_values):
         that degree (the number of extra zeros, D = 0 iff r0 = r0') is
         returned when it exists.
     """
-    if fiber.core_genus != 0:
-        raise ValueError("core section analysis requires a rational core")
     if len(first_values) != fiber.h:
         raise ValueError("need one leading value per branch")
     m0 = fiber.core_mult
@@ -259,7 +255,7 @@ class SimpleCrust:
 
     def fiber(self):
         m0 = self.subbranches[0].parent.core_mult
-        return StellarFiber(m0, 0, tuple(sb.parent for sb in self.subbranches))
+        return StellarFiber(m0, tuple(sb.parent for sb in self.subbranches))
 
     def first_values(self):
         return tuple(sb.value(1) if sb.nu >= 1 else 0 for sb in self.subbranches)
@@ -293,8 +289,6 @@ def enumerate_simple_crusts(fiber, l):
     recurrence; a combination is kept when it builds a `SimpleCrust`.
     Output order is deterministic.
     """
-    if fiber.core_genus != 0:
-        raise ValueError("crust enumeration requires a rational core")
     crusts = []
     for n0 in range(1, fiber.core_mult):
         if l * n0 > fiber.core_mult:
@@ -325,22 +319,22 @@ def _json_int(value, what):
 def stellar_to_json(fiber):
     return {
         "core_mult": fiber.core_mult,
-        "core_genus": fiber.core_genus,
         "branches": [list(b.mults) for b in fiber.branches],
     }
 
 
 def stellar_from_json(data):
-    """Build a stellar fiber from {"core_mult": int, "core_genus": int
-    (default 0), "branches": [[int, ...], ...]}; a malformed object
-    raises ValueError."""
+    """Build a stellar fiber from {"core_mult": int, "core_genus": 0
+    (optional: only rational cores are supported), "branches": [[int,
+    ...], ...]}; a malformed object raises ValueError."""
     branches = data.get("branches")
     if not isinstance(branches, list) or not all(isinstance(ms, list) for ms in branches):
         raise ValueError("stellar branches must be a list of lists, got %r" % (branches,))
     core = _json_int(data.get("core_mult"), "stellar core_mult")
+    if _json_int(data.get("core_genus", 0), "stellar core_genus") != 0:
+        raise ValueError("stellar core_genus must be 0: only rational cores are supported")
     return StellarFiber(
         core,
-        _json_int(data.get("core_genus", 0), "stellar core_genus"),
         tuple(
             Branch(core, tuple(_json_int(m, "stellar branch value") for m in ms))
             for ms in branches

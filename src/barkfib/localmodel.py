@@ -43,8 +43,8 @@ def _sort_key(z):
 class LocalCurveSpec:
     """Exponent data of the local hypersurface model.
 
-    ``m``, ``n``, ``l`` must satisfy m - l*n > 0 and the optional chart
-    exponents m' - l*n' >= 0.  ``c`` is the unit value h(0, 0).
+    ``m``, ``n``, ``l`` must satisfy m - l*n > 0.  ``c`` is the unit
+    value h(0, 0).
     """
 
     m: int
@@ -52,16 +52,12 @@ class LocalCurveSpec:
     l: int
     t: complex
     c: complex
-    mprime: int = 0
-    nprime: int = 0
 
     def __post_init__(self):
         if min(self.m, self.n, self.l) < 1:
             raise ValueError("m, n, l must be positive")
         if self.m - self.l * self.n <= 0:
             raise ValueError("need m - l*n > 0")
-        if self.mprime < 0 or self.nprime < 0 or self.mprime - self.l * self.nprime < 0:
-            raise ValueError("need m' - l*n' >= 0")
         if not (cmath.isfinite(self.t) and cmath.isfinite(self.c)):
             raise ValueError("t and c must be finite")
 
@@ -75,9 +71,8 @@ class LocalCurveSpec:
 
         def F(z, zeta):
             return (
-                z ** (self.mprime - self.l * self.nprime)
-                * zeta ** (self.m - self.l * self.n)
-                * (z**self.nprime * zeta**self.n + self.t * self.c) ** self.l
+                zeta ** (self.m - self.l * self.n)
+                * (zeta**self.n + self.t * self.c) ** self.l
                 - s
             )
 
@@ -97,8 +92,7 @@ def _nth_roots(w, k):
 def singular_s_values(spec):
     """The nonzero values of s whose fiber is singular.
 
-    Valid only in the pure-zeta chart (m' = n' = 0) with t*c != 0; there
-    the singular values are the nbar solutions of
+    With t*c != 0 the singular values are the nbar solutions of
 
         s^nbar = (l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar * (t*c)^mbar
 
@@ -107,11 +101,6 @@ def singular_s_values(spec):
     (to 0, or to a subnormal too coarse to tell the fibers apart), raises
     ValueError.
     """
-    if spec.mprime or spec.nprime:
-        raise ValueError(
-            "with z-exponents present only s = 0 is singular; "
-            "the nonzero-s formula needs m' = n' = 0"
-        )
     if spec.t == 0 or spec.c == 0:
         raise ValueError("t and c must be nonzero (otherwise only s = 0)")
     mbar, nbar = spec.reduced_pair
@@ -140,8 +129,6 @@ def singular_points(spec, s, tol=RESIDUAL_TOL):
     both partials must stay below tol * (1 + max(|s|, |t*c|)), else a
     RuntimeError with the residuals is raised.
     """
-    if spec.mprime or spec.nprime:
-        raise ValueError("singular points at s != 0 require m' = n' = 0")
     w = complex(Fraction(spec.l * spec.n - spec.m, spec.m)) * spec.t * spec.c
     scale = 1.0 + max(abs(s), abs(spec.t * spec.c))
     F = spec.curve(s)

@@ -1,32 +1,30 @@
 """Subordinate-fiber counting and report assembly.
 
-Given a stellar fiber and a simple crust, the number of subordinate
+Given a simple crust of a stellar fiber, the number of subordinate
 fibers and of singularities on each is governed by the core invariant
 
     chi = (h - v) + k + (2*g0 - 2) - sum(ord terms)
 
 where h is the branch count, v the number of proportional subbranches,
 k the zero count of the core section away from the attach points, and
-g0 the core genus.  Two regimes give exact counts: chi = 1 with no
-proportional subbranch (counts driven by n0 against the core
-multiplicity m0), and chi = 0 with exactly one proportional subbranch
-(counts driven by the subbranch's last pair (m_lam, n_lam)).  Outside
-those regimes only upper bounds survive, and reports fall back to Euler
-accounting plus trace obstructions.
+g0 the core genus (0, as stellar cores are rational).  Two regimes give
+exact counts: chi = 1 with no proportional subbranch (counts driven by
+n0 against the core multiplicity m0), and chi = 0 with exactly one
+proportional subbranch (counts driven by the subbranch's last pair
+(m_lam, n_lam)).  Outside those regimes only upper bounds survive, and
+reports fall back to Euler accounting plus trace obstructions.
 """
 
 from dataclasses import dataclass
 from math import gcd
 
-from .crust import STELLAR_MODELS, core_section_exists
-from .kodaira import FiberClass, euler
+from .kodaira import FiberClass
 from .splitting import (
     FORBIDDEN,
     decomposition_verdict,
     enumerate_multisets,
     euler_deficit,
     multiset,
-    order_weights,
 )
 
 NEAR_CORE = "near_core"
@@ -77,20 +75,18 @@ def core_invariant(inp):
     return (inp.h - inp.v) + inp.k + (2 * inp.g0 - 2) - sum(inp.ord_terms)
 
 
-def predict_counts(fiber, crust):
-    """Exact subordinate counts in the two tractable regimes.
+def predict_counts(crust):
+    """Exact subordinate counts in the two tractable regimes, for a
+    simple crust of the stellar fiber ``crust.fiber()``.
 
-    Raises HypothesisError (with .condition set) unless the core is
-    rational, the fiber has three branches, the core section has no
-    extra zero, and at most one subbranch is proportional.
+    Raises HypothesisError (with .condition set) unless the fiber has
+    three branches, the core section has no extra zero, and at most one
+    subbranch is proportional.
     """
-    if fiber.core_genus != 0:
-        raise HypothesisError("core_genus")
+    fiber = crust.fiber()
     if fiber.h != 3:
         raise HypothesisError("branch_count")
-    exists, k = core_section_exists(fiber, crust.n0, crust.first_values())
-    if not exists:
-        raise ValueError("crust admits no core section")
+    _, k = crust.core_section()
     if k != 0:
         raise HypothesisError(
             "tau_zero_degree", "core section has %d extra zero(s)" % k
@@ -142,26 +138,18 @@ def determine_types(profile, deficit):
                 % (fibers, sigma, fibers * sigma, deficit)
             )
         return [multiset(*[FiberClass("I", sigma)] * fibers)]
-    by_mu = {1: FiberClass("I", 1), 2: FiberClass("II"), 3: FiberClass("III")}
-    w_I, w_II, w_III = order_weights(deficit)
-    weight = {1: w_I[1], 2: w_II, 3: w_III}
-    found = sorted(
-        _mu_combinations(fibers, deficit), key=lambda combo: sum(weight[mu] for mu in combo)
-    )
+    single_point = {FiberClass("I", 1), FiberClass("II"), FiberClass("III")}
+    found = [
+        ms
+        for ms in enumerate_multisets(deficit)
+        if len(ms) == fibers and single_point.issuperset(ms)
+    ]
     if not found:
         raise ValueError(
             "infeasible: cannot split deficit %d into %d Milnor numbers <= 3"
             % (deficit, fibers)
         )
-    return [multiset(*(by_mu[mu] for mu in combo)) for combo in found]
-
-
-def _mu_combinations(count, total):
-    from itertools import combinations_with_replacement
-
-    for combo in combinations_with_replacement((1, 2, 3), count):
-        if sum(combo) == total:
-            yield combo
+    return found
 
 
 @dataclass(frozen=True)
@@ -204,15 +192,15 @@ class SplittingReport:
         return rec
 
 
-def full_report(original, main, crust=None, model=None):
+def full_report(original, main, crust=None):
     """Determine the subordinate fibers of a splitting, as far as the
     exact methods reach.
 
     Pipeline: Euler deficit -> candidate multisets -> trace obstructions
-    -> (when a crust with valid counting hypotheses is supplied) exact
-    counts and type determination.  When the counting hypotheses fail,
-    the obstruction survivors are reported with chi-based bounds quoted
-    as evidence only.
+    -> (when a simple crust of the original fiber's stellar model, with
+    valid counting hypotheses, is supplied) exact counts and type
+    determination.  When the counting hypotheses fail, the obstruction
+    survivors are reported with chi-based bounds quoted as evidence only.
     """
     deficit = euler_deficit(original, main)
     evidence = ["euler deficit %d" % deficit]
@@ -235,13 +223,8 @@ def full_report(original, main, crust=None, model=None):
     final = list(survivors)
     profile = None
     if crust is not None:
-        fiber = model
-        if fiber is None:
-            fiber = STELLAR_MODELS.get(str(original.reduced()))
-        if fiber is None:
-            raise ValueError("no stellar model available for %s" % original)
         try:
-            profile = predict_counts(fiber, crust)
+            profile = predict_counts(crust)
             evidence.append(
                 "counting (%s): %d subordinate fiber(s), %d singularities each"
                 % (profile.basis, profile.num_fibers, profile.sings_per_fiber)
@@ -260,16 +243,16 @@ def full_report(original, main, crust=None, model=None):
                 "counting hypotheses not met (%s); falling back to "
                 "enumeration and obstructions" % err.condition
             )
-            if fiber.core_genus == 0:
-                _, k = core_section_exists(fiber, crust.n0, crust.first_values())
-                v = len(crust.proportional_subbranches())
-                inp = CoreInvariantInput(fiber.h, v, k or 0, 0, (0,) * v)
-                mx_f, mx_s = count_bounds(inp, fiber.core_mult, crust.n0)
-                evidence.append(
-                    "core invariant %d bounds the counts: <= %d fiber(s), "
-                    "<= %d singularities each (not used to prune)"
-                    % (core_invariant(inp), mx_f, mx_s)
-                )
+            fiber = crust.fiber()
+            _, k = crust.core_section()
+            v = len(crust.proportional_subbranches())
+            inp = CoreInvariantInput(fiber.h, v, k, 0, (0,) * v)
+            mx_f, mx_s = count_bounds(inp, fiber.core_mult, crust.n0)
+            evidence.append(
+                "core invariant %d bounds the counts: <= %d fiber(s), "
+                "<= %d singularities each (not used to prune)"
+                % (core_invariant(inp), mx_f, mx_s)
+            )
     else:
         evidence.append("no crust data; enumeration and obstructions only")
     return SplittingReport(

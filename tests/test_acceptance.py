@@ -257,7 +257,7 @@ def test_criterion_6_counting_laws():
         rec = by_id[case_id]
         model = STELLAR_MODELS[str(parse_fiber(rec["original"]).reduced())]
         crust = crust_from_json(model, rec["crust"])
-        profile = predict_counts(model, crust)
+        profile = predict_counts(crust)
         assert (profile.num_fibers, profile.sings_per_fiber) == (fibers, sings)
         assert profile.location == location
     _announce(6, 1.0, started, "all 9 stated fiber/singularity counts reproduced")

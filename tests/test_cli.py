@@ -9,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from barkfib.cli import main
+from barkfib.crust import STELLAR_MODELS, crust_to_json, enumerate_simple_crusts, stellar_to_json
+from barkfib.kodaira import euler, parse_fiber
 from barkfib.splitting import parse_identity, verify_witness
 
 
@@ -329,15 +331,34 @@ def test_report_mismatch_exits_1(tmp_path, capsys):
             },
             "violates the chain condition",
         ),
+        (
+            {
+                "stellar_models": {
+                    "II": {"core_mult": 6, "core_genus": 1, "branches": [[3], [2], [1]]}
+                },
+                "cases": [
+                    {
+                        "id": "e",
+                        "original": "II",
+                        "main": "I1",
+                        "crust": {"n0": 1, "subbranches": [[], [], [1]], "l": 1},
+                        "expected": [["I1"]],
+                    }
+                ],
+            },
+            "error: stellar core_genus must be 0: only rational cores are supported",
+        ),
+        ({"cases": [{"id": "a\nb"}]}, "case a b lacks 'original'"),
     ],
 )
 def test_report_malformed_fixture_exits_2(tmp_path, capsys, fixture, problem):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(fixture))
     assert main(["report", "--fixture", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert problem in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert problem in captured.err
 
 
 @pytest.mark.parametrize("command", ["predict", "report"])
@@ -391,6 +412,20 @@ def test_verify_words_corrupt_out_of_range(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def _assert_one_error_line_or(codes, argv):
+    """Exit 2 with one `error:` line and no output, or a code in `codes`
+    with nothing on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+    else:
+        assert code in codes and err.getvalue() == ""
 
 
 # Text for the fuzz: arbitrary strings, near-misses built from the pieces
@@ -447,12 +482,97 @@ _FUZZ = st.one_of(
 )
 @given(text=_FUZZ)
 def test_cli_fuzz_fails_with_one_error_line(argv, codes, text):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([arg.replace("{}", text) for arg in argv])
-    if code == 2:
-        assert out.getvalue() == ""
-        [line] = err.getvalue().splitlines()
-        assert line.startswith("error: ")
-    else:
-        assert code in codes and err.getvalue() == ""
+    _assert_one_error_line_or(codes, [arg.replace("{}", text) for arg in argv])
+
+
+# Fixture contents for the fuzz: the packaged stellar models and cases
+# whose fiber names keep the Euler deficit at most 6, because the number
+# of candidate multisets grows exponentially with the deficit; a case of
+# a packaged model may carry one of its simple crusts.  One level of the
+# file is also drawn malformed: small models that may break the chain
+# condition, crusts of any shape, and at that level objects with one key
+# dropped or given any JSON value, so every check of its reader is reached.
+def _spoiled(well_formed):
+    """`well_formed`, or one of its objects with one key dropped or given
+    any JSON value."""
+
+    @st.composite
+    def spoil(draw):
+        obj = dict(draw(well_formed))
+        key = draw(st.sampled_from(sorted(obj)))
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(_JSON_VALUE)
+        return obj
+
+    return well_formed | spoil()
+
+
+_EULER = {
+    name: euler(parse_fiber(name)) for name in ("I0", "I1", "I2", "I3", "II", "III", "IV", "I0*")
+}
+_NAME = st.sampled_from(sorted(_EULER))
+_PACKAGED = {name: stellar_to_json(STELLAR_MODELS[name]) for name in ("II", "III", "IV", "I0*")}
+_SIMPLE_CRUSTS = {
+    name: [
+        crust_to_json(c)
+        for l in (1, 2)
+        for c in enumerate_simple_crusts(STELLAR_MODELS[name], l)
+    ]
+    for name in _PACKAGED
+}
+_SMALL_MODEL = st.fixed_dictionaries(
+    {
+        "core_mult": st.integers(-1, 6),
+        "branches": st.lists(st.lists(st.integers(0, 6), max_size=3), min_size=1, max_size=4),
+    },
+    optional={"core_genus": st.integers(-1, 1)},
+)
+_SMALL_CRUST = st.fixed_dictionaries(
+    {
+        "n0": st.integers(0, 4),
+        "subbranches": st.lists(
+            st.sampled_from([[], [1], [2], [1, 1], [2, 1], [0]]), min_size=3, max_size=4
+        ),
+        "l": st.integers(0, 3),
+    }
+)
+
+
+@st.composite
+def _fixture(draw, malformed):
+    models = dict(_PACKAGED)
+    if malformed == "models":
+        models.update(draw(st.dictionaries(_NAME, _spoiled(_SMALL_MODEL), min_size=1, max_size=2)))
+    cases = []
+    for _ in range(draw(st.integers(1, 3))):
+        original = draw(st.sampled_from(sorted(_PACKAGED)) | _NAME)
+        below = [name for name, e in _EULER.items() if e <= _EULER[original]]
+        simple = _SIMPLE_CRUSTS.get(original)
+        if malformed == "crust":
+            shapes = _SMALL_CRUST | st.sampled_from(simple) if simple else _SMALL_CRUST
+            crust = draw(_spoiled(shapes))
+        else:
+            crust = draw(st.none() | st.sampled_from(simple)) if simple else None
+        case = {
+            "id": draw(st.text(max_size=3)),
+            "original": original,
+            "main": draw(st.sampled_from(below)),
+            "crust": crust,
+            "expected": draw(st.lists(st.lists(_NAME, max_size=6), max_size=3)),
+        }
+        cases.append(draw(_spoiled(st.just(case))) if malformed == "case" else case)
+    fixture = {"stellar_models": models, "cases": cases}
+    if malformed == "fixture":
+        return draw(_spoiled(st.just(fixture)) | _JSON_VALUE)
+    return fixture
+
+
+@pytest.mark.parametrize("malformed", ["fixture", "models", "case", "crust"])
+@given(data=st.data(), as_json=st.booleans())
+def test_report_fixture_fuzz_fails_with_one_error_line(tmp_path_factory, malformed, data, as_json):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_fixture.json"
+    path.write_text(json.dumps(data.draw(_fixture(malformed))))
+    argv = ["report", "--fixture", str(path)] + (["--json"] if as_json else [])
+    _assert_one_error_line_or({0, 1}, argv)

@@ -65,7 +65,7 @@ def test_all_model_branches_satisfy_chain_condition():
 
 def test_stellar_fiber_checks_branch_cores():
     with pytest.raises(ValueError):
-        StellarFiber(6, 0, (Branch(4, (2,)),))
+        StellarFiber(6, (Branch(4, (2,)),))
 
 
 def test_subbranch_recurrence_enforced():
@@ -178,9 +178,6 @@ def test_core_section_examples():
 def test_core_section_validates_input():
     with pytest.raises(ValueError):
         core_section_exists(STELLAR_MODELS["IV"], 1, (1, 1))  # wrong arity
-    bumpy = StellarFiber(6, 1, (Branch(6, (3,)),))
-    with pytest.raises(ValueError):
-        core_section_exists(bumpy, 1, (1,))  # core must be rational
 
 
 def test_simple_crust_accepts_catalog_data():
@@ -201,7 +198,7 @@ def test_simple_crust_accepts_catalog_data():
 
 def test_simple_crust_rejects_truncated_proportional():
     """A proportional subbranch inside a crust must run the full branch."""
-    fiber = StellarFiber(6, 0, (Branch(6, (4, 2)), Branch(6, (3,)), Branch(6, (2,))))
+    fiber = StellarFiber(6, (Branch(6, (4, 2)), Branch(6, (3,)), Branch(6, (2,))))
     with pytest.raises(ValueError):
         SimpleCrust(
             3,

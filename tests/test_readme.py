@@ -1,5 +1,5 @@
-"""The README's CLI examples: each `$ barkfib ...` line, run through
-cli.main, prints the lines shown after it."""
+"""The README's examples: each `$ barkfib ...` line, run through
+cli.main, prints the lines shown after it, and each python block runs."""
 
 import shlex
 from pathlib import Path
@@ -45,3 +45,11 @@ def test_readme_cli_example(capsys, command, shown):
         n = int(count.lstrip("-"))
         out = {"head": out[:n], "tail": out[-n:]}[tool]
     assert _collapse(out) == _collapse(shown)
+
+
+def test_readme_python_blocks_run():
+    text = README.read_text()
+    blocks = text.split("```python\n")[1:]
+    assert blocks
+    for block in blocks:
+        exec(compile(block[: block.index("\n```")], str(README), "exec"), {})

@@ -42,7 +42,7 @@ def crust_for(case):
     catalog = load_catalog()
     rec = next(c for c in catalog["cases"] if c["id"] == case)
     fiber = STELLAR_MODELS[str(F(rec["original"]).reduced())]
-    return fiber, crust_from_json(fiber, rec["crust"])
+    return crust_from_json(fiber, rec["crust"])
 
 
 # ---------------------------------------------------------- core invariant
@@ -83,41 +83,32 @@ def test_count_bounds():
     ],
 )
 def test_predicted_counts(case, fibers, sings, location):
-    fiber, crust = crust_for(case)
-    profile = predict_counts(fiber, crust)
+    crust = crust_for(case)
+    profile = predict_counts(crust)
     assert profile.num_fibers == fibers
     assert profile.sings_per_fiber == sings
     assert profile.location == location
 
 
-def test_predict_requires_rational_core():
-    # the genus check fires before the crust is consulted at all
-    bumpy = StellarFiber(2, 1, (Branch(2, (1,)), Branch(2, (1,)), Branch(2, (1,))))
-    _, crust = crust_for("2.2")
-    with pytest.raises(HypothesisError) as err:
-        predict_counts(bumpy, crust)
-    assert err.value.condition == "core_genus"
-
-
 def test_predict_requires_three_branches():
-    fiber, crust = crust_for("7.1")
+    crust = crust_for("7.1")
     with pytest.raises(HypothesisError) as err:
-        predict_counts(fiber, crust)
+        predict_counts(crust)
     assert err.value.condition == "branch_count"
 
 
 def test_predict_requires_tau_without_extra_zeros():
-    fiber, crust = crust_for("5.3")
+    crust = crust_for("5.3")
     with pytest.raises(HypothesisError) as err:
-        predict_counts(fiber, crust)
+        predict_counts(crust)
     assert err.value.condition == "tau_zero_degree"
 
 
 def test_predict_rejects_two_proportional_subbranches():
-    fiber = StellarFiber(4, 0, (Branch(4, (2,)),) * 3)
+    fiber = StellarFiber(4, (Branch(4, (2,)),) * 3)
     crust = SimpleCrust(2, tuple(Subbranch(2, (1,), b) for b in fiber.branches), 1)
     with pytest.raises(HypothesisError) as err:
-        predict_counts(fiber, crust)
+        predict_counts(crust)
     assert err.value.condition == "proportional_count"
 
 
@@ -190,7 +181,7 @@ def test_report_without_crust_uses_obstructions():
 
 
 def test_report_with_crust_narrows_by_counting():
-    fiber, crust = crust_for("2.2")
+    crust = crust_for("2.2")
     rep = full_report(F("II*"), F("IV*"), crust=crust)
     assert type_names(rep.determined) == ["II"]
     assert rep.profile is not None
@@ -198,18 +189,12 @@ def test_report_with_crust_narrows_by_counting():
 
 
 def test_report_counting_fallback_keeps_survivors():
-    fiber, crust = crust_for("5.3")
+    crust = crust_for("5.3")
     rep = full_report(F("IV"), F("I2"), crust=crust)
     assert rep.ambiguous
     assert type_names(rep.determined) == ["II", "I1+I1"]
     assert any("counting hypotheses not met (tau_zero_degree)" in e for e in rep.evidence)
     assert any("not used to prune" in e for e in rep.evidence)
-
-
-def test_report_needs_a_model_for_crust_path():
-    fiber, crust = crust_for("5.3")
-    with pytest.raises(ValueError):
-        full_report(F("I2*"), F("I6"), crust=crust)
 
 
 def test_report_json_shape():
@@ -222,7 +207,8 @@ def test_report_json_shape():
     assert {e["candidate"][0] for e in rec["excluded"]} == {"II", "I2"}
 
 
-def test_report_explicit_model_overrides_lookup():
-    fiber, crust = crust_for("3.2")
-    rep = full_report(F("III"), F("I1"), crust=crust, model=fiber)
+def test_report_counts_on_the_crusts_own_model():
+    crust = crust_for("3.2")
+    assert crust.fiber() == STELLAR_MODELS["III"]
+    rep = full_report(F("III"), F("I1"), crust=crust)
     assert type_names(rep.determined) == ["I2"]
