@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification mismatch or search failure,
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from math import gcd
 
 from .crust import (
@@ -141,12 +142,17 @@ def cmd_obstruct(args):
     return 0
 
 
-def cmd_crusts(args):
-    fiber = parse_fiber(args.fiber)
+def _stellar_model(text):
+    """The fiber named ``text`` and its stellar model."""
+    fiber = parse_fiber(text)
     model = STELLAR_MODELS.get(str(fiber.reduced()))
     if model is None:
-        _fail("no stellar model for %s" % fiber)
-        return 2
+        raise ValueError("no stellar model for %s" % fiber)
+    return fiber, model
+
+
+def cmd_crusts(args):
+    fiber, model = _stellar_model(args.fiber)
     found = enumerate_simple_crusts(model, args.l)
     record = {
         "fiber": str(fiber),
@@ -161,11 +167,7 @@ def cmd_crusts(args):
 
 
 def cmd_predict(args):
-    fiber = parse_fiber(args.fiber)
-    model = STELLAR_MODELS.get(str(fiber.reduced()))
-    if model is None:
-        _fail("no stellar model for %s" % fiber)
-        return 2
+    _, model = _stellar_model(args.fiber)
     crust = crust_from_json(model, _decode_json(args.crust))
     try:
         profile = predict_counts(crust)
@@ -176,13 +178,7 @@ def cmd_predict(args):
             ["no exact count: %s" % exc],
         )
         return 1
-    record = {
-        "predicted": True,
-        "num_fibers": profile.num_fibers,
-        "sings_per_fiber": profile.sings_per_fiber,
-        "location": profile.location,
-        "basis": profile.basis,
-    }
+    record = {"predicted": True, **asdict(profile)}
     lines = [
         "%d subordinate fiber(s), %d singularit%s each (%s, %s)"
         % (
@@ -419,9 +415,6 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except HypothesisError as exc:
-        _fail(str(exc))
-        return 1
     except (ValueError, KeyError, OSError) as exc:
         _fail(str(exc))
         return 2

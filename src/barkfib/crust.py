@@ -379,10 +379,10 @@ def load_catalog(path=None):
     packaged ``fixtures/catalog.json``).
 
     ``stellar_models`` is optional; its ``"constellar"`` entries carry no
-    StellarFiber and are skipped.  Every case needs ``id``, ``original``,
-    ``main`` and ``expected`` (a list of lists of fiber names, returned
-    parsed: a list of tuples of FiberClass).  A malformed file raises
-    ValueError naming the case and the key.
+    StellarFiber and are skipped.  Every case needs ``id`` (a one-line
+    string), ``original``, ``main`` and ``expected`` (a list of lists of
+    fiber names, returned parsed: a list of tuples of FiberClass).  A
+    malformed file raises ValueError naming the case and the key.
 
     Returns
     -------
@@ -408,9 +408,11 @@ def load_catalog(path=None):
         for key in ("id", "original", "main", "expected"):
             if key not in case:
                 raise ValueError("case %s lacks %r" % (name, key))
-        for key in ("original", "main"):
+        for key in ("id", "original", "main"):
             if not isinstance(case[key], str):
                 raise ValueError("case %s: %r must be a string" % (name, key))
+        if "".join(case["id"].splitlines()) != case["id"]:
+            raise ValueError("case %s: 'id' must be one line" % (name,))
         expected = case["expected"]
         if not isinstance(expected, list) or not all(
             isinstance(ms, list) and all(isinstance(f, str) for f in ms)

@@ -149,21 +149,21 @@ def _shift_admissible(c, other):
     return c > 0
 
 
-def obstruction_I_k_pair(target, k, other):
-    """Two-factor obstruction when one factor is of class I_k.
+def _trace_shift_rule(target, k, other):
+    """Two-factor rule for a factor of class I_k (k >= 1).
 
     If the monodromy of ``target`` were a product of a conjugate of the
     I_k matrix and a conjugate of the matrix of ``other``, then
     trace(target) - trace(other) would equal k*c for an admissible shift
-    c (see _shift_admissible).  Returns ``forbidden`` when no admissible
-    c exists, else ``undecided``.
+    c (see _shift_admissible).  Forbidden when no admissible c exists.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
     delta = _fiber_trace(target) - _fiber_trace(other)
-    if delta % k != 0:
-        return FORBIDDEN
-    return UNDECIDED if _shift_admissible(delta // k, other) else FORBIDDEN
+    if delta % k == 0 and _shift_admissible(delta // k, other):
+        return UNDECIDED, "trace shift rule passed for I_%d factor" % k
+    return FORBIDDEN, (
+        "trace shift rule: trace(%s)-trace(%s) = %d admits no valid multiple of %d"
+        % (target, other, delta, k)
+    )
 
 
 def _is_central(target):
@@ -171,86 +171,67 @@ def _is_central(target):
     return target.kind == "I*" and target.n == 0
 
 
-def _require_central(target):
-    if not _is_central(target):
-        raise ValueError("target %s does not have central monodromy -I" % (target,))
-
-
-def obstruction_central_pair(target, x1, x2):
-    """Two-factor obstruction for a target with monodromy -I.
+def _central_pair_rule(x1, x2):
+    """Two-factor rule for a target with monodromy -I.
 
     A1*A2 = -I forces A1 = -A2^{-1}, hence trace(x1) = -trace(x2).
     """
-    _require_central(target)
-    if _fiber_trace(x1) != -_fiber_trace(x2):
-        return FORBIDDEN
-    return UNDECIDED
+    t1, t2 = _fiber_trace(x1), _fiber_trace(x2)
+    if t1 == -t2:
+        return UNDECIDED, "central pair rule passed"
+    return FORBIDDEN, (
+        "central pair rule: trace(%s) = %d but -trace(%s) = %d" % (x1, t1, x2, -t2)
+    )
 
 
-def obstruction_central_triple_I_k(target, k, x1, x2):
-    """Three-factor obstruction for a central target with an I_k factor.
+def _central_triple_rule(target, k, x1, x2):
+    """Three-factor rule for a central ``target`` with an I_k factor (k >= 1).
 
     With the I_k factor written as I + kN, centrality forces
     trace(x1) + k*c = -trace(x2), so k must divide
-    trace(x1) + trace(x2).  The rule applies only to decompositions with
-    exactly three factors.
+    trace(x1) + trace(x2).  ``target`` (always I0*) is taken only so that
+    this rule is called like _trace_shift_rule.
     """
-    _require_central(target)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if (_fiber_trace(x1) + _fiber_trace(x2)) % k != 0:
-        return FORBIDDEN
-    return UNDECIDED
+    if (_fiber_trace(x1) + _fiber_trace(x2)) % k == 0:
+        return UNDECIDED, "central triple rule passed for I_%d factor" % k
+    return FORBIDDEN, (
+        "central triple rule: %d does not divide trace(%s)+trace(%s)" % (k, x1, x2)
+    )
 
 
 def decomposition_verdict(target, parts):
     """Apply every applicable obstruction to a full factor list.
 
     ``parts`` is the complete multiset of factor classes (main fiber plus
-    subordinates).  Central targets with two or three factors use the
-    centrality rules; non-central targets with two factors use the I_k
-    pair rule for each unipotent factor.  Longer factor lists carry no
-    trace obstruction and return before any matrix is built.  Returns
-    (verdict, reasons).
+    subordinates).  A central target with two factors takes the central
+    pair rule, and with three factors the central triple rule for each
+    I_k factor; a non-central target with two factors takes the trace
+    shift rule for each I_k factor.  Longer factor lists carry no trace
+    obstruction and return before any matrix is built.  Returns
+    (verdict, reasons): the first forbidding rule's reason alone, or the
+    reason of every rule that passed.
     """
     parts = list(parts)
     central = _is_central(target)
-    if len(parts) > (3 if central else 2):
+    size = 3 if central else 2
+    if len(parts) > size:
         return UNDECIDED, [_NO_RULE % len(parts)]
-    reasons = []
     if central and len(parts) == 2:
-        v = obstruction_central_pair(target, parts[0], parts[1])
-        if v == FORBIDDEN:
-            return FORBIDDEN, [
-                "central pair rule: trace(%s) = %d but -trace(%s) = %d"
-                % (parts[0], _fiber_trace(parts[0]), parts[1], -_fiber_trace(parts[1]))
-            ]
-        reasons.append("central pair rule passed")
-    elif central and len(parts) == 3:
-        for i, p in enumerate(parts):
-            p = p.reduced()
-            if p.kind == "I" and p.n >= 1:
-                rest = [q for j, q in enumerate(parts) if j != i]
-                v = obstruction_central_triple_I_k(target, p.n, rest[0], rest[1])
-                if v == FORBIDDEN:
-                    return FORBIDDEN, [
-                        "central triple rule: %d does not divide trace(%s)+trace(%s)"
-                        % (p.n, rest[0], rest[1])
-                    ]
-                reasons.append("central triple rule passed for I_%d factor" % p.n)
-    elif not central and len(parts) == 2:
-        for i, p in enumerate(parts):
-            p = p.reduced()
-            if p.kind == "I" and p.n >= 1:
-                other = parts[1 - i]
-                v = obstruction_I_k_pair(target, p.n, other)
-                if v == FORBIDDEN:
-                    delta = _fiber_trace(target) - _fiber_trace(other)
-                    return FORBIDDEN, [
-                        "trace shift rule: trace(%s)-trace(%s) = %d admits no valid"
-                        " multiple of %d" % (target, other, delta, p.n)
-                    ]
-                reasons.append("trace shift rule passed for I_%d factor" % p.n)
+        checks = [_central_pair_rule(*parts)]
+    elif len(parts) == size:
+        rule = _central_triple_rule if central else _trace_shift_rule
+        checks = (
+            rule(target, p.n, *parts[:i], *parts[i + 1:])
+            for i, p in enumerate(parts)
+            if p.kind == "I" and p.n
+        )
+    else:
+        checks = ()
+    reasons = []
+    for verdict, reason in checks:
+        if verdict == FORBIDDEN:
+            return FORBIDDEN, [reason]
+        reasons.append(reason)
     return UNDECIDED, reasons or [_NO_RULE % len(parts)]
 
 

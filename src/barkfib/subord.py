@@ -7,15 +7,16 @@ fibers and of singularities on each is governed by the core invariant
 
 where h is the branch count, v the number of proportional subbranches,
 k the zero count of the core section away from the attach points, and
-g0 the core genus (0, as stellar cores are rational).  Two regimes give
-exact counts: chi = 1 with no proportional subbranch (counts driven by
-n0 against the core multiplicity m0), and chi = 0 with exactly one
-proportional subbranch (counts driven by the subbranch's last pair
-(m_lam, n_lam)).  Outside those regimes only upper bounds survive, and
-reports fall back to Euler accounting plus trace obstructions.
+g0 the core genus (0, as stellar cores are rational), all read from the
+crust.  Two regimes give exact counts: chi = 1 with no proportional
+subbranch (counts driven by n0 against the core multiplicity m0), and
+chi = 0 with exactly one proportional subbranch (counts driven by the
+subbranch's last pair (m_lam, n_lam)).  Outside those regimes only
+upper bounds survive, and reports fall back to Euler accounting plus
+trace obstructions.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd
 
 from .kodaira import FiberClass
@@ -49,30 +50,12 @@ class SubordinateProfile:
     basis: str
 
 
-@dataclass(frozen=True)
-class CoreInvariantInput:
-    """All symbols of the chi formula in one place.
-
-    ``ord_terms`` lists the vanishing orders of the deformation form at
-    the proportional attach points (one entry per proportional
-    subbranch, zero inside the exact-count regimes).
-    """
-
-    h: int
-    v: int
-    k: int
-    g0: int
-    ord_terms: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "ord_terms", tuple(self.ord_terms))
-        if self.v != len(self.ord_terms):
-            raise ValueError("need one vanishing order per proportional subbranch")
-
-
-def core_invariant(inp):
-    """chi = (h - v) + k + (2*g0 - 2) - sum(ord_terms)."""
-    return (inp.h - inp.v) + inp.k + (2 * inp.g0 - 2) - sum(inp.ord_terms)
+def core_invariant(crust):
+    """chi of a simple crust: (h - v) + k - 2, with h, v and k read from
+    the crust (g0 = 0, and every ord term taken as 0, which gives the
+    largest chi the crust allows)."""
+    _, k = crust.core_section()
+    return crust.fiber().h - len(crust.proportional_subbranches()) + k - 2
 
 
 def predict_counts(crust):
@@ -106,11 +89,12 @@ def predict_counts(crust):
     raise HypothesisError("proportional_count")
 
 
-def count_bounds(inp, m0, n0):
-    """Upper bounds (max fibers, max singularities per fiber) from chi."""
-    chi = core_invariant(inp)
-    g = gcd(m0, n0)
-    return ((n0 // g) * chi, g * chi)
+def count_bounds(crust):
+    """Upper bounds (max fibers, max singularities per fiber) from chi,
+    with m0 the core multiplicity and n0 the crust's core value."""
+    chi = core_invariant(crust)
+    g = gcd(crust.fiber().core_mult, crust.n0)
+    return ((crust.n0 // g) * chi, g * chi)
 
 
 def determine_types(profile, deficit):
@@ -183,12 +167,7 @@ class SplittingReport:
         if case_id is not None:
             rec["id"] = case_id
         if self.profile is not None:
-            rec["counts"] = {
-                "num_fibers": self.profile.num_fibers,
-                "sings_per_fiber": self.profile.sings_per_fiber,
-                "location": self.profile.location,
-                "basis": self.profile.basis,
-            }
+            rec["counts"] = asdict(self.profile)
         return rec
 
 
@@ -200,7 +179,9 @@ def full_report(original, main, crust=None):
     -> (when a simple crust of the original fiber's stellar model, with
     valid counting hypotheses, is supplied) exact counts and type
     determination.  When the counting hypotheses fail, the obstruction
-    survivors are reported with chi-based bounds quoted as evidence only.
+    survivors are reported with chi-based bounds quoted as evidence only;
+    when the counts fit no survivor, or no multiset at all, the survivors
+    are kept and the evidence says why.
     """
     deficit = euler_deficit(original, main)
     evidence = ["euler deficit %d" % deficit]
@@ -229,29 +210,27 @@ def full_report(original, main, crust=None):
                 "counting (%s): %d subordinate fiber(s), %d singularities each"
                 % (profile.basis, profile.num_fibers, profile.sings_per_fiber)
             )
-            typed = determine_types(profile, deficit)
+            try:
+                typed = determine_types(profile, deficit)
+            except ValueError as err:
+                typed, conflict = (), "counting result infeasible (%s)" % err
+            else:
+                conflict = "counting result conflicts with obstruction survivors"
             narrowed = [ms for ms in survivors if ms in typed]
             if narrowed:
                 final = narrowed
             else:
-                evidence.append(
-                    "counting result conflicts with obstruction survivors; "
-                    "keeping the survivors"
-                )
+                evidence.append(conflict + "; keeping the survivors")
         except HypothesisError as err:
             evidence.append(
                 "counting hypotheses not met (%s); falling back to "
                 "enumeration and obstructions" % err.condition
             )
-            fiber = crust.fiber()
-            _, k = crust.core_section()
-            v = len(crust.proportional_subbranches())
-            inp = CoreInvariantInput(fiber.h, v, k, 0, (0,) * v)
-            mx_f, mx_s = count_bounds(inp, fiber.core_mult, crust.n0)
+            mx_f, mx_s = count_bounds(crust)
             evidence.append(
                 "core invariant %d bounds the counts: <= %d fiber(s), "
                 "<= %d singularities each (not used to prune)"
-                % (core_invariant(inp), mx_f, mx_s)
+                % (core_invariant(crust), mx_f, mx_s)
             )
     else:
         evidence.append("no crust data; enumeration and obstructions only")

@@ -349,6 +349,14 @@ def test_report_mismatch_exits_1(tmp_path, capsys):
             "error: stellar core_genus must be 0: only rational cores are supported",
         ),
         ({"cases": [{"id": "a\nb"}]}, "case a b lacks 'original'"),
+        (
+            {"cases": [{"id": "a\nb", "original": "II", "main": "I1", "expected": [["I1"]]}]},
+            "case a b: 'id' must be one line",
+        ),
+        (
+            {"cases": [{"id": 7, "original": "II", "main": "I1", "expected": [["I1"]]}]},
+            "case 7: 'id' must be a string",
+        ),
     ],
 )
 def test_report_malformed_fixture_exits_2(tmp_path, capsys, fixture, problem):
@@ -389,6 +397,38 @@ def test_report_fixture_keeps_its_own_models(tmp_path, capsys):
     path.write_text(json.dumps({"stellar_models": {}, "cases": [case]}))
     assert main(["report", "--fixture", str(path)]) == 2
     assert "case y.1 names no stellar model" in capsys.readouterr().err
+
+
+def test_report_infeasible_crust_is_one_case(tmp_path, capsys):
+    """A crust predicting more singular points than the Euler deficit is
+    reported as its case's survivors; the other cases still run."""
+    fixture = {
+        "stellar_models": {"II": {"core_mult": 6, "branches": [[3], [2], [1]]}},
+        "cases": [
+            {"id": "z.1", "original": "II", "main": "I0", "expected": [["II"], ["I1", "I1"]]},
+            {
+                "id": "z.2",
+                "original": "II",
+                "main": "I1",
+                "crust": {"n0": 4, "subbranches": [[2], [1], [1]], "l": 1},
+                "expected": [["I1"]],
+            },
+        ],
+    }
+    path = tmp_path / "infeasible.json"
+    path.write_text(json.dumps(fixture))
+    assert main(["report", "--fixture", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "case z.1  II -> I0: I1+I1 or II",
+        "case z.2  II -> I1: I1",
+        "2/2 case(s) match",
+    ]
+    assert main(["report", "--json", "--fixture", str(path)]) == 0
+    case = json.loads(capsys.readouterr().out)["cases"][1]
+    assert case["evidence"][-1] == (
+        "counting result infeasible (deficit 1 below the 2 predicted singularities);"
+        " keeping the survivors"
+    )
 
 
 def test_verify_words_all_pass(capsys):

@@ -1,5 +1,6 @@
 """Hypothesis properties of the exact layers: word decomposition, class
-invariance under conjugation, and conjugating a stored identity."""
+invariance under conjugation, conjugating a stored identity, and the
+trace rules' independence of factor order."""
 
 from math import gcd
 
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 
 from barkfib.kodaira import FiberClass, KINDS, classify, standard_monodromy
 from barkfib.sl2z import Mat2, Word, conj, eval_word, word_of
-from barkfib.splitting import FactorizationWitness, all_witnesses
+from barkfib.splitting import (
+    FORBIDDEN,
+    FactorizationWitness,
+    all_witnesses,
+    decomposition_verdict,
+)
 
 ENTRIES = st.integers(-10**12, 10**12)
 
@@ -64,3 +70,28 @@ def test_common_conjugator_conjugates_the_product(row, g):
     _, w = row
     shifted = FactorizationWitness(w.target, tuple((f, g * cw) for f, cw in w.factors))
     assert shifted.product() == conj(w.product(), eval_word(g))
+
+
+# Small indices, so that the I_k rules' divisibility tests both pass and fail.
+SMALL_CLASSES = st.sampled_from(KINDS).flatmap(
+    lambda kind: st.builds(
+        FiberClass,
+        st.just(kind),
+        st.integers(0, 12) if kind in ("I", "I*") else st.just(0),
+        st.integers(1, 3) if kind in ("I", "I*") else st.just(1),
+    )
+)
+
+
+@given(
+    st.one_of(st.just(FiberClass("I*", 0)), SMALL_CLASSES),
+    st.lists(SMALL_CLASSES, min_size=1, max_size=3).flatmap(
+        lambda parts: st.tuples(st.just(parts), st.permutations(parts))
+    ),
+)
+def test_verdict_ignores_factor_order(target, orders):
+    parts, shuffled = orders
+    verdict, reasons = decomposition_verdict(target, parts)
+    assert decomposition_verdict(target, shuffled)[0] == verdict
+    if verdict == FORBIDDEN:
+        assert len(reasons) == 1

@@ -18,9 +18,6 @@ from barkfib.splitting import (
     euler_deficit,
     format_identity,
     multiset,
-    obstruction_I_k_pair,
-    obstruction_central_pair,
-    obstruction_central_triple_I_k,
     parse_identity,
     search_factorization,
     verify_witness,
@@ -129,28 +126,70 @@ def test_normalize_multiset_sorts_canonically():
 # ----------------------------------------------------------- obstructions
 
 
+def verdict(target, *parts):
+    return decomposition_verdict(F(target), [F(p) for p in parts])[0]
+
+
 def test_pair_rule_examples():
-    assert obstruction_I_k_pair(F("IV"), 2, F("I2")) == FORBIDDEN
-    assert obstruction_I_k_pair(F("IV"), 2, F("II")) == UNDECIDED
-    assert obstruction_I_k_pair(F("II*"), 8, F("II")) == FORBIDDEN
+    assert verdict("IV", "I2", "I2") == FORBIDDEN
+    assert verdict("IV", "I2", "II") == UNDECIDED
+    assert verdict("II*", "I8", "II") == FORBIDDEN
 
 
 def test_central_pair_examples():
-    assert obstruction_central_pair(F("I0*"), F("I4"), F("I2")) == FORBIDDEN
-    assert obstruction_central_pair(F("I0*"), F("I3"), F("I3")) == FORBIDDEN
-    assert obstruction_central_pair(F("I0*"), F("II"), F("IV")) == UNDECIDED
+    assert verdict("I0*", "I4", "I2") == FORBIDDEN
+    assert verdict("I0*", "I3", "I3") == FORBIDDEN
+    assert verdict("I0*", "II", "IV") == UNDECIDED
 
 
 def test_central_triple_examples():
-    assert obstruction_central_triple_I_k(F("I0*"), 3, F("I1"), F("I1")) == FORBIDDEN
-    assert obstruction_central_triple_I_k(F("I0*"), 4, F("I1"), F("I1")) == UNDECIDED
+    assert verdict("I0*", "I3", "I1", "I1") == FORBIDDEN
+    assert verdict("I0*", "I4", "I1", "I1") == UNDECIDED
 
 
-def test_central_rules_reject_noncentral_target():
-    with pytest.raises(ValueError):
-        obstruction_central_pair(F("IV"), F("II"), F("II"))
-    with pytest.raises(ValueError):
-        obstruction_central_triple_I_k(F("II*"), 2, F("I1"), F("I1"))
+@pytest.mark.parametrize(
+    "target,parts,expected",
+    [
+        (
+            "IV",
+            ["I2", "I2"],
+            (FORBIDDEN, ["trace shift rule: trace(IV)-trace(I2) = -3 admits no valid multiple of 2"]),
+        ),
+        ("IV", ["I2", "II"], (UNDECIDED, ["trace shift rule passed for I_2 factor"])),
+        (
+            "II",
+            ["I1", "I1"],
+            (
+                UNDECIDED,
+                ["trace shift rule passed for I_1 factor", "trace shift rule passed for I_1 factor"],
+            ),
+        ),
+        ("I0*", ["I3", "I3"], (FORBIDDEN, ["central pair rule: trace(I3) = 2 but -trace(I3) = -2"])),
+        ("I0*", ["II", "IV"], (UNDECIDED, ["central pair rule passed"])),
+        (
+            "I0*",
+            ["I3", "I1", "I1"],
+            (FORBIDDEN, ["central triple rule: 3 does not divide trace(I1)+trace(I1)"]),
+        ),
+        (
+            "I0*",
+            ["I4", "I1", "I1"],
+            (
+                UNDECIDED,
+                [
+                    "central triple rule passed for I_4 factor",
+                    "central triple rule passed for I_1 factor",
+                    "central triple rule passed for I_1 factor",
+                ],
+            ),
+        ),
+        ("IV", ["II", "II"], (UNDECIDED, ["no trace obstruction applies to 2 factors"])),
+        ("I0*", ["II", "III", "IV"], (UNDECIDED, ["no trace obstruction applies to 3 factors"])),
+        ("II*", ["I8", "I1", "I1"], (UNDECIDED, ["no trace obstruction applies to 3 factors"])),
+    ],
+)
+def test_rule_reason_texts(target, parts, expected):
+    assert decomposition_verdict(F(target), [F(p) for p in parts]) == expected
 
 
 FORBIDDEN_DECOMPOSITIONS = [

@@ -18,7 +18,6 @@ from barkfib.splitting import enumerate_multisets, multiset
 from barkfib.subord import (
     NEAR_CORE,
     NEAR_PROPORTIONAL_EDGE,
-    CoreInvariantInput,
     HypothesisError,
     SubordinateProfile,
     core_invariant,
@@ -48,21 +47,34 @@ def crust_for(case):
 # ---------------------------------------------------------- core invariant
 
 
+# The catalog cases whose crust fails the counting hypotheses, with the
+# chi and the bounds that `barkfib report` quotes for them.
+FALLBACK_CRUSTS = [
+    ("5.3", 2, (2, 2)),
+    ("5.4", 3, (3, 3)),
+    ("6.3", 3, (6, 3)),
+    ("7.1", 2, (2, 2)),
+    ("7.2", 3, (3, 3)),
+]
+
+
 def test_core_invariant_values():
-    assert core_invariant(CoreInvariantInput(3, 0, 0, 0)) == 1
-    assert core_invariant(CoreInvariantInput(3, 1, 0, 0, (0,))) == 0
-    assert core_invariant(CoreInvariantInput(1, 0, 0, 1)) == 1
-    assert core_invariant(CoreInvariantInput(4, 1, 2, 0, (1,))) == 2
+    for case, chi, _ in FALLBACK_CRUSTS:
+        assert core_invariant(crust_for(case)) == chi, case
 
 
 def test_core_invariant_input_arity():
-    with pytest.raises(ValueError):
-        CoreInvariantInput(3, 2, 0, 0, (0,))
+    """The crust supplies v, the number of proportional subbranches: chi is
+    1 in the exact-count regime without one and 0 in the regime with one."""
+    for case, v in [("2.2", 1), ("2.3", 1), ("2.4", 0), ("3.2", 0), ("5.2", 0)]:
+        crust = crust_for(case)
+        assert len(crust.proportional_subbranches()) == v, case
+        assert core_invariant(crust) == 1 - v, case
 
 
 def test_count_bounds():
-    assert count_bounds(CoreInvariantInput(3, 0, 1, 0), 3, 1) == (2, 2)
-    assert count_bounds(CoreInvariantInput(3, 0, 0, 0), 6, 4) == (2, 2)
+    for case, _, bounds in FALLBACK_CRUSTS:
+        assert count_bounds(crust_for(case)) == bounds, case
 
 
 # ------------------------------------------------------------- prediction
