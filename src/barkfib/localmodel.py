@@ -11,7 +11,7 @@ Two model situations are verified numerically:
   and tau) locate the subordinate fibers and are bounded by the core
   invariant chi.
 
-Roots are found via companion-matrix eigenvalues (numpy.roots) with one
+Roots are found in pure Python by Aberth-Ehrlich iteration with one
 Newton polish step; duplicate roots are clustered at 1e-7 relative
 tolerance.  All residual checks are relative to the coefficient scale.
 """
@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite
 
-import numpy as np
-
 CLUSTER_TOL = 1e-7
 RESIDUAL_TOL = 1e-9
+MAX_SWEEPS = 100
 
 
 def _is_infinite_point(p):
@@ -120,14 +119,15 @@ def singular_s_values(spec):
     return roots
 
 
-def singular_points(spec, s, tol=RESIDUAL_TOL):
+def singular_points(spec, s):
     """Singular points (z, zeta) of the fiber over a singular value s.
 
     All lie on z = 0 with zeta an n-th root of ((l*n - m)/m)*t*c;
     exactly gcd(m, n) of those roots land on the fiber of the given s,
-    that is, have |F| <= tol * |s|.  Every returned point is re-verified:
-    both partials must stay below tol * (1 + max(|s|, |t*c|)), else a
-    RuntimeError with the residuals is raised.
+    that is, have |F| <= RESIDUAL_TOL * |s|.  Every returned point is
+    re-verified: both partials must stay below
+    RESIDUAL_TOL * (1 + max(|s|, |t*c|)), else a RuntimeError with the
+    residuals is raised.
     """
     w = complex(Fraction(spec.l * spec.n - spec.m, spec.m)) * spec.t * spec.c
     scale = 1.0 + max(abs(s), abs(spec.t * spec.c))
@@ -135,7 +135,7 @@ def singular_points(spec, s, tol=RESIDUAL_TOL):
     points = []
     for zeta in _nth_roots(w, spec.n):
         value = F(0.0, zeta)
-        if abs(value) > tol * abs(s):
+        if abs(value) > RESIDUAL_TOL * abs(s):
             continue
         fz = 0.0  # F has no z-dependence in this chart
         inner = zeta**spec.n + spec.t * spec.c
@@ -143,7 +143,7 @@ def singular_points(spec, s, tol=RESIDUAL_TOL):
             (spec.m - spec.l * spec.n) * inner + spec.l * spec.n * zeta**spec.n
         )
         residuals = (abs(value), abs(fz), abs(fzeta))
-        if max(residuals) > tol * scale:
+        if max(residuals) > RESIDUAL_TOL * scale:
             raise RuntimeError(
                 "point (0, %r) failed verification; residuals %r" % (zeta, residuals)
             )
@@ -226,39 +226,75 @@ def _logderiv_support(data):
     return {p: w for p, w in support.items() if w != 0}
 
 
-def essential_zeros(data, cluster_tol=CLUSTER_TOL):
+def _poly_from_roots(roots):
+    """Coefficients of prod (z - r), highest power first."""
+    coeffs = [1.0 + 0j]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0j], [0j] + coeffs)]
+    return coeffs
+
+
+def _horner(coeffs, z):
+    """p(z) and p'(z) for coefficients listed highest power first."""
+    p = dp = 0j
+    for a in coeffs:
+        dp = dp * z + p
+        p = p * z + a
+    return p, dp
+
+
+def _aberth_roots(coeffs):
+    """All roots of a polynomial of degree >= 1 by Aberth-Ehrlich iteration
+    (Aberth, Math. Comp. 27, 1973).  The start is the ring |z| = 1 + max|a_i/a_0|,
+    which encloses every root, turned off the real axis, where the iterates of
+    a real polynomial would stay.  Sweeps update in place until every
+    correction is below 1e-14 * (1 + |z|), or for at most MAX_SWEEPS."""
+    n = len(coeffs) - 1
+    radius = 1 + max(abs(a / coeffs[0]) for a in coeffs[1:])
+    roots = [radius * cmath.exp(1j * (2 * cmath.pi * k / n + 0.4)) for k in range(n)]
+    for _ in range(MAX_SWEEPS):
+        converged = True
+        for i, z in enumerate(roots):
+            p, dp = _horner(coeffs, z)
+            if p == 0:
+                continue
+            denom = dp / p - sum(1 / (z - w) for w in roots if w != z)
+            if denom == 0:
+                continue
+            step = 1 / denom
+            roots[i] = z - step
+            converged = converged and abs(step) <= 1e-14 * (1 + abs(z))
+        if converged:
+            break
+    return roots
+
+
+def essential_zeros(data):
     """Zeros of K(z) = n0*sigma'*tau + m0*sigma*tau' away from the
     divisors of sigma and tau, with multiplicity (repeated entries).
 
     The numerator of the logarithmic-derivative sum is assembled exactly
-    from the divisor data, root-found via the companion matrix, Newton
-    polished, clustered, and filtered against all data points.  No
+    from the divisor data, root-found by Aberth-Ehrlich iteration, Newton
+    polished once, clustered, and filtered against all data points.  No
     degree consistency is assumed of the input.
     """
     support = _logderiv_support(data)
     points = list(support)
-    if len(points) == 0:
+    if not points:
         return []
-    coeffs = np.zeros(len(points), dtype=complex)
-    for i, alpha in enumerate(points):
-        others = [p for p in points if p is not alpha]
-        term = np.poly(others) if others else np.array([1.0 + 0j])
-        coeffs[len(coeffs) - len(term):] += support[alpha] * term
-    scale = max(np.abs(coeffs).max(), 1.0)
-    nz = np.nonzero(np.abs(coeffs) > 1e-12 * scale)[0]
-    if len(nz) == 0:
-        return []
-    coeffs = coeffs[nz[0]:]
+    coeffs = [0j] * len(points)
+    for alpha in points:
+        term = _poly_from_roots([p for p in points if p is not alpha])
+        coeffs = [c + support[alpha] * t for c, t in zip(coeffs, term)]
+    scale = max(max(abs(c) for c in coeffs), 1.0)
+    while coeffs and abs(coeffs[0]) <= 1e-12 * scale:
+        del coeffs[0]
     if len(coeffs) <= 1:
         return []
-    roots = np.roots(coeffs)
-    deriv = np.polyder(coeffs)
     polished = []
-    for r in roots:
-        dv = np.polyval(deriv, r)
-        if dv != 0:
-            r = r - np.polyval(coeffs, r) / dv
-        polished.append(complex(r))
+    for r in _aberth_roots(coeffs):
+        p, dp = _horner(coeffs, r)
+        polished.append(r - p / dp if dp != 0 else r)
     avoid = [
         complex(p)
         for group in (data.attach_points, data.sigma_divisor, data.extra_zeros)
@@ -268,12 +304,12 @@ def essential_zeros(data, cluster_tol=CLUSTER_TOL):
     kept = [
         r
         for r in polished
-        if all(abs(r - a) > cluster_tol * (1 + abs(r)) for a in avoid)
+        if all(abs(r - a) > CLUSTER_TOL * (1 + abs(r)) for a in avoid)
     ]
     kept.sort(key=_sort_key)
     clustered = []
     for r in kept:
-        if clustered and abs(r - clustered[-1][0] / clustered[-1][1]) <= cluster_tol * (
+        if clustered and abs(r - clustered[-1][0] / clustered[-1][1]) <= CLUSTER_TOL * (
             1 + abs(r)
         ):
             total, count = clustered[-1]
@@ -286,7 +322,7 @@ def essential_zeros(data, cluster_tol=CLUSTER_TOL):
     return out
 
 
-def subordinate_s_from_core(data, t, zeros, tol=CLUSTER_TOL):
+def subordinate_s_from_core(data, t, zeros):
     """Deformation parameters s of the subordinate fibers.
 
     For each essential zero alpha, s solves
@@ -308,9 +344,7 @@ def subordinate_s_from_core(data, t, zeros, tol=CLUSTER_TOL):
     invariants = []
     for alpha in zeros:
         v = data.sigma(alpha) ** nbar0 * data.tau(alpha) ** mbar0
-        if not any(
-            abs(v - u) <= tol * (1 + abs(u)) for u in invariants
-        ):
+        if not any(abs(v - u) <= CLUSTER_TOL * (1 + abs(u)) for u in invariants):
             invariants.append(v)
     prefactor = complex(
         Fraction(ln0, ln0 - data.m0) ** (data.l * nbar0)
@@ -320,7 +354,7 @@ def subordinate_s_from_core(data, t, zeros, tol=CLUSTER_TOL):
     for v in invariants:
         rhs = prefactor * t**mbar0 * v
         for s in _nth_roots(rhs, nbar0):
-            if not any(abs(s - u) <= tol * (1 + abs(u)) for u in s_values):
+            if not any(abs(s - u) <= CLUSTER_TOL * (1 + abs(u)) for u in s_values):
                 s_values.append(s)
     s_values.sort(key=_sort_key)
     return s_values, len(invariants)

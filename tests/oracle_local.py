@@ -7,6 +7,10 @@ from the roots of g' (companion matrix) and never touches the
 closed-form product formula under test.  The Sylvester resultant of
 (g - s, g') gives a second, root-free signal: it vanishes exactly at
 the singular s.
+
+For the core section, the oracle builds the numerator of
+n0*sigma'/sigma + m0*tau'/tau with np.poly and finds its roots with
+np.roots, without any barkfib helper.
 """
 
 import numpy as np
@@ -58,3 +62,23 @@ def resultant_at(m, n, l, tc, s):
     g = poly_g(m, n, l, tc).copy()
     g[-1] -= s
     return abs(sylvester_resultant(g, np.polyder(g)))
+
+
+def essential_zeros_oracle(attach, sigma, extra, m0, n0):
+    """Roots of the log-derivative numerator of finite divisor data, less
+    those within 1e-7 relative of a data point, sorted."""
+    weights = {}
+    for group, factor in ((sigma, n0), (attach, -m0), (extra, m0)):
+        for p, o in group:
+            weights[p] = weights.get(p, 0) + factor * o
+    support = [p for p, w in weights.items() if w != 0]
+    numerator = np.zeros(len(support), dtype=complex)
+    for p in support:
+        numerator += weights[p] * np.poly([q for q in support if q != p])
+    roots = [
+        complex(z)
+        for z in np.roots(numerator)
+        if all(abs(z - p) > 1e-7 * (1 + abs(z)) for p in weights)
+    ]
+    roots.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+    return roots

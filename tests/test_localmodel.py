@@ -6,12 +6,18 @@ closed-form implementation must land on them, not the other way round.
 """
 
 import cmath
+import os
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import barkfib
 from barkfib.localmodel import (
+    CLUSTER_TOL,
     CoreSectionData,
     LocalCurveSpec,
     essential_zeros,
@@ -20,7 +26,7 @@ from barkfib.localmodel import (
     subordinate_s_from_core,
 )
 
-from oracle_local import critical_values, resultant_at
+from oracle_local import critical_values, essential_zeros_oracle, resultant_at
 
 # (m, n, l, t, c) -> sorted singular s, frozen from the oracle run
 FROZEN_SINGULAR_VALUES = {
@@ -198,6 +204,89 @@ def test_essential_zero_count_matches_invariant_generically():
         chi = h + k - 2
         zeros = essential_zeros(data)
         assert len(zeros) == chi
+
+
+def _generic_divisors(rng, h, k):
+    """Divisor data (attach, sigma, extra) with m0 = 2, n0 = 1 whose
+    numerator keeps its full degree h + k - 2 (sum of weight * point != 0)."""
+    while True:
+        pts = []
+        while len(pts) < h + k:
+            p = complex(rng.randrange(-6, 7), rng.randrange(-6, 7))
+            if p not in pts:
+                pts.append(p)
+        while True:
+            weights = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(h - 1)]
+            last = -(sum(weights) + 2 * k)
+            if last != 0:
+                weights.append(last)
+                break
+        if sum(w * p for w, p in zip(weights + [2] * k, pts)) == 0:
+            continue
+        attach = tuple((p, max(1, (2 - w) // 2)) for p, w in zip(pts, weights))
+        sigma = tuple((p, w + 2 * n1) for (p, n1), w in zip(attach, weights))
+        return attach, sigma, tuple((p, 1) for p in pts[h:])
+
+
+def test_essential_zeros_agree_with_numpy_oracle():
+    rng = random.Random(61973)
+    for _ in range(200):
+        h, k = rng.randint(3, 6), rng.randint(0, 4)
+        attach, sigma, extra = _generic_divisors(rng, h, k)
+        got = essential_zeros(CoreSectionData(attach, sigma, extra, 2, 1))
+        want = essential_zeros_oracle(attach, sigma, extra, 2, 1)
+        assert len(got) == len(want) == h + k - 2
+        assert_close_sets(got, want)
+
+
+@pytest.mark.parametrize(
+    "sigma,attach,want",
+    [
+        # 1/z + 1/(z - 2): degree-1 numerator 2z - 2
+        (((0, 1), (2, 1)), (), [1]),
+        # unit weights at +-1, +-2: numerator 2z(2z^2 - 5), a root at 0
+        (((1, 1), (-1, 1), (2, 1), (-2, 1)), (), [0, 2.5**0.5, -(2.5**0.5)]),
+        # unit weights at +-1 and -1 at 0: numerator z^2 + 1, a real
+        # polynomial whose roots a start on the real axis never reaches
+        (((1, 1), (-1, 1), (0, 1)), ((0, 1),), [1j, -1j]),
+        # unit weights at +-1, +-i and -2 at 0: numerator 2(z^4 + 1), whose
+        # roots share the four-fold symmetry of a starting ring
+        (
+            ((1, 1), (-1, 1), (1j, 1), (-1j, 1)),
+            ((0, 1),),
+            [cmath.exp(1j * cmath.pi * (2 * j + 1) / 4) for j in range(4)],
+        ),
+    ],
+)
+def test_essential_zeros_of_special_numerators(sigma, attach, want):
+    assert_close_sets(essential_zeros(CoreSectionData(attach, sigma, (), 2, 1)), want)
+
+
+def test_double_essential_zero_clusters_to_equal_entries():
+    """5/(z - 5) + 5/(z + 5) - 9/(z - 3) has numerator (z - 15)^2."""
+    data = CoreSectionData(((3, 5),), ((5, 5), (-5, 5), (3, 1)), (), 2, 1)
+    first, second = essential_zeros(data)
+    assert first == second
+    assert abs(first - 15) <= CLUSTER_TOL * 16
+
+
+def test_barkfib_does_not_load_numpy():
+    code = (
+        "import sys\n"
+        "import barkfib.cli\n"
+        "from barkfib.localmodel import CoreSectionData, essential_zeros\n"
+        "essential_zeros(CoreSectionData(((0, 1),), ((0, 1), (1, 1)), (), 2, 1))\n"
+        "assert 'numpy' not in sys.modules, 'barkfib loaded numpy'\n"
+    )
+    src = str(Path(barkfib.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_subordinate_values_from_core_data():
