@@ -20,10 +20,9 @@ from .crust import (
 )
 from .kodaira import classify, euler, parse_fiber
 from .localmodel import LocalCurveSpec, singular_points, singular_s_values
-from .sl2z import Mat2, eval_word, format_word, parse_word, word
+from .sl2z import Mat2, eval_word, format_word, parse_word
 from .splitting import (
     FORBIDDEN,
-    FactorizationWitness,
     SearchBudgetExceeded,
     all_witnesses,
     decomposition_verdict,
@@ -32,9 +31,7 @@ from .splitting import (
     search_factorization,
     verify_witness,
 )
-from .subord import HypothesisError, full_report, predict_counts
-
-SCHEMA = "barkfib/1"
+from .subord import SCHEMA, HypothesisError, full_report, predict_counts
 
 
 def _emit(args, record, text_lines):
@@ -287,16 +284,6 @@ def cmd_report(args):
 
 def cmd_verify_words(args):
     rows = all_witnesses()
-    if args.corrupt is not None:
-        if not 0 <= args.corrupt < len(rows):
-            _fail("--corrupt index out of range (0..%d)" % (len(rows) - 1))
-            return 2
-        label, w = rows[args.corrupt]
-        base, conjugator = w.factors[0]
-        bad = FactorizationWitness(
-            w.target, ((base, conjugator * word(("s0", 1))),) + w.factors[1:]
-        )
-        rows[args.corrupt] = (label + " [corrupted]", bad)
     results, lines, failures = [], [], 0
     for label, w in rows:
         ok = verify_witness(w)
@@ -394,7 +381,6 @@ def build_parser():
         parents=[output],
         help="check every built-in factorization identity",
     )
-    p.add_argument("--corrupt", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify_words)
 
     return parser

@@ -17,7 +17,6 @@ suitable meromorphic section.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from itertools import product as _cartesian
 from pathlib import Path
@@ -208,19 +207,21 @@ def core_section_exists(fiber, n0, first_values):
         With r0 = sum(m1)/m0 and r0' = sum(n1)/n0, a section exists iff
         r0 <= r0' and the divisor degree n0*(r0' - r0) is an integer;
         that degree (the number of extra zeros, D = 0 iff r0 = r0') is
-        returned when it exists.
+        returned when it exists.  In integers, with
+        excess = n0*sum(m1): the section exists iff m0 divides excess
+        and excess <= m0*sum(n1), and its degree is
+        sum(n1) - excess/m0.
     """
     if len(first_values) != fiber.h:
         raise ValueError("need one leading value per branch")
+    if n0 < 1:
+        raise ValueError("n0 must be positive")
     m0 = fiber.core_mult
-    sum_m1 = sum(b.mult(1) for b in fiber.branches)
+    excess = n0 * sum(b.mult(1) for b in fiber.branches)
     sum_n1 = sum(int(v) for v in first_values)
-    r0 = Fraction(sum_m1, m0)
-    r0p = Fraction(sum_n1, n0)
-    degree = n0 * (r0p - r0)
-    if r0 > r0p or degree.denominator != 1:
+    if excess % m0 or excess > m0 * sum_n1:
         return False, None
-    return True, int(degree)
+    return True, sum_n1 - excess // m0
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,13 @@ def _nth_roots(w, k):
     ]
 
 
+def _prefactor(l, m, n, mbar, nbar):
+    """The exact (l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar as a
+    complex; raises OverflowError when it does not fit a float."""
+    ln = l * n
+    return complex(Fraction(ln, ln - m) ** (l * nbar) * Fraction(ln - m, m) ** mbar)
+
+
 def singular_s_values(spec):
     """The nonzero values of s whose fiber is singular.
 
@@ -103,12 +110,8 @@ def singular_s_values(spec):
     if spec.t == 0 or spec.c == 0:
         raise ValueError("t and c must be nonzero (otherwise only s = 0)")
     mbar, nbar = spec.reduced_pair
-    ln = spec.l * spec.n
-    rational = Fraction(ln, ln - spec.m) ** (spec.l * nbar) * Fraction(
-        ln - spec.m, spec.m
-    ) ** mbar
     try:
-        rhs = complex(rational) * (spec.t * spec.c) ** mbar
+        rhs = _prefactor(spec.l, spec.m, spec.n, mbar, nbar) * (spec.t * spec.c) ** mbar
         in_range = sys.float_info.min <= abs(rhs) <= sys.float_info.max
     except OverflowError:
         in_range = False
@@ -338,18 +341,14 @@ def subordinate_s_from_core(data, t, zeros):
         raise ValueError("t must be nonzero")
     g = gcd(data.m0, data.n0)
     mbar0, nbar0 = data.m0 // g, data.n0 // g
-    ln0 = data.l * data.n0
-    if ln0 - data.m0 == 0:
+    if data.l * data.n0 == data.m0:
         raise ValueError("need l*n0 != m0")
     invariants = []
     for alpha in zeros:
         v = data.sigma(alpha) ** nbar0 * data.tau(alpha) ** mbar0
         if not any(abs(v - u) <= CLUSTER_TOL * (1 + abs(u)) for u in invariants):
             invariants.append(v)
-    prefactor = complex(
-        Fraction(ln0, ln0 - data.m0) ** (data.l * nbar0)
-        * Fraction(ln0 - data.m0, data.m0) ** mbar0
-    )
+    prefactor = _prefactor(data.l, data.m0, data.n0, mbar0, nbar0)
     s_values = []
     for v in invariants:
         rhs = prefactor * t**mbar0 * v

@@ -9,6 +9,10 @@ to matrices by a left-to-right product.  All arithmetic is exact; Python
 integers never wrap, so overflow cannot occur silently.
 """
 
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True, slots=True)
 class Mat2:
     """An integer 2x2 matrix of determinant 1.
 
@@ -16,9 +20,13 @@ class Mat2:
     construction.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    a: int
+    b: int
+    c: int
+    d: int
 
-    def __init__(self, a, b, c, d):
+    def __post_init__(self):
+        a, b, c, d = self.entries()
         for x in (a, b, c, d):
             if not isinstance(x, int):
                 raise TypeError("Mat2 entries must be integers, got %r" % (x,))
@@ -27,13 +35,6 @@ class Mat2:
                 "not unimodular: det [[%d,%d],[%d,%d]] = %d"
                 % (a, b, c, d, a * d - b * c)
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat2 is immutable")
 
     def __mul__(self, other):
         return Mat2(
@@ -57,21 +58,6 @@ class Mat2:
             base = base * base
             k >>= 1
         return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat2)
-            and self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return "Mat2(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -104,6 +90,7 @@ def _gen_power(gen, k):
     raise ValueError("unknown generator %r" % (gen,))
 
 
+@dataclass(frozen=True, slots=True)
 class Word:
     """A normalized word over s0, s2 with signed integer exponents.
 
@@ -112,11 +99,11 @@ class Word:
     identity).
     """
 
-    __slots__ = ("letters",)
+    letters: tuple = ()
 
-    def __init__(self, letters=()):
+    def __post_init__(self):
         normalized = []
-        for gen, exp in letters:
+        for gen, exp in self.letters:
             if gen not in ("s0", "s2"):
                 raise ValueError("unknown generator %r" % (gen,))
             if not isinstance(exp, int):
@@ -132,9 +119,6 @@ class Word:
                 normalized.append((gen, exp))
         object.__setattr__(self, "letters", tuple(normalized))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
     def __len__(self):
         return len(self.letters)
 
@@ -143,15 +127,6 @@ class Word:
 
     def __mul__(self, other):
         return Word(self.letters + other.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __repr__(self):
-        return "Word(%r)" % (list(self.letters),)
 
     def __str__(self):
         return format_word(self)

@@ -28,6 +28,9 @@ from .splitting import (
     multiset,
 )
 
+# The schema tag every JSON record carries.
+SCHEMA = "barkfib/1"
+
 NEAR_CORE = "near_core"
 NEAR_PROPORTIONAL_EDGE = "near_proportional_edge"
 
@@ -152,7 +155,7 @@ class SplittingReport:
 
     def to_json(self, case_id=None):
         rec = {
-            "schema": "barkfib/1",
+            "schema": SCHEMA,
             "original": str(self.original),
             "main": str(self.main),
             "deficit": self.deficit,

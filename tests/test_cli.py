@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from barkfib import cli
 from barkfib.cli import main
 from barkfib.crust import STELLAR_MODELS, crust_to_json, enumerate_simple_crusts, stellar_to_json
 from barkfib.kodaira import euler, parse_fiber
-from barkfib.splitting import parse_identity, verify_witness
+from barkfib.sl2z import word
+from barkfib.splitting import FactorizationWitness, all_witnesses, parse_identity, verify_witness
 
 
 def run_json(capsys, argv):
@@ -437,16 +439,17 @@ def test_verify_words_all_pass(capsys):
     assert "26/26 identities verified" in out
 
 
-def test_verify_words_negative_control(capsys):
-    assert main(["verify-words", "--corrupt", "3"]) == 1
+def test_verify_words_negative_control(capsys, monkeypatch):
+    rows = all_witnesses()
+    label, w = rows[3]
+    (base, conjugator), rest = w.factors[0], w.factors[1:]
+    bad = FactorizationWitness(w.target, ((base, conjugator * word(("s0", 1))),) + rest)
+    rows[3] = (label + " [corrupted]", bad)
+    monkeypatch.setattr(cli, "all_witnesses", lambda: rows)
+    assert main(["verify-words"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out
+    assert "FAIL  %s [corrupted]" % label in out
     assert "25/26 identities verified" in out
-
-
-def test_verify_words_corrupt_out_of_range(capsys):
-    assert main(["verify-words", "--corrupt", "99"]) == 2
-    capsys.readouterr()
 
 
 def test_help_exits_0(capsys):

@@ -5,7 +5,8 @@ strictly decreasing with integral ratio condition, and subbranches obey
 the linear recurrence n_{i+1} = r_i n_i - n_{i-1}.
 """
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -178,6 +179,32 @@ def test_core_section_examples():
 def test_core_section_validates_input():
     with pytest.raises(ValueError):
         core_section_exists(STELLAR_MODELS["IV"], 1, (1, 1))  # wrong arity
+    for n0 in (0, -1):
+        with pytest.raises(ValueError):
+            core_section_exists(STELLAR_MODELS["IV"], n0, (1, 1, 0))
+
+
+def test_core_section_matches_rational_formula():
+    """The integer test agrees with the definition in rationals: with
+    r0 = sum(m1)/m0 and r0' = sum(n1)/n0, the section exists iff
+    r0 <= r0' and n0*(r0' - r0) is an integer, which is its degree."""
+    compared = 0
+    for m0 in range(1, 13):
+        options = [Branch(m0, ())] + [Branch(m0, (d,)) for d in range(1, m0) if m0 % d == 0]
+        for h in (1, 2):
+            for branches in combinations_with_replacement(options, h):
+                fiber = StellarFiber(m0, branches)
+                sum_m1 = sum(b.mult(1) for b in branches)
+                for n0 in range(1, 13):
+                    for sum_n1 in range(30):
+                        degree = n0 * (Fraction(sum_n1, n0) - Fraction(sum_m1, m0))
+                        expected = (True, int(degree))
+                        if degree < 0 or degree.denominator != 1:
+                            expected = (False, None)
+                        values = (sum_n1,) + (0,) * (h - 1)
+                        assert core_section_exists(fiber, n0, values) == expected
+                        compared += 1
+    assert compared == 41040
 
 
 def test_simple_crust_accepts_catalog_data():

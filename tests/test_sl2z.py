@@ -110,6 +110,27 @@ def test_hash_eq():
     assert hash(S0 * S2) == hash(Mat2(0, 1, -1, 1))
     assert len({S0, S0**1, S2}) == 2
     assert len({parse_word("s0 s2"), Word([("s0", 1), ("s2", 1)])}) == 1
+    assert Mat2(2, 1, 1, 1) == Mat2(2, 1, 1, 1)
+    assert hash(Mat2(2, 1, 1, 1)) == hash(Mat2(2, 1, 1, 1))
+    assert Mat2(1, 0, 0, 1) != (1, 0, 0, 1)
+    assert Word([("s0", 2), ("s0", -2)]) == Word()
+    assert hash(Word([("s0", 2), ("s0", -2)])) == hash(Word())
+
+
+def test_values_are_frozen():
+    m, w = Mat2(1, 0, 0, 1), parse_word("s0 s2")
+    with pytest.raises(AttributeError):
+        m.a = 5
+    with pytest.raises(AttributeError):
+        w.letters = ()
+    assert m == IDENTITY and w == word(("s0", 1), ("s2", 1))
+
+
+def test_non_integer_entries_rejected():
+    with pytest.raises(TypeError):
+        Mat2(1.0, 0, 0, 1)
+    with pytest.raises(TypeError):
+        Word([("s0", 1.0)])
 
 
 def test_big_entries_stay_exact():
