@@ -88,17 +88,13 @@ def cmd_euler(args):
 def cmd_factorize(args):
     target = parse_fiber(args.target)
     parts = [parse_fiber(p) for p in args.parts]
-    try:
-        witness = search_factorization(
-            target,
-            parts,
-            args.max_conj_len,
-            exp_cap=args.exp_cap,
-            node_budget=args.budget,
-        )
-    except SearchBudgetExceeded as exc:
-        _fail(str(exc))
-        return 1
+    witness = search_factorization(
+        target,
+        parts,
+        args.max_conj_len,
+        exp_cap=args.exp_cap,
+        node_budget=args.budget,
+    )
     if witness is None:
         verdict, reasons = decomposition_verdict(target, parts)
         record = {
@@ -150,15 +146,15 @@ def _stellar_model(text):
 
 def cmd_crusts(args):
     fiber, model = _stellar_model(args.fiber)
-    found = enumerate_simple_crusts(model, args.l)
+    found = [crust_to_json(c) for c in enumerate_simple_crusts(model, args.l)]
     record = {
         "fiber": str(fiber),
         "l": args.l,
         "count": len(found),
-        "crusts": [crust_to_json(c) for c in found],
+        "crusts": found,
     }
     lines = ["%d crust(s) with l=%d" % (len(found), args.l)]
-    lines += [json.dumps(crust_to_json(c), sort_keys=True) for c in found]
+    lines += [json.dumps(c, sort_keys=True) for c in found]
     _emit(args, record, lines)
     return 0
 
@@ -223,9 +219,11 @@ def cmd_localcheck(args):
     return 0 if ok else 1
 
 
-def _names(fibers):
-    """Fiber names in string order: how `report` displays a multiset."""
-    return sorted(str(f) for f in fibers)
+def _shown(multisets):
+    """How `report` prints a list of multisets, in string order:
+    "I1+I1 or II"; an empty multiset is "(none)"."""
+    names = sorted(sorted(str(f) for f in ms) for ms in multisets)
+    return " or ".join("+".join(ms) or "(none)" for ms in names)
 
 
 def cmd_report(args):
@@ -233,52 +231,34 @@ def cmd_report(args):
     if args.case is not None:
         cases = [c for c in cases if c["id"] == args.case]
         if not cases:
-            _fail("no case %r in fixture" % args.case)
-            return 2
-    out, lines, all_ok = [], [], True
+            raise ValueError("no case %r in fixture" % args.case)
+    out, lines = [], []
     for case in cases:
-        original = parse_fiber(case["original"])
-        main_fiber = parse_fiber(case["main"])
-        crust = None
-        if case.get("crust") is not None:
-            model = models.get(str(original.reduced()))
-            if model is None:
-                _fail("case %s names no stellar model" % case["id"])
-                return 2
-            crust = crust_from_json(model, case["crust"])
-        report = full_report(original, main_fiber, crust=crust)
+        try:
+            original = parse_fiber(case["original"])
+            main_fiber = parse_fiber(case["main"])
+            crust = case.get("crust")
+            if crust is not None:
+                crust = crust_from_json(models[str(original.reduced())], crust)
+            report = full_report(original, main_fiber, crust=crust)
+        except KeyError:  # the models lookup is the one subscript that can miss
+            raise ValueError("case %s names no stellar model" % case["id"]) from None
+        except ValueError as exc:
+            raise ValueError("case %s: %s" % (case["id"], exc)) from None
         got = set(report.determined)
         want = {multiset(*ms) for ms in case["expected"]}
-        ok = got == want
-        all_ok = all_ok and ok
-        rec = report.to_json(case_id=case["id"])
-        rec["ok"] = ok
-        rec["expected"] = [_names(ms) for ms in case["expected"]]
+        rec = report.to_json()
+        rec["id"] = case["id"]
+        rec["ok"] = got == want
+        rec["expected"] = [sorted(str(f) for f in ms) for ms in case["expected"]]
         out.append(rec)
-        shown = " or ".join(
-            "+".join(ms) or "(none)" for ms in sorted(map(_names, got))
-        )
-        if ok:
-            lines.append("case %s  %s -> %s: %s" % (case["id"], original, main_fiber, shown))
-        else:
-            wanted = " or ".join(
-                "+".join(ms) for ms in sorted(map(_names, want))
-            )
-            lines.append(
-                "case %s  %s -> %s: MISMATCH expected %s, got %s"
-                % (case["id"], original, main_fiber, wanted, shown)
-            )
-    matched = sum(1 for rec in out if rec["ok"])
-    lines.append("%d/%d case(s) match" % (matched, len(out)))
-    if args.json:
-        print(
-            json.dumps(
-                {"schema": SCHEMA, "all_ok": all_ok, "cases": out}, indent=2
-            )
-        )
-    else:
-        for line in lines:
-            print(line)
+        shown = _shown(got)
+        if not rec["ok"]:
+            shown = "MISMATCH expected %s, got %s" % (_shown(want), shown)
+        lines.append("case %s  %s -> %s: %s" % (case["id"], original, main_fiber, shown))
+    all_ok = all(rec["ok"] for rec in out)
+    lines.append("%d/%d case(s) match" % (sum(rec["ok"] for rec in out), len(out)))
+    _emit(args, {"all_ok": all_ok, "cases": out}, lines)
     return 0 if all_ok else 1
 
 
@@ -401,6 +381,9 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
+    except SearchBudgetExceeded as exc:
+        _fail(str(exc))
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         _fail(str(exc))
         return 2

@@ -465,8 +465,6 @@ def _find_conjugators(target_m, parts, max_conj_len, exp_cap, node_budget):
     # The table phase costs a known number of nodes, so the budget is
     # checked, from the counts alone, before any exponent list is built.
     words = _conjugator_count(max_conj_len, 2 * exp_cap, node_budget)
-    if words > node_budget:
-        raise SearchBudgetExceeded("conjugator enumeration exceeded %d nodes" % node_budget)
     nodes = words * (1 + len(classes))
     if nodes > node_budget:
         raise _budget_exceeded(node_budget)

@@ -153,7 +153,7 @@ class SplittingReport:
     evidence: tuple
     profile: object = None
 
-    def to_json(self, case_id=None):
+    def to_json(self):
         rec = {
             "schema": SCHEMA,
             "original": str(self.original),
@@ -167,8 +167,6 @@ class SplittingReport:
                 for ms, reason in self.excluded
             ],
         }
-        if case_id is not None:
-            rec["id"] = case_id
         if self.profile is not None:
             rec["counts"] = asdict(self.profile)
         return rec

@@ -299,6 +299,17 @@ def test_report_mismatch_exits_1(tmp_path, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_report_mismatch_shows_an_empty_multiset(tmp_path, capsys):
+    fixture = {"cases": [{"id": "a", "original": "II", "main": "I1", "expected": [[]]}]}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(fixture))
+    assert main(["report", "--fixture", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "case a  II -> I1: MISMATCH expected (none), got I1",
+        "0/1 case(s) match",
+    ]
+
+
 @pytest.mark.parametrize(
     "fixture,problem",
     [
@@ -358,6 +369,29 @@ def test_report_mismatch_exits_1(tmp_path, capsys):
         (
             {"cases": [{"id": 7, "original": "II", "main": "I1", "expected": [["I1"]]}]},
             "case 7: 'id' must be a string",
+        ),
+        (
+            {"cases": [{"id": "f", "original": "IIx", "main": "I1", "expected": [["I1"]]}]},
+            "error: case f: cannot parse fiber string 'IIx'",
+        ),
+        (
+            {
+                "stellar_models": {"II": {"core_mult": 6, "branches": [[3], [2], [1]]}},
+                "cases": [
+                    {
+                        "id": "g",
+                        "original": "II",
+                        "main": "I1",
+                        "crust": {"n0": 1},
+                        "expected": [["I1"]],
+                    }
+                ],
+            },
+            "error: case g: crust lacks 'subbranches'",
+        ),
+        (
+            {"cases": [{"id": "h", "original": "II", "main": "I3", "expected": [[]]}]},
+            "error: case h: invalid main fiber: euler(I3) = 3 exceeds euler(II) = 2",
         ),
     ],
 )
@@ -450,6 +484,31 @@ def test_verify_words_negative_control(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL  %s [corrupted]" % label in out
     assert "25/26 identities verified" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--mat", "1,1,0,1"],
+        ["euler", "I5", "II"],
+        ["factorize", "II", "I1", "I1"],
+        ["factorize", "IV", "I2", "I2"],
+        ["obstruct", "II*", "I8", "II"],
+        ["crusts", "II"],
+        ["predict", "II*", "--crust", '{"n0": 5, "subbranches": [[5], [3, 1], [2]], "l": 1}'],
+        ["localcheck", "--m", "3", "--n", "1"],
+        ["report"],
+        ["report", "--case", "2.4"],
+        ["verify-words"],
+    ],
+    ids=" ".join,
+)
+def test_json_output_is_one_sorted_object_with_schema(capsys, argv):
+    main(argv + ["--json"])
+    out = capsys.readouterr().out
+    record = json.loads(out)
+    assert out == json.dumps(record, indent=2, sort_keys=True) + "\n"
+    assert record["schema"] == "barkfib/1"
 
 
 def test_help_exits_0(capsys):

@@ -211,9 +211,8 @@ def test_report_counting_fallback_keeps_survivors():
 
 def test_report_json_shape():
     rep = full_report(F("I2*"), F("I6"))
-    rec = rep.to_json(case_id="8.2")
+    rec = rep.to_json()
     assert rec["schema"] == "barkfib/1"
-    assert rec["id"] == "8.2"
     assert rec["determined"] == [["I1", "I1"]]
     assert rec["ambiguous"] is False
     assert {e["candidate"][0] for e in rec["excluded"]} == {"II", "I2"}
