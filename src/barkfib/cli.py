@@ -31,7 +31,9 @@ from .splitting import (
     search_factorization,
     verify_witness,
 )
-from .subord import SCHEMA, HypothesisError, full_report, predict_counts
+from .subord import HypothesisError, full_report, predict_counts
+
+SCHEMA = "barkfib/1"  # the schema tag of every JSON record
 
 
 def _emit(args, record, text_lines):
@@ -221,9 +223,9 @@ def cmd_localcheck(args):
 
 def _shown(multisets):
     """How `report` prints a list of multisets, in string order:
-    "I1+I1 or II"; an empty multiset is "(none)"."""
+    "I1+I1 or II"; an empty multiset is "(none)", an empty list "(impossible)"."""
     names = sorted(sorted(str(f) for f in ms) for ms in multisets)
-    return " or ".join("+".join(ms) or "(none)" for ms in names)
+    return " or ".join("+".join(ms) or "(none)" for ms in names) or "(impossible)"
 
 
 def cmd_report(args):

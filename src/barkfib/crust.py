@@ -16,7 +16,7 @@ suitable meromorphic section.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from itertools import product as _cartesian
 from pathlib import Path
@@ -105,12 +105,13 @@ class Subbranch:
 
     The values n1, ..., n_nu (nu >= 0 entries) satisfy 0 < n_i <= m_i
     and are the ones `Branch.forced` gives from ``n0``, the crust's core
-    multiplicity, and n1.
+    multiplicity, and n1; ``sentinel`` is the next one, n_{nu+1} (0 if nu = 0).
     """
 
     n0: int
     values: tuple
     parent: Branch
+    sentinel: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
@@ -118,7 +119,7 @@ class Subbranch:
             raise ValueError("n0 must be positive")
         if len(self.values) > self.parent.length:
             raise ValueError("subbranch longer than its branch")
-        forced = self.parent.forced(self.n0, self.values[0]) if self.values else ()
+        forced = self.parent.forced(self.n0, self.values[0]) if self.values else (0,)
         for i, (v, expect) in enumerate(zip(self.values, forced), start=1):
             if not 1 <= v <= self.parent.mult(i):
                 raise ValueError(
@@ -129,6 +130,7 @@ class Subbranch:
                 raise ValueError(
                     "subbranch breaks the recurrence at n_%d: %d != %d" % (i, v, expect)
                 )
+        object.__setattr__(self, "sentinel", forced[self.nu])
 
     @property
     def nu(self):
@@ -139,22 +141,11 @@ class Subbranch:
         return self.n0 if i == 0 else self.values[i - 1]
 
 
-def extend_subbranch(sb):
-    """The sentinel value n_{nu+1} given by the recurrence.
-
-    For nu = 0 the sentinel is defined to be 0.  The result may be
-    nonpositive; that is what the type-A test looks for.
-    """
-    if sb.nu == 0:
-        return 0
-    return sb.parent.forced(sb.n0, sb.value(1))[sb.nu]
-
-
 def classify_subbranch(sb, l):
     """All end-behavior labels the subbranch carries for bark multiplicity l.
 
-    Writing n_{nu+1} for the sentinel of `extend_subbranch` and requiring
-    the bound l*n_i <= m_i for every 0 <= i <= nu:
+    Writing n_{nu+1} for ``sb.sentinel`` and requiring the bound
+    l*n_i <= m_i for every 0 <= i <= nu:
 
     * ``A``  --  bound holds and n_{nu+1} <= 0;
     * ``B``  --  bound holds, n_nu = 1 and m_nu = l;
@@ -172,13 +163,12 @@ def classify_subbranch(sb, l):
     for i in range(nu + 1):
         if l * sb.value(i) > sb.parent.mult(i):
             return set()
-    sentinel = extend_subbranch(sb)
     labels = set()
-    if sentinel <= 0:
+    if sb.sentinel <= 0:
         labels.add("A")
     if sb.value(nu) == 1 and sb.parent.mult(nu) == l:
         labels.add("B")
-    if sb.value(nu) == sentinel and l % (sb.parent.mult(nu) - sb.parent.mult(nu + 1)) == 0:
+    if sb.value(nu) == sb.sentinel and l % (sb.parent.mult(nu) - sb.parent.mult(nu + 1)) == 0:
         labels.add("C")
     return labels
 

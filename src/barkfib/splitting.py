@@ -84,9 +84,10 @@ def enumerate_multisets(deficit):
     III).  The output order is deterministic: fewer parts first, then
     larger parts first, with II/III preceding the equal-size nodal class;
     that is, ascending in the sum of order_weights(deficit) over the parts.
+    Deficit 0 has the one empty candidate.
     """
-    if deficit < 1:
-        raise ValueError("deficit must be positive")
+    if deficit < 0:
+        raise ValueError("deficit must be nonnegative")
     I_n = [FiberClass("I", n) for n in range(max(deficit, 3) + 1)]
     II, III = FiberClass("II"), FiberClass("III")
     w_I, w_II, w_III = order_weights(deficit)
@@ -166,6 +167,13 @@ def _trace_shift_rule(target, k, other):
     )
 
 
+def _class_rule(target, part):
+    """One-factor rule: distinct Kodaira classes have non-conjugate monodromies."""
+    if part.reduced() == target.reduced():
+        return UNDECIDED, "class rule passed"
+    return FORBIDDEN, "class rule: %s and %s are distinct classes" % (target, part)
+
+
 def _is_central(target):
     """Monodromy -I: only I_0*, as standard_monodromy(I_n*) = -[[1, n], [0, 1]]."""
     return target.kind == "I*" and target.n == 0
@@ -203,10 +211,11 @@ def decomposition_verdict(target, parts):
     """Apply every applicable obstruction to a full factor list.
 
     ``parts`` is the complete multiset of factor classes (main fiber plus
-    subordinates).  A central target with two factors takes the central
-    pair rule, and with three factors the central triple rule for each
-    I_k factor; a non-central target with two factors takes the trace
-    shift rule for each I_k factor.  Longer factor lists carry no trace
+    subordinates).  One factor takes the class rule, which decides it.  A
+    central target with two factors takes the central pair rule, and with
+    three factors the central triple rule for each I_k factor; a
+    non-central target with two factors takes the trace shift rule for
+    each I_k factor.  Longer factor lists carry no trace
     obstruction and return before any matrix is built.  Returns
     (verdict, reasons): the first forbidding rule's reason alone, or the
     reason of every rule that passed.
@@ -216,17 +225,17 @@ def decomposition_verdict(target, parts):
     size = 3 if central else 2
     if len(parts) > size:
         return UNDECIDED, [_NO_RULE % len(parts)]
-    if central and len(parts) == 2:
+    if len(parts) == 1:
+        checks = [_class_rule(target, *parts)]
+    elif central and len(parts) == 2:
         checks = [_central_pair_rule(*parts)]
-    elif len(parts) == size:
+    else:
         rule = _central_triple_rule if central else _trace_shift_rule
         checks = (
             rule(target, p.n, *parts[:i], *parts[i + 1:])
             for i, p in enumerate(parts)
             if p.kind == "I" and p.n
         )
-    else:
-        checks = ()
     reasons = []
     for verdict, reason in checks:
         if verdict == FORBIDDEN:
@@ -415,7 +424,7 @@ def search_factorization(
     search raises SearchBudgetExceeded once the count would pass
     ``node_budget`` (the conjugation phase, whose cost is known, is
     checked before it runs), so a search that needs exactly
-    ``node_budget`` nodes completes.  A decomposition the trace rules
+    ``node_budget`` nodes completes.  A decomposition the obstructions
     forbid costs no nodes and never raises.
 
     Args:

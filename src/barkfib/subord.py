@@ -28,9 +28,6 @@ from .splitting import (
     multiset,
 )
 
-# The schema tag every JSON record carries.
-SCHEMA = "barkfib/1"
-
 NEAR_CORE = "near_core"
 NEAR_PROPORTIONAL_EDGE = "near_proportional_edge"
 
@@ -148,14 +145,16 @@ class SplittingReport:
     deficit: int
     candidates: tuple
     excluded: tuple  # of (multiset, reason)
-    determined: tuple  # surviving multisets, len > 1 means ambiguous
-    ambiguous: bool
+    determined: tuple  # surviving multisets
     evidence: tuple
     profile: object = None
 
+    @property
+    def ambiguous(self):
+        return len(self.determined) > 1
+
     def to_json(self):
         rec = {
-            "schema": SCHEMA,
             "original": str(self.original),
             "main": str(self.main),
             "deficit": self.deficit,
@@ -176,7 +175,7 @@ def full_report(original, main, crust=None):
     """Determine the subordinate fibers of a splitting, as far as the
     exact methods reach.
 
-    Pipeline: Euler deficit -> candidate multisets -> trace obstructions
+    Pipeline: Euler deficit -> candidate multisets -> obstructions
     -> (when a simple crust of the original fiber's stellar model, with
     valid counting hypotheses, is supplied) exact counts and type
     determination.  When the counting hypotheses fail, the obstruction
@@ -186,20 +185,14 @@ def full_report(original, main, crust=None):
     """
     deficit = euler_deficit(original, main)
     evidence = ["euler deficit %d" % deficit]
-    if deficit == 0:
-        return SplittingReport(
-            original, main, 0, (), (), (multiset(),), False,
-            tuple(evidence + ["no subordinate fibers"]), None,
-        )
     candidates = enumerate_multisets(deficit)
     survivors, excluded = [], []
     for ms in candidates:
         verdict, reasons = decomposition_verdict(original, [main] + list(ms))
         if verdict == FORBIDDEN:
             excluded.append((ms, reasons[0]))
-            evidence.append(
-                "excluded %s: %s" % ("+".join(str(f) for f in ms), reasons[0])
-            )
+            name = "+".join(str(f) for f in ms) or "(none)"
+            evidence.append("excluded %s: %s" % (name, reasons[0]))
         else:
             survivors.append(ms)
     final = list(survivors)
@@ -207,6 +200,18 @@ def full_report(original, main, crust=None):
     if crust is not None:
         try:
             profile = predict_counts(crust)
+        except HypothesisError as err:
+            evidence.append(
+                "counting hypotheses not met (%s); falling back to "
+                "enumeration and obstructions" % err.condition
+            )
+            mx_f, mx_s = count_bounds(crust)
+            evidence.append(
+                "core invariant %d bounds the counts: <= %d fiber(s), "
+                "<= %d singularities each (not used to prune)"
+                % (core_invariant(crust), mx_f, mx_s)
+            )
+        else:
             evidence.append(
                 "counting (%s): %d subordinate fiber(s), %d singularities each"
                 % (profile.basis, profile.num_fibers, profile.sings_per_fiber)
@@ -222,17 +227,6 @@ def full_report(original, main, crust=None):
                 final = narrowed
             else:
                 evidence.append(conflict + "; keeping the survivors")
-        except HypothesisError as err:
-            evidence.append(
-                "counting hypotheses not met (%s); falling back to "
-                "enumeration and obstructions" % err.condition
-            )
-            mx_f, mx_s = count_bounds(crust)
-            evidence.append(
-                "core invariant %d bounds the counts: <= %d fiber(s), "
-                "<= %d singularities each (not used to prune)"
-                % (core_invariant(crust), mx_f, mx_s)
-            )
     else:
         evidence.append("no crust data; enumeration and obstructions only")
     return SplittingReport(
@@ -242,7 +236,6 @@ def full_report(original, main, crust=None):
         tuple(candidates),
         tuple(excluded),
         tuple(final),
-        len(final) > 1,
         tuple(evidence),
         profile,
     )

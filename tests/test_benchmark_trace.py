@@ -2,7 +2,9 @@
 
 ``perfbench/layertrace.py`` wraps barkfib functions and methods by name
 for traced benchmark runs, so deleting or renaming one of them breaks
-those runs.  This installs the tracer and removes it again; the
+those runs.  Its after-call hooks also read attributes of what those
+functions return, such as ``SplittingReport.ambiguous``.  These tests
+install the tracer, run barkfib under it and remove it again; the
 benchmark file is only imported, never changed.
 """
 
@@ -41,3 +43,23 @@ def test_layer_trace_installs_and_uninstalls():
     finally:
         trace.uninstall()
     assert _traced_objects(layertrace) == before
+
+
+def test_layer_trace_hooks_read_the_results():
+    from barkfib import crust, subord
+    from barkfib.kodaira import parse_fiber
+
+    models, cases = crust.load_catalog()
+    case = next(c for c in cases if c["id"] == "5.3")
+    trace = _layertrace().LayerTrace()
+    try:
+        trace.install()
+        # called through the modules, whose names the tracer patched
+        case_crust = crust.crust_from_json(models["IV"], case["crust"])
+        subord.full_report(parse_fiber("IV"), parse_fiber("I2"), crust=case_crust)
+        crust.enumerate_simple_crusts(models["IV"], 1)
+    finally:
+        trace.uninstall()
+    assert trace.counts["subord.full_report_calls"] == 1
+    assert trace.counts["subord.ambiguous"] == 1
+    assert trace.counts["crust.crusts_found"] > 0

@@ -435,6 +435,26 @@ def test_report_fixture_keeps_its_own_models(tmp_path, capsys):
     assert "case y.1 names no stellar model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case,line",
+    [
+        (  # the one candidate, I1, is trace-forbidden
+            {"id": "a", "original": "I1*", "main": "I6", "expected": [["I1"]]},
+            "case a  I1* -> I6: MISMATCH expected I1, got (impossible)",
+        ),
+        (  # deficit 0 between two classes: the empty candidate is forbidden
+            {"id": "b", "original": "II", "main": "I2", "expected": [[]]},
+            "case b  II -> I2: MISMATCH expected (none), got (impossible)",
+        ),
+    ],
+)
+def test_report_mismatch_shows_an_impossible_splitting(tmp_path, capsys, case, line):
+    path = tmp_path / "impossible.json"
+    path.write_text(json.dumps({"cases": [case]}))
+    assert main(["report", "--fixture", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [line, "0/1 case(s) match"]
+
+
 def test_report_infeasible_crust_is_one_case(tmp_path, capsys):
     """A crust predicting more singular points than the Euler deficit is
     reported as its case's survivors; the other cases still run."""

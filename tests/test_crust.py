@@ -21,7 +21,6 @@ from barkfib.crust import (
     crust_from_json,
     crust_to_json,
     enumerate_simple_crusts,
-    extend_subbranch,
     is_proportional,
     stellar_from_json,
     stellar_to_json,
@@ -80,9 +79,11 @@ def test_subbranch_recurrence_enforced():
         Subbranch(0, (), long)
 
 
-def test_extend_subbranch_forced_value():
+def test_subbranch_sentinel_forced_value():
     sb = Subbranch(2, (1,), Branch(6, (3,)))
-    assert extend_subbranch(sb) == 0
+    assert sb.sentinel == 0
+    assert Subbranch(3, (2,), Branch(6, (4, 2))).sentinel == 1
+    assert Subbranch(2, (), Branch(6, (3,))).sentinel == 0  # nu = 0
 
 
 def test_classify_subbranch_each_type():
@@ -131,7 +132,7 @@ def _recurrence_subbranches(b):
             yield sb
             while sb.nu < b.length:
                 try:
-                    sb = Subbranch(n0, sb.values + (extend_subbranch(sb),), b)
+                    sb = Subbranch(n0, sb.values + (sb.sentinel,), b)
                 except ValueError:
                     break
                 yield sb

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from barkfib.kodaira import FiberClass, euler, parse_fiber
+from barkfib.kodaira import FiberClass, classify, euler, parse_fiber, standard_monodromy
 from barkfib.sl2z import parse_word, word
 from barkfib.splitting import (
     FORBIDDEN,
@@ -48,6 +48,12 @@ def test_euler_deficit_errors():
 
 
 # ------------------------------------------------------------ enumeration
+
+
+def test_enumerate_deficit_zero_is_the_empty_candidate():
+    assert enumerate_multisets(0) == [()]
+    with pytest.raises(ValueError):
+        enumerate_multisets(-1)
 
 
 def test_enumerate_deficit_two():
@@ -190,6 +196,33 @@ def test_central_triple_examples():
 )
 def test_rule_reason_texts(target, parts, expected):
     assert decomposition_verdict(F(target), [F(p) for p in parts]) == expected
+
+
+ONE_FACTOR_CLASSES = (
+    ["I%d" % n for n in range(9)]
+    + ["II", "III", "IV", "II*", "III*", "IV*"]
+    + ["I%d*" % n for n in range(5)]
+    + ["2I3"]
+)
+
+
+@pytest.mark.parametrize("target", ONE_FACTOR_CLASSES)
+def test_class_rule_decides_one_factor(target):
+    """One factor P of T is forbidden exactly when the standard monodromies
+    classify differently; otherwise the empty conjugator is a witness."""
+    t = F(target)
+    for part in ONE_FACTOR_CLASSES:
+        p = F(part)
+        verdict, reasons = decomposition_verdict(t, [p])
+        if classify(standard_monodromy(p)) != classify(standard_monodromy(t)):
+            assert (verdict, reasons) == (
+                FORBIDDEN, ["class rule: %s and %s are distinct classes" % (t, p)]
+            )
+        else:
+            assert (verdict, reasons) == (UNDECIDED, ["class rule passed"])
+            w = search_factorization(t, [p], 0)
+            assert w is not None and verify_witness(w)
+            assert w.factors == ((p, parse_word("")),)
 
 
 FORBIDDEN_DECOMPOSITIONS = [

@@ -184,6 +184,25 @@ def test_report_no_deficit():
     assert not rep.ambiguous
 
 
+def test_report_no_deficit_forbids_another_class():
+    # the monodromies of II and I2 have traces 1 and 2: not conjugate
+    rep = full_report(F("II"), F("I2"))
+    assert rep.deficit == 0
+    assert rep.candidates == ((),)
+    assert rep.determined == ()
+    assert rep.excluded == (((), "class rule: II and I2 are distinct classes"),)
+    assert "excluded (none): class rule: II and I2 are distinct classes" in rep.evidence
+
+
+def test_report_no_deficit_runs_the_counting_stage():
+    rep = full_report(F("II"), F("II"), crust=crust_for("1.1"))
+    assert rep.determined == (multiset(),)
+    assert rep.profile is not None
+    assert any(
+        e.startswith("counting result infeasible (deficit 0 below") for e in rep.evidence
+    )
+
+
 def test_report_without_crust_uses_obstructions():
     rep = full_report(F("II*"), F("I8"))
     assert [str(f) for ms in rep.determined for f in ms] == ["I1", "I1"]
@@ -212,7 +231,7 @@ def test_report_counting_fallback_keeps_survivors():
 def test_report_json_shape():
     rep = full_report(F("I2*"), F("I6"))
     rec = rep.to_json()
-    assert rec["schema"] == "barkfib/1"
+    assert "schema" not in rec  # only the top-level CLI record carries it
     assert rec["determined"] == [["I1", "I1"]]
     assert rec["ambiguous"] is False
     assert {e["candidate"][0] for e in rec["excluded"]} == {"II", "I2"}
