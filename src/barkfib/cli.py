@@ -37,7 +37,7 @@ SCHEMA = "barkfib/1"  # the schema tag of every JSON record
 
 
 def _emit(args, record, text_lines):
-    if getattr(args, "json", False):
+    if args.json:
         record["schema"] = SCHEMA
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
@@ -46,10 +46,12 @@ def _emit(args, record, text_lines):
 
 
 def _parse_mat(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("--mat wants four comma-separated integers")
-    a, b, c, d = (int(p) for p in parts)
+    try:
+        a, b, c, d = (int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(
+            "--mat wants four comma-separated integers, got %r" % (text,)
+        ) from None
     return Mat2(a, b, c, d)
 
 
@@ -317,7 +319,7 @@ def build_parser():
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser(
-        "obstruct", parents=[output], help="trace obstructions for a decomposition"
+        "obstruct", parents=[output], help="obstructions for a decomposition"
     )
     p.add_argument("target", metavar="TARGET")
     p.add_argument("parts", nargs="+", metavar="PART")

@@ -307,13 +307,6 @@ def _json_int(value, what):
     return value
 
 
-def stellar_to_json(fiber):
-    return {
-        "core_mult": fiber.core_mult,
-        "branches": [list(b.mults) for b in fiber.branches],
-    }
-
-
 def stellar_from_json(data):
     """Build a stellar fiber from {"core_mult": int, "core_genus": 0
     (optional: only rational cores are supported), "branches": [[int,

@@ -96,7 +96,7 @@ def parse_fiber(text):
     if not s:
         raise ValueError("empty fiber string")
     i = 0
-    while i < len(s) and s[i].isdigit():
+    while i < len(s) and s[i].isdecimal():
         i += 1
     multiplicity = int(s[:i]) if i else 1
     body = s[i:]
@@ -107,7 +107,7 @@ def parse_fiber(text):
         if multiplicity != 1:
             raise ValueError("fiber %r cannot carry a multiplicity" % (text,))
         return FiberClass(body + ("*" if star else ""))
-    if body.startswith("I") and body[1:].isdigit():
+    if body.startswith("I") and body[1:].isdecimal():
         n = int(body[1:])
         return FiberClass("I*" if star else "I", n, multiplicity)
     raise ValueError("cannot parse fiber string %r" % (text,))

@@ -47,18 +47,6 @@ class Mat2:
     def __neg__(self):
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 
-    def __pow__(self, k):
-        if k < 0:
-            return inverse(self) ** (-k)
-        result = IDENTITY
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
@@ -128,18 +116,6 @@ class Word:
     def __mul__(self, other):
         return Word(self.letters + other.letters)
 
-    def __str__(self):
-        return format_word(self)
-
-    def inverse(self):
-        return Word([(g, -e) for g, e in reversed(self.letters)])
-
-    def letter_count(self):
-        """Total letter count with exponents counted in absolute value."""
-        return sum(abs(e) for _, e in self.letters)
-
-
-EMPTY_WORD = Word()
 
 
 def word(*letters):
@@ -184,48 +160,3 @@ def format_word(w):
         parts.append(gen if exp == 1 else "%s^%d" % (gen, exp))
     return " ".join(parts)
 
-
-def word_of(m):
-    """Decompose a matrix into a word in s0, s2.
-
-    Euclidean peeling on the first column: left-multiplying by s0^k adds
-    k times the second row to the first (a <- a + k*c), and by s2^k
-    subtracts k times the first row from the second (c <- c - k*a).
-    Once the first column is (±1, 0) the remainder is ±s0^b, and
-    -I = (s0 s2)^3 handles the sign.  The spelling is valid but not
-    canonical; eval_word(word_of(m)) == m always.
-    """
-    ops = []  # left-multipliers applied, in order
-    a, b, c, d = m.entries()
-
-    def apply_s0(k):
-        nonlocal a, b
-        a, b = a + k * c, b + k * d
-        ops.append(("s0", k))
-
-    def apply_s2(k):
-        nonlocal c, d
-        c, d = c - k * a, d - k * b
-        ops.append(("s2", k))
-
-    while c != 0:
-        if a == 0:
-            # first column (0, c) with -b*c = 1, so c = ±1
-            apply_s0(c)  # a becomes c*c = 1
-        elif abs(c) >= abs(a):
-            apply_s2(c // a)
-        else:
-            apply_s0(-(a // c))
-    # now the matrix is [[a, b], [0, a]] with a = ±1
-    if a == 1:
-        apply_s0(-b)
-        tail = []
-    else:
-        apply_s0(b)  # reduces to -I
-        tail = [("s0", 1), ("s2", 1)] * 3  # (s0 s2)^3 = -I
-    # current = op_n ... op_1 * m, so m = op_1^-1 ... op_n^-1 * remainder
-    letters = [(gen, -k) for gen, k in ops]
-    letters.extend(tail)
-    w = Word(letters)
-    assert eval_word(w) == m
-    return w

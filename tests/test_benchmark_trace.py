@@ -1,18 +1,22 @@
-"""The benchmark's layer tracer still finds every name it patches.
+"""The benchmark still finds every barkfib name it uses.
 
 ``perfbench/layertrace.py`` wraps barkfib functions and methods by name
 for traced benchmark runs, so deleting or renaming one of them breaks
 those runs.  Its after-call hooks also read attributes of what those
 functions return, such as ``SplittingReport.ambiguous``.  These tests
-install the tracer, run barkfib under it and remove it again; the
-benchmark file is only imported, never changed.
+install the tracer, run barkfib under it and remove it again.  The
+other perfbench files import barkfib names; their self-checks lie
+outside ``testpaths``, so these tests read those imports too.  The
+benchmark files are only imported or parsed, never changed.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERTRACE = PERFBENCH / "layertrace.py"
 
 
 def _layertrace():
@@ -63,3 +67,57 @@ def test_layer_trace_hooks_read_the_results():
     assert trace.counts["subord.full_report_calls"] == 1
     assert trace.counts["subord.ambiguous"] == 1
     assert trace.counts["crust.crusts_found"] > 0
+
+
+def _resolve(module, name):
+    """``name`` from barkfib module ``module``: an attribute or a submodule."""
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    return importlib.import_module(module + "." + name)
+
+
+def _barkfib_uses(tree):
+    """(module, name) for every ``from barkfib... import name`` in ``tree``
+    and every ``alias.name`` read from a barkfib module imported by name;
+    ``import barkfib.x`` gives (barkfib.x, None)."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "barkfib":
+                    yield alias.name, None
+                    if alias.asname:
+                        aliases[alias.asname] = alias.name
+                    else:
+                        aliases["barkfib"] = "barkfib"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "barkfib":
+            for alias in node.names:
+                yield node.module, alias.name
+                if node.module == "barkfib":  # the package's names are its modules
+                    aliases[alias.asname or alias.name] = "barkfib." + alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                yield aliases[node.value.id], node.attr
+
+
+def test_perfbench_barkfib_names_resolve():
+    missing, used = [], 0
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for module, name in _barkfib_uses(ast.parse(path.read_text(), str(path))):
+            used += 1
+            try:
+                importlib.import_module(module) if name is None else _resolve(module, name)
+            except (ImportError, AttributeError):
+                missing.append("%s: %s.%s" % (path.name, module, name))
+    assert used > 0
+    assert missing == []
+
+
+def test_perfbench_corrupts_witnesses_with_word_mul():
+    # test_corrupted_witness_fails appends a letter with `conjugator * word(...)`
+    from barkfib.sl2z import Word, word
+
+    assert "__mul__" in vars(Word)
+    assert Word() * word(("s0", 1)) == word(("s0", 1))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from barkfib import cli
 from barkfib.cli import main
-from barkfib.crust import STELLAR_MODELS, crust_to_json, enumerate_simple_crusts, stellar_to_json
+from barkfib.crust import STELLAR_MODELS, crust_to_json, enumerate_simple_crusts
 from barkfib.kodaira import euler, parse_fiber
 from barkfib.sl2z import word
 from barkfib.splitting import FactorizationWitness, all_witnesses, parse_identity, verify_witness
@@ -55,6 +56,28 @@ def test_parse_errors_exit_2(capsys):
     assert main(["classify"]) == 2  # missing input
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["euler", "²I1"], "cannot parse fiber string '²I1'"),
+        (["euler", "I²"], "cannot parse fiber string 'I²'"),
+        (
+            ["classify", "--mat", "1,2,3,x"],
+            "--mat wants four comma-separated integers, got '1,2,3,x'",
+        ),
+        (
+            ["classify", "--mat", "1,2,3"],
+            "--mat wants four comma-separated integers, got '1,2,3'",
+        ),
+    ],
+)
+def test_parse_error_names_the_input(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: " + message]
 
 
 @pytest.mark.parametrize(
@@ -533,7 +556,10 @@ def test_json_output_is_one_sorted_object_with_schema(capsys, argv):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    # a one-part decomposition is decided by the class rule, not a trace rule
+    assert "obstructions for a decomposition" in out
+    assert "trace obstructions" not in out
 
 
 def _assert_one_error_line_or(codes, argv):
@@ -635,7 +661,10 @@ _EULER = {
     name: euler(parse_fiber(name)) for name in ("I0", "I1", "I2", "I3", "II", "III", "IV", "I0*")
 }
 _NAME = st.sampled_from(sorted(_EULER))
-_PACKAGED = {name: stellar_to_json(STELLAR_MODELS[name]) for name in ("II", "III", "IV", "I0*")}
+_CATALOG_MODELS = json.loads(
+    resources.files("barkfib").joinpath("fixtures/catalog.json").read_text()
+)["stellar_models"]
+_PACKAGED = {name: _CATALOG_MODELS[name] for name in ("II", "III", "IV", "I0*")}
 _SIMPLE_CRUSTS = {
     name: [
         crust_to_json(c)

@@ -5,7 +5,9 @@ strictly decreasing with integral ratio condition, and subbranches obey
 the linear recurrence n_{i+1} = r_i n_i - n_{i-1}.
 """
 
+import json
 from fractions import Fraction
+from importlib import resources
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -23,8 +25,16 @@ from barkfib.crust import (
     enumerate_simple_crusts,
     is_proportional,
     stellar_from_json,
-    stellar_to_json,
 )
+
+# The packaged catalog's stellar_models entries that carry a StellarFiber.
+PACKAGED_MODELS = {
+    name: raw
+    for name, raw in json.loads(
+        resources.files("barkfib").joinpath("fixtures/catalog.json").read_text()
+    )["stellar_models"].items()
+    if not raw.get("constellar")
+}
 
 
 def test_branch_checks_chain_condition():
@@ -57,8 +67,12 @@ def test_branch_ratios():
 
 def test_all_model_branches_satisfy_chain_condition():
     """A model is refused where it is read when a branch breaks the chain."""
-    for name, fiber in STELLAR_MODELS.items():
-        assert stellar_from_json(stellar_to_json(fiber)) == fiber, name
+    assert sorted(PACKAGED_MODELS) == sorted(STELLAR_MODELS)
+    for name, raw in PACKAGED_MODELS.items():
+        fiber = stellar_from_json(raw)
+        assert fiber == STELLAR_MODELS[name], name
+        assert fiber.core_mult == raw["core_mult"], name
+        assert [list(b.mults) for b in fiber.branches] == raw["branches"], name
     with pytest.raises(ValueError, match="chain condition"):
         stellar_from_json({"core_mult": 6, "branches": [[4], [2], [1]]})
 
@@ -282,8 +296,8 @@ def test_enumerate_overlarge_barking_is_empty():
 
 
 def test_json_round_trips():
-    fiber = STELLAR_MODELS["III*"]
-    assert stellar_from_json(stellar_to_json(fiber)) == fiber
+    fiber = stellar_from_json(PACKAGED_MODELS["III*"])
+    assert fiber == STELLAR_MODELS["III*"]
     crust = SimpleCrust(
         2,
         (
