@@ -368,11 +368,22 @@ def _conjugate_tables(bases, max_len, exps):
 
         g*s0^e = (a, a*e + b, c, c*e + d)    g*s2^e = (a - e*b, b, c - e*d, d)
 
+    A base with c = 0 (I_n, I_n*) is e*I + b*N with N = (0, 1, 0, 0), and
+    g*N*g^-1 = (-a*c, a^2, -c^2, a*c) depends only on g's first column up
+    to sign.  A right factor s0^e keeps that column, so only the empty word
+    and the words ending in s2 can reach a new conjugate.  One dict maps
+    each (a*c, a^2, c^2) to its first word, and every such table with
+    b != 0 is read from it; I0 and I0* have one conjugate, the base.  The
+    full product is computed for the other bases only, and without them
+    the last length's s0-children are not built.
+
     Returns one dict per base mapping each conjugate to the letters of the
     first word that produced it; dict order is discovery order.
     """
     tables = [{base: ()} for base in bases]
-    pairs = list(zip(bases, tables))
+    general = [(base, table) for base, table in zip(bases, tables) if base[2]]
+    parabolic = any(q and not r for _, q, r, _ in bases)
+    columns = {(0, 1, 0): ()}
     frontier = [((), (1, 0, 0, 1))]
     for depth in range(max_len if exps else 0):
         keep = depth + 1 < max_len
@@ -380,15 +391,17 @@ def _conjugate_tables(bases, max_len, exps):
         for letters, (a, b, c, d) in frontier:
             last = letters[-1][0] if letters else None
             for gen in ("s0", "s2"):
-                if gen == last:
+                if gen == last or (gen == "s0" and not (keep or general)):
                     continue
                 for e in exps:
+                    child = letters + ((gen, e),)
                     if gen == "s0":
                         g0, g1, g2, g3 = a, a * e + b, c, c * e + d
                     else:
                         g0, g1, g2, g3 = a - e * b, b, c - e * d, d
-                    child = letters + ((gen, e),)
-                    for (p, q, r, s), table in pairs:
+                        if parabolic:
+                            columns.setdefault((g0 * g2, g0 * g0, g2 * g2), child)
+                    for (p, q, r, s), table in general:
                         # (g*M) * g^-1 with g^-1 = (g3, -g1, -g2, g0)
                         x, y = g0 * p + g1 * r, g0 * q + g1 * s
                         z, w = g2 * p + g3 * r, g2 * q + g3 * s
@@ -398,7 +411,12 @@ def _conjugate_tables(bases, max_len, exps):
                     if keep:
                         nxt.append((child, (g0, g1, g2, g3)))
         frontier = nxt
-    return tables
+    return [
+        {(p - q * ac, q * aa, -q * cc, s + q * ac): w for (ac, aa, cc), w in columns.items()}
+        if q and not r
+        else table
+        for (p, q, r, s), table in zip(bases, tables)
+    ]
 
 
 def search_factorization(
@@ -417,10 +435,13 @@ def search_factorization(
     depth-first search runs over the conjugates of all but the last
     factor, each class's in the order they were first reached, and looks
     the needed last factor up among its conjugates.  So the first witness
-    found is deterministic.
+    found is deterministic.  The conjugates of an I_n or I_n* factor depend
+    only on g's first column, and are read from one table of first
+    columns shared by those classes.
 
     Node accounting: one node per conjugator word, one per (word, distinct
-    class) conjugation, and one per depth-first node and per child.  The
+    class) conjugation, whether or not that conjugation is computed, and
+    one per depth-first node and per child.  The
     search raises SearchBudgetExceeded once the count would pass
     ``node_budget`` (the conjugation phase, whose cost is known, is
     checked before it runs), so a search that needs exactly
@@ -480,16 +501,10 @@ def _find_conjugators(target_m, parts, max_conj_len, exp_cap, node_budget):
     exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0] if max_conj_len else []
     bases = [standard_monodromy(f).entries() for f in classes]
     tables = dict(zip(classes, _conjugate_tables(bases, max_conj_len, exps)))
-    # The depth-first search carries rest = (product so far)^-1 * target
-    # and steps it by the inverse of each chosen conjugate.
-    inverses = {
-        f: [((d, -b, -c, a), letters) for (a, b, c, d), letters in table.items()]
-        for f, table in tables.items()
-    }
 
     count = [nodes]
     for order in _distinct_orders(parts):
-        steps = [inverses[f] for f in order[:-1]]
+        steps = [tables[f].items() for f in order[:-1]]
         found = _complete(steps, 0, target_m, tables[order[-1]], count, node_budget)
         if found is not None:
             return order, found[::-1]
@@ -515,11 +530,14 @@ def _budget_exceeded(node_budget):
 def _complete(steps, idx, rest, last_table, count, node_budget):
     """Depth-first search for the factors idx.. of one order.
 
-    ``steps[i]`` lists the inverses of factor i's conjugates with their
-    letters, ``rest`` is what factors idx.. must multiply to, and
-    ``last_table`` maps the last factor's conjugates to their letters.
-    ``count`` holds the node count.  Returns the letters found, last
-    factor first, or None.
+    ``steps[i]`` yields factor i's conjugates with their letters, ``rest``
+    is what factors idx.. must multiply to, and ``last_table`` maps the
+    last factor's conjugates to their letters.  Choosing a conjugate
+    (a, b, c, d) steps ``rest`` to its inverse (d, -b, -c, a) times
+    ``rest``.  ``count`` holds the node count: one for this node and one
+    per child.  A child whose factor is the last is charged together with
+    its leaf, and its lookup in ``last_table`` is made here.  Returns the
+    letters found, last factor first, or None.
     """
     count[0] += 1
     if count[0] > node_budget:
@@ -528,19 +546,28 @@ def _complete(steps, idx, rest, last_table, count, node_budget):
         w = last_table.get(rest)
         return None if w is None else [w]
     r0, r1, r2, r3 = rest
-    for (p, q, r, s), letters in steps[idx]:
-        count[0] += 1
+    if idx + 1 < len(steps):
+        for (a, b, c, d), letters in steps[idx]:
+            count[0] += 1
+            if count[0] > node_budget:
+                raise _budget_exceeded(node_budget)
+            found = _complete(
+                steps,
+                idx + 1,
+                (d * r0 - b * r2, d * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
+                last_table,
+                count,
+                node_budget,
+            )
+            if found is not None:
+                found.append(letters)
+                return found
+        return None
+    for (a, b, c, d), letters in steps[idx]:
+        count[0] += 2  # the child and its leaf
         if count[0] > node_budget:
             raise _budget_exceeded(node_budget)
-        found = _complete(
-            steps,
-            idx + 1,
-            (p * r0 + q * r2, p * r1 + q * r3, r * r0 + s * r2, r * r1 + s * r3),
-            last_table,
-            count,
-            node_budget,
-        )
-        if found is not None:
-            found.append(letters)
-            return found
+        w = last_table.get((d * r0 - b * r2, d * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1))
+        if w is not None:
+            return [w, letters]
     return None

@@ -1,6 +1,7 @@
 """The integer-tuple kernel of search_factorization: agreement with the
-Mat2 arithmetic, exact node budgets, frozen first witnesses, and the
-trace-rule shortcut that runs before it."""
+Mat2 arithmetic and with the reference tables of oracle_search, exact
+node budgets, frozen first witnesses, and the trace-rule shortcut that
+runs before it."""
 
 import functools
 import tracemalloc
@@ -24,6 +25,8 @@ from barkfib.splitting import (
     parse_identity,
     search_factorization,
 )
+
+from oracle_search import conjugate_tables
 
 BASES = ["I1", "I2", "I3", "II", "III", "IV", "I0*", "I1*", "II*", "III*", "IV*"]
 EXP_CAP = 3
@@ -82,6 +85,33 @@ def test_tables_match_mat2_enumeration():
         assert list(tables(2)[base].items()) == list(expected.items()), base
 
 
+# Base lists for the oracle comparison: all parabolic (no elliptic base,
+# so the last length builds no s0-children), one elliptic class, and mixed.
+ORACLE_BASES = [
+    ["I1", "I5", "I3*"],
+    ["I0", "I0*", "I2"],
+    ["I0"],
+    ["II"],
+    ["IV*"],
+    ["I1", "II", "I0*"],
+    ["I2", "III", "I4*", "IV", "II*"],
+]
+
+
+@pytest.mark.parametrize("names", ORACLE_BASES, ids="-".join)
+def test_tables_match_oracle(names):
+    """Same keys, same first words, same order as the full conjugation
+    of every base by every word."""
+    bases = [entries(b) for b in names]
+    for exp_cap in (0, 1, 3, 8):
+        exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0]
+        for max_len in range(4):
+            got = _conjugate_tables(bases, max_len, exps)
+            want = conjugate_tables(bases, max_len, exps)
+            for name, table, expected in zip(names, got, want):
+                assert list(table.items()) == list(expected.items()), (name, exp_cap, max_len)
+
+
 @settings(max_examples=60, deadline=None)
 @given(conjugators(3))
 def test_tuple_conjugation_equals_conj(g):
@@ -132,6 +162,9 @@ BUDGET_EDGES = [
     # Length 0 is the empty conjugator only: one word, one conjugation,
     # one search node.
     pytest.param("I1", ["I1"], 0, 3, id="I1-parts5-0-3"),
+    # Three factors with a distinct last class: pins the two nodes charged
+    # for each child whose factor is the last (the child and its leaf).
+    pytest.param("III*", ["I6", "I1", "I2"], 2, 5117, id="III*-I6-I1-I2-2-5117"),
 ]
 
 # Searches the trace rules forbid: search_factorization returns None
@@ -201,6 +234,18 @@ FIRST_WITNESSES = [
     ("II", ["I1", "I1"], 2, [("I1", ""), ("I1", "s0^-1 s2^-1")]),
     ("IV", ["I3", "I1"], 2, [("I1", "s2^-2"), ("I3", "s2^-1")]),
     ("III*", ["I6", "I1", "I2"], 3, [("I1", "s2^-3"), ("I2", "s2^-1"), ("I6", "")]),
+    # Length 3: elliptic factors only, mixed, and parabolic factors only.
+    ("IV", ["II", "II"], 3, [("II", ""), ("II", "")]),
+    ("II*", ["IV*", "II"], 3, [("II", ""), ("IV*", "")]),
+    ("IV", ["III", "I1"], 3, [("I1", ""), ("III", "")]),
+    (
+        "I6*",
+        ["I10", "I1", "I1"],
+        3,
+        [("I1", "s2^-1"), ("I1", "s0^-8 s2^-1"), ("I10", "s0^-7 s2^-1")],
+    ),
+    ("II*", ["I8", "I1", "I1"], 3, [("I1", "s2^-6"), ("I1", "s2^-3"), ("I8", "s2^-1")]),
+    ("IV*", ["I0*", "I1", "I1"], 3, [("I1", ""), ("I1", "s0^-1 s2^-1"), ("I0*", "")]),
 ]
 
 
