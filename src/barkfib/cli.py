@@ -287,12 +287,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     output = argparse.ArgumentParser(add_help=False)
-    group = output.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="emit JSON")
-    group.add_argument(
-        "--text", dest="json", action="store_false", help="emit plain text (default)"
-    )
-    output.set_defaults(json=False)
+    output.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser(
         "classify", parents=[output], help="name the fiber with a given monodromy"

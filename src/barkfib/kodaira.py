@@ -11,10 +11,11 @@ The letter count of each word equals the Euler number of the fiber.
 In closed form I_n is [[1, n], [0, 1]] and I_n* is [[-1, -n], [0, -1]],
 since (s0 s2)^3 = -I; the six elliptic matrices are evaluated once.
 Classification of an arbitrary determinant-1 integer matrix onto these
-conjugacy classes dispatches on the trace: parabolic (trace 2) and
-quasi-parabolic (trace -2) classes reduce to a normal-form index, and
-the six elliptic classes (trace in {-1, 0, 1}) are separated by the sign
-of the lower-left entry, which is constant on each conjugacy class.
+conjugacy classes dispatches on the trace: a parabolic (trace 2) or
+quasi-parabolic (trace -2) matrix reduces to a normal-form index, and
+the six elliptic classes (trace in {-1, 0, 1}) are told apart by the
+trace and the sign of the lower-left entry, which is constant on each
+conjugacy class; both are read from the six standard matrices.
 """
 
 from dataclasses import dataclass
@@ -34,9 +35,8 @@ class FiberClass:
     """A fiber type: kind in {I, II, III, IV, I*, II*, III*, IV*}.
 
     ``n`` is meaningful only for kinds I and I*.  ``multiplicity`` >= 2
-    marks a multiple fiber and is permitted only on kind I (recorded for
-    I* as well, following the catalog's mI_n* row); monodromy never sees
-    it.
+    marks a multiple fiber and is permitted only on kinds I and I*
+    ("2I3", "3I0*"); monodromy never sees it.
     """
 
     kind: str
@@ -163,6 +163,12 @@ _ELLIPTIC_MONODROMY = {
     k: eval_word(standard_word(FiberClass(k))) for k in _PLAIN_KINDS[1:] + _STAR_KINDS[1:]
 }
 
+# (trace, lower-left entry > 0) of each elliptic class: both are
+# conjugacy invariants, and together they tell the six classes apart.
+_ELLIPTIC_CLASSES = {
+    (sl2z.trace(m), m.c > 0): FiberClass(k) for k, m in _ELLIPTIC_MONODROMY.items()
+}
+
 
 def _parabolic_index(m):
     """Index n of a trace-2 matrix: m is conjugate to [[1, n], [0, 1]].
@@ -198,22 +204,7 @@ def classify(m):
     if not isinstance(m, Mat2):
         raise TypeError("classify expects a Mat2")
     t = sl2z.trace(m)
-    if t == 2:
-        n = _parabolic_index(m)
-        if n == 0:
-            return FiberClass("I", 0)
-        return FiberClass("I", n) if n > 0 else None
-    if t == -2:
-        n = _parabolic_index(-m)
-        if n == 0:
-            return FiberClass("I*", 0)
-        return FiberClass("I*", n) if n > 0 else None
-    if t in (1, 0, -1):
-        starred = m.c > 0
-        if t == 1:
-            return FiberClass("II*" if starred else "II")
-        if t == 0:
-            return FiberClass("III*" if starred else "III")
-        return FiberClass("IV*" if starred else "IV")
-    return None
-
+    if abs(t) == 2:
+        n = _parabolic_index(m if t == 2 else -m)
+        return FiberClass("I" if t == 2 else "I*", n) if n >= 0 else None
+    return _ELLIPTIC_CLASSES.get((t, m.c > 0))

@@ -9,6 +9,7 @@ monodromy into conjugates of the factors' standard matrices.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
 from operator import itemgetter
 
@@ -117,37 +118,33 @@ def _is_square(x):
     return x >= 0 and isqrt(x) ** 2 == x
 
 
-def _shift_admissible(c, other):
-    """Can the integer trace shift ``c`` occur next to a factor of class
-    ``other``?
+def _shift_admissible(c, m):
+    """Is the integer trace shift ``c`` a lower-left entry of a conjugate
+    of ``m``, the standard matrix of the other factor's class?
 
-    Writing the I_k factor as I + kN with N a rank-one integral nilpotent
-    and absorbing the second conjugation, the target trace equals
-    trace(other) + k*c with c = trace(N*B) for B in the class of
-    ``other``.  Running over all N this pins c exactly for the (quasi-)
-    unipotent classes and pins its sign for the elliptic ones:
+    Conjugating both factors so that the I_k factor is I + kN with
+    N = [[0, 1], [0, 0]], the target trace equals trace(m) + k*c, where
+    c = trace(N*B) is the lower-left entry of B, the conjugate of ``m``
+    that the other factor becomes.  That pins c exactly for the
+    (quasi-)unipotent classes, as the conjugates of e*[[1, n], [0, 1]]
+    (m.b = e*n) have lower-left entries -e*n*r^2 for every integer r:
 
       I_0, I_0*    : c = 0
       I_j  (j >= 1): c = -j*r^2 for some integer r
       I_j* (j >= 1): c = +j*r^2
-      II, III, IV  : c < 0      (c is minus a positive definite form)
-      II*, III*, IV*: c > 0
+
+    and pins its sign for the elliptic ones (m.c != 0), since the sign
+    of the lower-left entry is constant on their conjugacy classes:
+    c < 0 for II, III, IV and c > 0 for II*, III*, IV*.
 
     Only the necessary direction is used, so "admissible" can never
     wrongly exclude a realizable splitting.
     """
-    other = other.reduced()
-    if other.kind == "I":
-        if other.n == 0:
-            return c == 0
-        return c <= 0 and (-c) % other.n == 0 and _is_square((-c) // other.n)
-    if other.kind == "I*":
-        if other.n == 0:
-            return c == 0
-        return c >= 0 and c % other.n == 0 and _is_square(c // other.n)
-    if other.kind in ("II", "III", "IV"):
-        return c < 0
-    return c > 0
+    if m.c:
+        return c * m.c > 0
+    if not m.b:
+        return c == 0
+    return c % m.b == 0 and _is_square(-c // m.b)
 
 
 def _trace_shift_rule(target, k, other):
@@ -158,8 +155,9 @@ def _trace_shift_rule(target, k, other):
     trace(target) - trace(other) would equal k*c for an admissible shift
     c (see _shift_admissible).  Forbidden when no admissible c exists.
     """
-    delta = _fiber_trace(target) - _fiber_trace(other)
-    if delta % k == 0 and _shift_admissible(delta // k, other):
+    m = standard_monodromy(other)
+    delta = _fiber_trace(target) - trace(m)
+    if delta % k == 0 and _shift_admissible(delta // k, m):
         return UNDECIDED, "trace shift rule passed for I_%d factor" % k
     return FORBIDDEN, (
         "trace shift rule: trace(%s)-trace(%s) = %d admits no valid multiple of %d"
@@ -192,13 +190,12 @@ def _central_pair_rule(x1, x2):
     )
 
 
-def _central_triple_rule(target, k, x1, x2):
-    """Three-factor rule for a central ``target`` with an I_k factor (k >= 1).
+def _central_triple_rule(k, x1, x2):
+    """Three-factor rule for a central target with an I_k factor (k >= 1).
 
     With the I_k factor written as I + kN, centrality forces
     trace(x1) + k*c = -trace(x2), so k must divide
-    trace(x1) + trace(x2).  ``target`` (always I0*) is taken only so that
-    this rule is called like _trace_shift_rule.
+    trace(x1) + trace(x2).
     """
     if (_fiber_trace(x1) + _fiber_trace(x2)) % k == 0:
         return UNDECIDED, "central triple rule passed for I_%d factor" % k
@@ -230,9 +227,9 @@ def decomposition_verdict(target, parts):
     elif central and len(parts) == 2:
         checks = [_central_pair_rule(*parts)]
     else:
-        rule = _central_triple_rule if central else _trace_shift_rule
+        rule = _central_triple_rule if central else partial(_trace_shift_rule, target)
         checks = (
-            rule(target, p.n, *parts[:i], *parts[i + 1:])
+            rule(p.n, *parts[:i], *parts[i + 1:])
             for i, p in enumerate(parts)
             if p.kind == "I" and p.n
         )

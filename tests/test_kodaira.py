@@ -1,6 +1,7 @@
 """Fiber catalog: parsing, Euler numbers, standard monodromies, classification."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,8 @@ from barkfib.kodaira import (
     standard_word,
 )
 from barkfib.sl2z import IDENTITY, Mat2, S0, S2, conj, eval_word, format_word, trace, word
+
+import oracle_classes
 
 
 def all_reduced_classes(max_index=4):
@@ -139,6 +142,15 @@ def test_classify_conjugation_invariant():
             for _ in range(rng.randrange(1, 7)):
                 g = g * eval_word(word((rng.choice(["s0", "s2"]), rng.choice([-2, -1, 1, 2]))))
             assert classify(conj(m, g)) == f
+
+
+def test_classify_matches_oracle_on_small_matrices():
+    """Every SL(2,Z) matrix with entries in [-7, 7] gets the class the
+    kind-by-kind oracle gives it."""
+    grid = [Mat2(a, b, c, d) for a, b, c, d in product(range(-7, 8), repeat=4) if a * d - b * c == 1]
+    assert len(grid) == 564
+    for m in grid:
+        assert classify(m) == oracle_classes.classify(m), m
 
 
 def test_classify_none_cases():

@@ -16,6 +16,8 @@ from barkfib.splitting import (
     decomposition_verdict,
 )
 
+import oracle_classes
+
 ENTRIES = st.integers(-10**12, 10**12)
 
 
@@ -58,6 +60,11 @@ WORDS = st.lists(
 )
 def test_classify_is_conjugation_invariant(m, g):
     assert classify(conj(m, g)) == classify(m)
+
+
+@given(sl2z_matrices())
+def test_classify_matches_oracle(m):
+    assert classify(m) == oracle_classes.classify(m)
 
 
 @given(st.sampled_from(all_witnesses()), WORDS)

@@ -12,6 +12,7 @@ from barkfib.splitting import (
     FactorizationWitness,
     SearchBudgetExceeded,
     _int_partitions,
+    _shift_admissible,
     all_witnesses,
     decomposition_verdict,
     enumerate_multisets,
@@ -23,6 +24,8 @@ from barkfib.splitting import (
     verify_witness,
     witness_I_star_family,
 )
+
+import oracle_classes
 
 
 def F(text):
@@ -151,6 +154,23 @@ def test_central_pair_examples():
 def test_central_triple_examples():
     assert verdict("I0*", "I3", "I1", "I1") == FORBIDDEN
     assert verdict("I0*", "I4", "I1", "I1") == UNDECIDED
+
+
+ORACLE_CLASSES = [
+    FiberClass(kind, n, mult)
+    for kind in ("I", "I*")
+    for n in range(31)
+    for mult in (1, 2)
+] + [FiberClass(k) for k in ("II", "III", "IV", "II*", "III*", "IV*")]
+
+
+@pytest.mark.parametrize("other", ORACLE_CLASSES, ids=str)
+def test_shift_admissible_matches_oracle(other):
+    """The matrix predicate admits the same shifts as the kind-by-kind
+    table, for every shift in [-500, 500]."""
+    m = standard_monodromy(other)
+    for c in range(-500, 501):
+        assert _shift_admissible(c, m) == oracle_classes.shift_admissible(c, other), c
 
 
 @pytest.mark.parametrize(
