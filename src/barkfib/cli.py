@@ -286,26 +286,18 @@ def build_parser():
         description="Exact bookkeeping of barking deformations of elliptic fibers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--json", action="store_true", help="emit JSON")
 
-    p = sub.add_parser(
-        "classify", parents=[output], help="name the fiber with a given monodromy"
-    )
+    p = sub.add_parser("classify", help="name the fiber with a given monodromy")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--mat", help="matrix entries a,b,c,d")
+    g.add_argument("--mat", help="matrix entries a,b,c,d; negative: --mat=-1,-1,0,-1")
     g.add_argument("--word", help="word in s0/s2, e.g. 's0^3 s2'")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("euler", parents=[output], help="Euler numbers of fiber types")
+    p = sub.add_parser("euler", help="Euler numbers of fiber types")
     p.add_argument("fibers", nargs="+", metavar="FIBER")
     p.set_defaults(func=cmd_euler)
 
-    p = sub.add_parser(
-        "factorize",
-        parents=[output],
-        help="search for an exact monodromy factorization",
-    )
+    p = sub.add_parser("factorize", help="search for an exact monodromy factorization")
     p.add_argument("target", metavar="TARGET")
     p.add_argument("parts", nargs="+", metavar="PART")
     p.add_argument("--max-conj-len", type=int, default=2)
@@ -313,30 +305,23 @@ def build_parser():
     p.add_argument("--budget", type=int, default=10**7)
     p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser(
-        "obstruct", parents=[output], help="obstructions for a decomposition"
-    )
+    p = sub.add_parser("obstruct", help="obstructions for a decomposition")
     p.add_argument("target", metavar="TARGET")
     p.add_argument("parts", nargs="+", metavar="PART")
     p.set_defaults(func=cmd_obstruct)
 
-    p = sub.add_parser(
-        "crusts", parents=[output], help="enumerate simple crusts of a stellar fiber"
-    )
+    p = sub.add_parser("crusts", help="enumerate simple crusts of a stellar fiber")
     p.add_argument("fiber", metavar="FIBER")
     p.add_argument("-l", type=int, default=1, help="barking multiplicity")
     p.set_defaults(func=cmd_crusts)
 
-    p = sub.add_parser(
-        "predict", parents=[output], help="exact subordinate counts for a crust"
-    )
+    p = sub.add_parser("predict", help="exact subordinate counts for a crust")
     p.add_argument("fiber", metavar="FIBER")
     p.add_argument("--crust", required=True, help='JSON, e.g. \'{"n0":1,"subbranches":[[1],[],[]],"l":1}\'')
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser(
         "localcheck",
-        parents=[output],
         help="verify the singular values/points of a local model",
     )
     p.add_argument("--m", type=int, required=True)
@@ -348,7 +333,6 @@ def build_parser():
 
     p = sub.add_parser(
         "report",
-        parents=[output],
         help="run every cataloged splitting and diff against expectations",
     )
     p.add_argument("--fixture", help="path to a catalog JSON (default: packaged)")
@@ -356,12 +340,12 @@ def build_parser():
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
-        "verify-words",
-        parents=[output],
-        help="check every built-in factorization identity",
+        "verify-words", help="check every built-in factorization identity"
     )
     p.set_defaults(func=cmd_verify_words)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit JSON")
     return parser
 
 
@@ -369,11 +353,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return exc.code
     # argparse reads `--opt=--` as an empty list; a '+' positional is never empty
     if [] in vars(args).values():
         _fail("an option's value cannot be '--'")

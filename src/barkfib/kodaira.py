@@ -18,6 +18,7 @@ trace and the sign of the lower-left entry, which is constant on each
 conjugacy class; both are read from the six standard matrices.
 """
 
+import re
 from dataclasses import dataclass
 from math import gcd
 
@@ -77,11 +78,16 @@ class FiberClass:
         return (star, _PLAIN_KINDS.index(base), self.n, self.multiplicity)
 
 
+# the grammar of parse_fiber; \d and int() read any Unicode decimal digit
+_FIBER_NAME = re.compile(r"(\d*)I(\d+)(\*?)|(II|III|IV)(\*?)")
+
+
 def parse_fiber(text):
     """Parse compact fiber notation.
 
-    Grammar: [m]I n ['*'] | II['*'] | III['*'] | IV['*'].  Examples:
-    "I5", "I2*", "II", "III*", "2I3".
+    Grammar: [m]I n ['*'] | II['*'] | III['*'] | IV['*'], after
+    surrounding white space is stripped.  Examples: "I5", "I2*", "II",
+    "III*", "2I3".
 
     Args:
         text: the compact string.
@@ -90,27 +96,16 @@ def parse_fiber(text):
         FiberClass.
 
     Raises:
-        ValueError: if the text does not match the grammar.
+        ValueError: if the text does not match the grammar, or names
+            multiplicity 0 ("0I3").
     """
-    s = text.strip()
-    if not s:
-        raise ValueError("empty fiber string")
-    i = 0
-    while i < len(s) and s[i].isdecimal():
-        i += 1
-    multiplicity = int(s[:i]) if i else 1
-    body = s[i:]
-    star = body.endswith("*")
-    if star:
-        body = body[:-1]
-    if body in ("II", "III", "IV"):
-        if multiplicity != 1:
-            raise ValueError("fiber %r cannot carry a multiplicity" % (text,))
-        return FiberClass(body + ("*" if star else ""))
-    if body.startswith("I") and body[1:].isdecimal():
-        n = int(body[1:])
-        return FiberClass("I*" if star else "I", n, multiplicity)
-    raise ValueError("cannot parse fiber string %r" % (text,))
+    found = _FIBER_NAME.fullmatch(text.strip())
+    if found is None:
+        raise ValueError("cannot parse fiber string %r" % (text,))
+    multiplicity, n, star, elliptic, elliptic_star = found.groups()
+    if elliptic is not None:
+        return FiberClass(elliptic + elliptic_star)
+    return FiberClass("I" + star, int(n), int(multiplicity or 1))
 
 
 # kind -> (number of (s0 s2) pairs, trailing s0 exponent; None means n):

@@ -1,5 +1,5 @@
 """Reference oracle for the class facts that barkfib reads from the
-standard matrices.
+standard matrices, and for the fiber-name parser.
 
 ``shift_admissible`` and ``classify`` state the Kodaira class invariants
 kind by kind: the admissible trace shifts next to each class, and the
@@ -8,6 +8,12 @@ class of each trace and lower-left sign.  They check
 factor's standard matrix, and ``barkfib.kodaira.classify``, which looks
 the elliptic classes up by the invariants of their standard matrices.
 The parabolic normal form and the square test are shared with barkfib.
+
+``parse_fiber`` is the character-by-character scanner that preceded the
+one regular expression of ``barkfib.kodaira.parse_fiber``.  Beyond the
+documented grammar it had its own messages for a blank name and for a
+multiplicity before II, III or IV, and it accepted a multiplicity of 1
+there ("1II").
 """
 
 from barkfib import sl2z
@@ -65,3 +71,39 @@ def classify(m):
             return FiberClass("III*" if starred else "III")
         return FiberClass("IV*" if starred else "IV")
     return None
+
+
+def parse_fiber(text):
+    """Parse compact fiber notation.
+
+    Grammar: [m]I n ['*'] | II['*'] | III['*'] | IV['*'].  Examples:
+    "I5", "I2*", "II", "III*", "2I3".
+
+    Args:
+        text: the compact string.
+
+    Returns:
+        FiberClass.
+
+    Raises:
+        ValueError: if the text does not match the grammar.
+    """
+    s = text.strip()
+    if not s:
+        raise ValueError("empty fiber string")
+    i = 0
+    while i < len(s) and s[i].isdecimal():
+        i += 1
+    multiplicity = int(s[:i]) if i else 1
+    body = s[i:]
+    star = body.endswith("*")
+    if star:
+        body = body[:-1]
+    if body in ("II", "III", "IV"):
+        if multiplicity != 1:
+            raise ValueError("fiber %r cannot carry a multiplicity" % (text,))
+        return FiberClass(body + ("*" if star else ""))
+    if body.startswith("I") and body[1:].isdecimal():
+        n = int(body[1:])
+        return FiberClass("I*" if star else "I", n, multiplicity)
+    raise ValueError("cannot parse fiber string %r" % (text,))

@@ -71,6 +71,9 @@ def test_parse_errors_exit_2(capsys):
             ["classify", "--mat", "1,2,3"],
             "--mat wants four comma-separated integers, got '1,2,3'",
         ),
+        (["euler", ""], "cannot parse fiber string ''"),
+        (["euler", "2II"], "cannot parse fiber string '2II'"),
+        (["obstruct", "II", "1II"], "cannot parse fiber string '1II'"),
     ],
 )
 def test_parse_error_names_the_input(capsys, argv, message):
@@ -186,6 +189,15 @@ def test_factorize_negative_bound_exits_2(capsys, flag):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "must be nonnegative" in lines[0]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_factorize_budget_exceeded_exits_1(capsys, json_flag):
+    argv = ["factorize", "II*"] + ["I1"] * 5 + ["--max-conj-len", "6", "--budget", "50"]
+    assert main(argv + json_flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: search exceeded 50 nodes"]
 
 
 def test_crusts_enumeration(capsys):

@@ -80,6 +80,8 @@ def test_all_model_branches_satisfy_chain_condition():
 def test_stellar_fiber_checks_branch_cores():
     with pytest.raises(ValueError):
         StellarFiber(6, (Branch(4, (2,)),))
+    with pytest.raises(ValueError, match="needs at least one branch"):
+        StellarFiber(6, ())
 
 
 def test_subbranch_recurrence_enforced():
@@ -113,6 +115,8 @@ def test_classify_subbranch_can_be_empty_or_mixed():
     # B and C simultaneously on the II* double-tail
     both = classify_subbranch(Subbranch(1, (1, 1), STELLAR_MODELS["IV*"].branches[0]), 1)
     assert both == {"B", "C"}
+    with pytest.raises(ValueError, match="bark multiplicity must be positive"):
+        classify_subbranch(Subbranch(2, (1,), STELLAR_MODELS["III"].branches[1]), 0)
 
 
 def test_is_proportional():
@@ -271,6 +275,12 @@ def test_simple_crust_bounds_n0():
     fiber = STELLAR_MODELS["IV"]
     with pytest.raises(ValueError):
         SimpleCrust(3, tuple(Subbranch(3, (1,), b) for b in fiber.branches), 1)
+    with pytest.raises(ValueError, match="one subbranch per branch"):
+        SimpleCrust(1, (), 1)
+    b0, b1, b2 = fiber.branches
+    mixed = (Subbranch(1, (), b0), Subbranch(2, (), b1), Subbranch(1, (), b2))
+    with pytest.raises(ValueError, match="subbranch n0 disagrees with crust n0"):
+        SimpleCrust(1, mixed, 1)
 
 
 def test_enumerate_I0_star_single_barking():

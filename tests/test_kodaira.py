@@ -1,6 +1,7 @@
 """Fiber catalog: parsing, Euler numbers, standard monodromies, classification."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -106,9 +107,46 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("I", "V", "I-1", "III**", "0I2", "I2**", "xyz", ""):
+    for bad in ("I", "V", "I-1", "III**", "0I2", "I2**", "xyz", "", " ", "1II", "2IV*"):
         with pytest.raises(ValueError):
             parse_fiber(bad)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_matches_oracle_on_short_names():
+    """Every name of up to 4 characters over `I V * 0 1 2 ␠ ² ٣ x` parses as
+    the old scanner parsed it, apart from three groups the grammar refuses
+    with its one message: blank names, which the scanner called empty; a
+    multiplicity other than 1 before II, III or IV, which it refused with
+    its own message; and a multiplicity of 1 there, which it accepted."""
+    alphabet = "IV*012 ²٣x"
+    names = ["".join(t) for k in range(5) for t in product(alphabet, repeat=k)]
+    assert len(names) == 11111
+    groups = {"blank": 0, "multiple": 0, "one": 0}
+    for text in names:
+        old = _outcome(oracle_classes.parse_fiber, text)
+        new = _outcome(parse_fiber, text)
+        s = text.strip()
+        prefixed = re.fullmatch(r"(\d+)((?:II|III|IV)\*?)", s)
+        if not s:
+            group, was = "blank", "empty fiber string"
+        elif prefixed and int(prefixed[1]) != 1:
+            group, was = "multiple", "fiber %r cannot carry a multiplicity" % (text,)
+        elif prefixed:
+            group, was = "one", FiberClass(prefixed[2])
+        else:
+            assert new == old, text
+            continue
+        groups[group] += 1
+        assert old == was, text
+        assert new == "cannot parse fiber string %r" % (text,), text
+    assert groups == {"blank": 5, "multiple": 57, "one": 11}
 
 
 def test_fiber_class_validation():
@@ -118,6 +156,10 @@ def test_fiber_class_validation():
         FiberClass("I", n=-1)
     with pytest.raises(ValueError):
         FiberClass("II", multiplicity=2)
+    with pytest.raises(ValueError, match="unknown fiber kind 'V'"):
+        FiberClass("V")
+    with pytest.raises(ValueError, match="multiplicity must be positive"):
+        parse_fiber("0I3")
     assert FiberClass("I", 3, multiplicity=2).reduced() == FiberClass("I", 3)
 
 

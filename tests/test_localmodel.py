@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from math import gcd
 from pathlib import Path
 
@@ -308,6 +309,12 @@ def test_subordinate_values_from_core_data():
     assert len(s_values) == 5
     for s in s_values:
         assert abs(s**5 - (-1 / 432)) < 1e-9
+    with pytest.raises(ValueError, match="t must be nonzero"):
+        subordinate_s_from_core(core, 0, zeros)
+    with pytest.raises(ValueError, match=r"need l\*n0 != m0"):
+        subordinate_s_from_core(replace(core, n0=3, l=2), 1.0, zeros)
+    # tau(1) = (1 - 2) / (1 - 0): a finite extra zero is a factor, one at infinity is not
+    assert replace(core, attach_points=((0, 1),), extra_zeros=((2, 1), ("inf", 1))).tau(1) == -1
 
 
 def test_subordinate_values_scale_with_t():

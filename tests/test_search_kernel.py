@@ -183,6 +183,24 @@ def test_budget_edges(target, parts, length, budget):
         search_factorization(*args, node_budget=budget - 1)
 
 
+# II* = I8 . I1 . I1 at length 1: the tables cost 33 words x 3 = 99 nodes,
+# the root of the depth-first search is node 100 and its first child, charged
+# in the middle loop before it descends, is node 101.
+MIDDLE_LOOP_EDGE = ("II*", ["I8", "I1", "I1"], 1, 100)
+
+
+def test_budget_edge_in_the_middle_loop():
+    target, parts, length, budget = MIDDLE_LOOP_EDGE
+    args = (F(target), [F(p) for p in parts], length)
+    for node_budget, nodes in ((budget - 1, budget), (budget, budget + 1)):
+        with pytest.raises(SearchBudgetExceeded) as raised:
+            search_factorization(*args, node_budget=node_budget)
+        # raised in the root's frame: by its own check, then by its first child's
+        frame = raised.traceback[-1]
+        assert frame.name == "_complete"
+        assert (frame.locals["idx"], frame.locals["count"]) == (0, [nodes])
+
+
 @pytest.mark.parametrize("target,parts,length,budget", KERNEL_BUDGET_EDGES)
 def test_kernel_budget_edges(target, parts, length, budget):
     args = (entries(target), multiset(*map(F, parts)), length, 8)

@@ -56,6 +56,8 @@ def test_word_normalization():
     assert w == Word()
     w = Word([("s0", 1), ("s2", 2), ("s2", -1)])
     assert w.letters == (("s0", 1), ("s2", 1))
+    with pytest.raises(ValueError, match="unknown generator 's3'"):
+        Word([("s3", 1)])
 
 
 def test_word_inverse_and_count():

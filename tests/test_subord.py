@@ -172,6 +172,8 @@ def test_determine_types_infeasible():
         determine_types(SubordinateProfile(2, 1, NEAR_CORE, "Chi1"), 7)
     with pytest.raises(ValueError):
         determine_types(SubordinateProfile(2, 1, NEAR_CORE, "Chi1"), 1)
+    with pytest.raises(ValueError, match="at least one singular point"):
+        determine_types(SubordinateProfile(0, 1, NEAR_CORE, "Chi1"), 3)
 
 
 # ------------------------------------------------------------ full reports
