@@ -96,8 +96,9 @@ def parse_fiber(text):
         FiberClass.
 
     Raises:
-        ValueError: if the text does not match the grammar, or names
-            multiplicity 0 ("0I3").
+        ValueError: if the text does not match the grammar, has a number
+            of more digits than int() converts, or names multiplicity 0
+            ("0I3").
     """
     found = _FIBER_NAME.fullmatch(text.strip())
     if found is None:
@@ -105,7 +106,11 @@ def parse_fiber(text):
     multiplicity, n, star, elliptic, elliptic_star = found.groups()
     if elliptic is not None:
         return FiberClass(elliptic + elliptic_star)
-    return FiberClass("I" + star, int(n), int(multiplicity or 1))
+    try:
+        n, multiplicity = int(n), int(multiplicity or 1)
+    except ValueError:  # more digits than int() converts
+        raise ValueError("cannot parse fiber string %r" % (text,)) from None
+    return FiberClass("I" + star, n, multiplicity)
 
 
 # kind -> (number of (s0 s2) pairs, trailing s0 exponent; None means n):

@@ -10,6 +10,7 @@ monodromy into conjugates of the factors' standard matrices.
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from math import isqrt
 from operator import itemgetter
 
@@ -354,8 +355,16 @@ def _conjugator_count(max_len, n_exps, limit):
 
 
 def _conjugate_tables(bases, max_len, exps):
-    """The distinct conjugates g*M*g^-1 of each base M, in one pass over
-    the normalized conjugator words g of length <= max_len.
+    """The full tables of _ConjugateTables, one dict per base."""
+    builder = _ConjugateTables(bases, max_len, exps)
+    while builder.step():
+        pass
+    return [table for table, *_ in builder.tables]
+
+
+class _ConjugateTables:
+    """The distinct conjugates g*M*g^-1 of each base M over the normalized
+    conjugator words g of length <= max_len, one word length per step.
 
     Matrices are (a, b, c, d) int tuples.  The words are visited breadth
     first: the empty word; s0^e then s2^e for e in ``exps``; then, for
@@ -374,23 +383,41 @@ def _conjugate_tables(bases, max_len, exps):
     full product is computed for the other bases only, and without them
     the last length's s0-children are not built.
 
-    Returns one dict per base mapping each conjugate to the letters of the
-    first word that produced it; dict order is discovery order.
+    ``tables`` holds four entries per base: a dict mapping each conjugate
+    to the letters of the first word that produced it, a list of the same
+    conjugates in the same discovery order, and the base's trace and
+    lower-left entry, which every conjugate keeps (that entry by its sign,
+    when it is not 0).  Each step extends the dicts and lists by one word
+    length, so a partial table is a prefix of the full one; ``full`` is
+    set once no step is left.
     """
-    tables = [{base: ()} for base in bases]
-    general = [(base, table) for base, table in zip(bases, tables) if base[2]]
-    parabolic = any(q and not r for _, q, r, _ in bases)
-    columns = {(0, 1, 0): ()}
-    frontier = [((), (1, 0, 0, 1))]
-    for depth in range(max_len if exps else 0):
-        keep = depth + 1 < max_len
+
+    def __init__(self, bases, max_len, exps):
+        self.tables = [({m: ()}, [m], m[0] + m[3], m[2]) for m in bases]
+        self._general = [(m, t[0]) for m, t in zip(bases, self.tables) if m[2]]
+        self._parabolic = [(m, t[0]) for m, t in zip(bases, self.tables) if m[1] and not m[2]]
+        self._columns = {(0, 1, 0): ()}
+        self._frontier = [((), (1, 0, 0, 1))]
+        self._exps = exps
+        self._left = max_len if exps else 0
+        self.full = not self._left
+
+    def step(self):
+        """Extend every table by one word length; False once they are full."""
+        if self.full:
+            return False
+        self._left -= 1
+        keep = self._left > 0
+        self.full = not keep
+        general, parabolic, columns = self._general, self._parabolic, self._columns
+        seen = len(columns)
         nxt = []
-        for letters, (a, b, c, d) in frontier:
+        for letters, (a, b, c, d) in self._frontier:
             last = letters[-1][0] if letters else None
             for gen in ("s0", "s2"):
                 if gen == last or (gen == "s0" and not (keep or general)):
                     continue
-                for e in exps:
+                for e in self._exps:
                     child = letters + ((gen, e),)
                     if gen == "s0":
                         g0, g1, g2, g3 = a, a * e + b, c, c * e + d
@@ -407,13 +434,27 @@ def _conjugate_tables(bases, max_len, exps):
                             table[m] = child
                     if keep:
                         nxt.append((child, (g0, g1, g2, g3)))
-        frontier = nxt
-    return [
-        {(p - q * ac, q * aa, -q * cc, s + q * ac): w for (ac, aa, cc), w in columns.items()}
-        if q and not r
-        else table
-        for (p, q, r, s), table in zip(bases, tables)
-    ]
+        self._frontier = nxt
+        for (p, q, _, s), table in parabolic:
+            for (ac, aa, cc), w in islice(columns.items(), seen, None):
+                table[p - q * ac, q * aa, -q * cc, s + q * ac] = w
+        for table, items, *_ in self.tables:
+            items += islice(table, len(items), None)
+        return True
+
+    def find(self, entry, m):
+        """Whether ``m`` is in the dict of ``entry``, one of the tables,
+        taking steps until it is or the tables are full.  A matrix with
+        another trace than the base, or a lower-left entry of the other
+        sign when the base's is not 0, is in that dict at no length, so it
+        takes no step."""
+        table, _, t, c = entry
+        if m[0] + m[3] != t or m[2] * c < 0:
+            return False
+        while m not in table:
+            if not self.step():
+                return False
+        return True
 
 
 def search_factorization(
@@ -434,16 +475,19 @@ def search_factorization(
     the needed last factor up among its conjugates.  So the first witness
     found is deterministic.  The conjugates of an I_n or I_n* factor depend
     only on g's first column, and are read from one table of first
-    columns shared by those classes.
+    columns shared by those classes.  The tables start at the empty word
+    and grow one conjugator length at a time, only as far as the search
+    reads them, so a witness with short conjugators is found without
+    building the longer ones; the answer is the one the full tables give.
 
     Node accounting: one node per conjugator word, one per (word, distinct
     class) conjugation, whether or not that conjugation is computed, and
     one per depth-first node and per child.  The
     search raises SearchBudgetExceeded once the count would pass
     ``node_budget`` (the conjugation phase, whose cost is known, is
-    checked before it runs), so a search that needs exactly
-    ``node_budget`` nodes completes.  A decomposition the obstructions
-    forbid costs no nodes and never raises.
+    charged in full, up to max_conj_len, before the search starts), so a
+    search that needs exactly ``node_budget`` nodes completes.  A
+    decomposition the obstructions forbid costs no nodes and never raises.
 
     Args:
         target: the fiber class whose monodromy is to be factored.
@@ -486,7 +530,10 @@ def _find_conjugators(target_m, parts, max_conj_len, exp_cap, node_budget):
 
     ``parts`` is a canonical multiset.  Returns (order, letters), the
     factor order and each factor's conjugator letters, for the first
-    ordered product equal to ``target_m``; or None.
+    ordered product equal to ``target_m``; or None.  The conjugate tables
+    start at the empty word and grow one conjugator length at a time, only
+    as far as the depth-first search reads them (see _complete), so the
+    answer is the one the full tables would give.
     """
     classes = list(dict.fromkeys(parts))
     # The table phase costs a known number of nodes, so the budget is
@@ -497,14 +544,15 @@ def _find_conjugators(target_m, parts, max_conj_len, exp_cap, node_budget):
         raise _budget_exceeded(node_budget)
     exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0] if max_conj_len else []
     bases = [standard_monodromy(f).entries() for f in classes]
-    tables = dict(zip(classes, _conjugate_tables(bases, max_conj_len, exps)))
+    builder = _ConjugateTables(bases, max_conj_len, exps)
+    tables = dict(zip(classes, builder.tables))
 
     count = [nodes]
     for order in _distinct_orders(parts):
-        steps = [tables[f].items() for f in order[:-1]]
-        found = _complete(steps, 0, target_m, tables[order[-1]], count, node_budget)
+        steps = [tables[f][1] for f in order[:-1]]
+        found = _complete(steps, 0, target_m, tables[order[-1]], builder, count, node_budget)
         if found is not None:
-            return order, found[::-1]
+            return order, [tables[f][0][m] for f, m in zip(order, reversed(found))]
     return None
 
 
@@ -524,27 +572,36 @@ def _budget_exceeded(node_budget):
     return SearchBudgetExceeded("search exceeded %d nodes" % node_budget)
 
 
-def _complete(steps, idx, rest, last_table, count, node_budget):
+def _complete(steps, idx, rest, last, builder, count, node_budget):
     """Depth-first search for the factors idx.. of one order.
 
-    ``steps[i]`` yields factor i's conjugates with their letters, ``rest``
-    is what factors idx.. must multiply to, and ``last_table`` maps the
-    last factor's conjugates to their letters.  Choosing a conjugate
-    (a, b, c, d) steps ``rest`` to its inverse (d, -b, -c, a) times
-    ``rest``.  ``count`` holds the node count: one for this node and one
-    per child.  A child whose factor is the last is charged together with
-    its leaf, and its lookup in ``last_table`` is made here.  Returns the
-    letters found, last factor first, or None.
+    ``steps[i]`` lists factor i's conjugates, ``rest`` is what factors
+    idx.. must multiply to, and ``last`` is the last factor's entry of
+    ``builder.tables``.  Choosing a conjugate (a, b, c, d) steps ``rest``
+    to its inverse (d, -b, -c, a) times ``rest``.  ``count`` holds the
+    node count: one for this node and one per child.  A child whose factor
+    is the last is charged together with its leaf, and its lookup in the
+    last table is made here.  Returns the conjugates found, last factor
+    first, or None.
+
+    The tables are partial.  The loop over the last but one factor takes
+    another step of ``builder`` when it reaches the end of its list, and a
+    lookup that misses takes steps until it hits or the tables are full,
+    unless the candidate lacks the last class's trace or the sign of its
+    lower-left entry.  So the conjugates are read in the order of the full
+    tables, and the same ones are found.
     """
     count[0] += 1
     if count[0] > node_budget:
         raise _budget_exceeded(node_budget)
     if idx == len(steps):
-        w = last_table.get(rest)
-        return None if w is None else [w]
+        return [rest] if builder.find(last, rest) else None
     r0, r1, r2, r3 = rest
     if idx + 1 < len(steps):
-        for (a, b, c, d), letters in steps[idx]:
+        # This list grows while it is read, and the search below each child
+        # finds a witness or reads the last but one factor's list to its
+        # end, which fills the tables: so this loop reads the full list.
+        for a, b, c, d in steps[idx]:
             count[0] += 1
             if count[0] > node_budget:
                 raise _budget_exceeded(node_budget)
@@ -552,19 +609,26 @@ def _complete(steps, idx, rest, last_table, count, node_budget):
                 steps,
                 idx + 1,
                 (d * r0 - b * r2, d * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
-                last_table,
+                last,
+                builder,
                 count,
                 node_budget,
             )
             if found is not None:
-                found.append(letters)
+                found.append((a, b, c, d))
                 return found
         return None
-    for (a, b, c, d), letters in steps[idx]:
-        count[0] += 2  # the child and its leaf
-        if count[0] > node_budget:
-            raise _budget_exceeded(node_budget)
-        w = last_table.get((d * r0 - b * r2, d * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1))
-        if w is not None:
-            return [w, letters]
-    return None
+    items = unread = steps[idx]
+    table = last[0]
+    while True:
+        for a, b, c, d in unread:
+            count[0] += 2  # the child and its leaf
+            if count[0] > node_budget:
+                raise _budget_exceeded(node_budget)
+            m = (d * r0 - b * r2, d * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1)
+            if m in table or not builder.full and builder.find(last, m):
+                return [m, (a, b, c, d)]
+        if builder.full:
+            return None
+        unread = islice(items, len(items), None)
+        builder.step()

@@ -6,7 +6,13 @@ word order, and keeps the first word per conjugate.  It takes no shortcut
 for any class of base, so it checks the tables that
 ``barkfib.splitting._conjugate_tables`` builds: the same keys, the same
 first words and the same dict order.
+
+``find_conjugators`` builds those tables in full before it searches them,
+so it checks that the search, whose tables grow only as far as it reads
+them, finds the same first factorization.
 """
+
+from barkfib.kodaira import standard_monodromy
 
 
 def conjugate_tables(bases, max_len, exps):
@@ -52,3 +58,62 @@ def conjugate_tables(bases, max_len, exps):
                         nxt.append((child, (g0, g1, g2, g3)))
         frontier = nxt
     return tables
+
+
+def find_conjugators(target_m, parts, max_len, exp_cap):
+    """The first factorization of the eager search: build the full tables
+    of ``conjugate_tables``, then try the distinct orders of the canonical
+    multiset ``parts`` in lexicographic order, which is the order of their
+    first occurrence in permutations(parts), and for each run a depth-first
+    search over the conjugates of all but the last factor, in table order,
+    with the last factor looked up in its table.  Returns (order, letters)
+    or None, as ``barkfib.splitting._find_conjugators`` does, without a
+    node count.
+    """
+    classes = list(dict.fromkeys(parts))
+    exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0] if max_len else []
+    bases = [standard_monodromy(f).entries() for f in classes]
+    tables = dict(zip(classes, conjugate_tables(bases, max_len, exps)))
+    for order in _lexicographic_orders(parts):
+        found = _first_product(order, target_m, tables)
+        if found is not None:
+            return order, found
+    return None
+
+
+def _first_product(order, rest, tables):
+    """Letters of the first conjugates of ``order``, in table order, whose
+    product is ``rest``; or None."""
+    if len(order) == 1:
+        w = tables[order[0]].get(rest)
+        return None if w is None else [w]
+    r0, r1, r2, r3 = rest
+    for (a, b, c, d), letters in tables[order[0]].items():
+        # the inverse (d, -b, -c, a) of the chosen conjugate times rest
+        found = _first_product(
+            order[1:],
+            (d * r0 - b * r2, d * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
+            tables,
+        )
+        if found is not None:
+            return [letters] + found
+    return None
+
+
+def _lexicographic_orders(parts):
+    """The distinct orderings of the sorted tuple ``parts`` in lexicographic
+    order of the parts' positions in it, by the next-permutation step."""
+    rank = {f: i for i, f in enumerate(dict.fromkeys(parts))}
+    order = list(parts)
+    while True:
+        yield tuple(order)
+        i = len(order) - 2
+        while i >= 0 and rank[order[i]] >= rank[order[i + 1]]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(order) - 1
+        while rank[order[j]] <= rank[order[i]]:
+            j -= 1
+        order[i], order[j] = order[j], order[i]
+        order[i + 1:] = reversed(order[i + 1:])

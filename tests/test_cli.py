@@ -74,6 +74,17 @@ def test_parse_errors_exit_2(capsys):
         (["euler", ""], "cannot parse fiber string ''"),
         (["euler", "2II"], "cannot parse fiber string '2II'"),
         (["obstruct", "II", "1II"], "cannot parse fiber string '1II'"),
+        # more digits than int() converts (4,300 by default)
+        pytest.param(
+            ["euler", "I" + "1" * 5000],
+            "cannot parse fiber string 'I%s'" % ("1" * 5000),
+            id="index-of-5000-digits",
+        ),
+        pytest.param(
+            ["euler", "1" * 5000 + "I2"],
+            "cannot parse fiber string '%sI2'" % ("1" * 5000),
+            id="multiplicity-of-5000-digits",
+        ),
     ],
 )
 def test_parse_error_names_the_input(capsys, argv, message):

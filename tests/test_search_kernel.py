@@ -15,6 +15,7 @@ from barkfib.kodaira import euler, parse_fiber, standard_monodromy
 from barkfib.sl2z import IDENTITY, Word, conj, eval_word, format_word
 from barkfib.splitting import (
     FORBIDDEN,
+    WITNESS_TABLE,
     SearchBudgetExceeded,
     _conjugate_tables,
     _distinct_orders,
@@ -26,7 +27,7 @@ from barkfib.splitting import (
     search_factorization,
 )
 
-from oracle_search import conjugate_tables
+from oracle_search import conjugate_tables, find_conjugators
 
 BASES = ["I1", "I2", "I3", "II", "III", "IV", "I0*", "I1*", "II*", "III*", "IV*"]
 EXP_CAP = 3
@@ -248,6 +249,44 @@ def test_forbidden_decompositions_have_no_witness():
         assert _find_conjugators(m, parts, length, 8, 10**7) is None, (target, parts)
 
 
+# The length-3 searches of the search-witness benchmark workload: the
+# two-factor identities of WITNESS_TABLE and five searches of more factors.
+LENGTH_3_SEARCHES = [
+    (w.target, multiset(*(f for f, _ in w.factors)))
+    for _, w in WITNESS_TABLE
+    if len(w.factors) == 2
+] + [
+    (F(target), multiset(*map(F, parts)))
+    for target, parts in [
+        ("I6*", ["I10", "I1", "I1"]),
+        ("II*", ["I8", "I1", "I1"]),
+        ("III*", ["I6", "I1", "I2"]),
+        ("IV*", ["I0*", "I1", "I1"]),
+        ("II*", ["I1"] * 10),
+    ]
+]
+
+
+def test_search_matches_eager_oracle():
+    # Tables grown only as far as the search reads them give what the search
+    # over the full tables gives: the same (order, letters), or None.  Every
+    # Euler-matched problem over CLASSES, forbidden ones included (one factor
+    # at length 3, two at length 2, three at length 1), and the length-3 rows.
+    problems = [
+        (target, parts, 4 - size)
+        for size in (1, 2, 3)
+        for target in CLASSES
+        for parts in combinations_with_replacement(CLASSES, size)
+        if sum(map(euler, parts)) == euler(target)
+    ]
+    assert len(problems) == 655
+    assert len(LENGTH_3_SEARCHES) == 14
+    for target, parts, length in problems + [(t, p, 3) for t, p in LENGTH_3_SEARCHES]:
+        m = standard_monodromy(target).entries()
+        want = find_conjugators(m, parts, length, 8)
+        assert _find_conjugators(m, parts, length, 8, 10**7) == want, (target, parts, length)
+
+
 FIRST_WITNESSES = [
     ("II", ["I1", "I1"], 2, [("I1", ""), ("I1", "s0^-1 s2^-1")]),
     ("IV", ["I3", "I1"], 2, [("I1", "s2^-2"), ("I3", "s2^-1")]),
@@ -287,6 +326,19 @@ def _peak_bytes(call):
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     return peak
+
+
+@pytest.mark.parametrize(
+    "target,parts",
+    [("IV", ["II", "II"]), ("II*", ["IV*", "II"]), ("IV", ["I2", "II"]), ("III", ["II", "I1"])],
+)
+def test_short_witness_builds_short_tables(target, parts):
+    # conjugators of length <= 1 are found before the length-3 tables (8,737
+    # words, over 10^6 bytes) are built
+    def call():
+        assert search_factorization(F(target), [F(p) for p in parts], 3) is not None
+
+    assert _peak_bytes(call) < 10**5
 
 
 def test_over_budget_search_builds_no_exponent_list():
