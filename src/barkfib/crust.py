@@ -218,7 +218,7 @@ def core_section_exists(fiber, n0, first_values):
 class SimpleCrust:
     """A crust whose core section exists and all of whose subbranches
     classify as A_l, B_l, or C_l.  Construction is the one test of
-    simplicity: it checks the core section first, as the cheaper test."""
+    simplicity: it checks l, then the core section, as the cheaper test."""
 
     n0: int
     subbranches: tuple
@@ -226,6 +226,8 @@ class SimpleCrust:
 
     def __post_init__(self):
         object.__setattr__(self, "subbranches", tuple(self.subbranches))
+        if self.l < 1:
+            raise ValueError("bark multiplicity must be positive")
         if not self.subbranches:
             raise ValueError("a crust needs one subbranch per branch")
         m0 = self.subbranches[0].parent.core_mult

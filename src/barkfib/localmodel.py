@@ -11,31 +11,40 @@ Two model situations are verified numerically:
   and tau) locate the subordinate fibers and are bounded by the core
   invariant chi.
 
-Roots are found in pure Python by Aberth-Ehrlich iteration with one
-Newton polish step; duplicate roots are clustered at 1e-7 relative
-tolerance.  All residual checks are relative to the coefficient scale.
+A divisor point at infinity, given as "inf" or a non-finite number, is
+stored as "inf".  Roots are found in pure Python by Aberth-Ehrlich
+iteration with one Newton polish step.  One rule, ``_near``, decides
+"the same point": within 1e-7 relative to a reference value.  All
+residual checks are relative to the coefficient scale.
 """
 
 import cmath
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd
 
 CLUSTER_TOL = 1e-7
 RESIDUAL_TOL = 1e-9
 MAX_SWEEPS = 100
 
 
-def _is_infinite_point(p):
-    if isinstance(p, str):
-        return p in ("inf", "oo", "infinity")
-    z = complex(p)
-    return not (isfinite(z.real) and isfinite(z.imag))
-
-
 def _sort_key(z):
     return (round(z.real, 9), round(z.imag, 9))
+
+
+def _near(ref, z):
+    """Whether z is the same point as ref, on the scale of ref."""
+    return abs(z - ref) <= CLUSTER_TOL * (1 + abs(ref))
+
+
+def _distinct(values):
+    """The values, in order, without those _near one already kept."""
+    kept = []
+    for v in values:
+        if not any(_near(u, v) for u in kept):
+            kept.append(v)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -140,12 +149,12 @@ def singular_points(spec, s):
         value = F(0.0, zeta)
         if abs(value) > RESIDUAL_TOL * abs(s):
             continue
-        fz = 0.0  # F has no z-dependence in this chart
+        # F has no z-dependence in this chart, so dF/dz vanishes identically
         inner = zeta**spec.n + spec.t * spec.c
         fzeta = zeta ** (spec.m - spec.l * spec.n - 1) * inner ** (spec.l - 1) * (
             (spec.m - spec.l * spec.n) * inner + spec.l * spec.n * zeta**spec.n
         )
-        residuals = (abs(value), abs(fz), abs(fzeta))
+        residuals = (abs(value), abs(fzeta))
         if max(residuals) > RESIDUAL_TOL * scale:
             raise RuntimeError(
                 "point (0, %r) failed verification; residuals %r" % (zeta, residuals)
@@ -162,8 +171,9 @@ class CoreSectionData:
     ``attach_points`` lists (point, n1) pole orders of tau, which are
     also where sigma vanishes to the orders in ``sigma_divisor``;
     ``extra_zeros`` lists the zeros (point, order) of tau away from the
-    attach points.  A point may be the string "inf" (or an infinite
-    float), in which case it only enters the degree bookkeeping.
+    attach points.  A point is stored as a complex, or as "inf" when given
+    as "inf" or a non-finite number; then it only enters the degree
+    bookkeeping.  Any other string must parse as a finite complex.
     """
 
     attach_points: tuple
@@ -175,10 +185,7 @@ class CoreSectionData:
 
     def __post_init__(self):
         for name in ("attach_points", "sigma_divisor", "extra_zeros"):
-            cleaned = tuple(
-                (p if _is_infinite_point(p) else complex(p), int(o))
-                for p, o in getattr(self, name)
-            )
+            cleaned = tuple((_normal_point(p), int(o)) for p, o in getattr(self, name))
             object.__setattr__(self, name, cleaned)
 
     def degree_consistent(self):
@@ -191,20 +198,34 @@ class CoreSectionData:
 
     def sigma(self, z):
         out = 1.0 + 0j
-        for p, o in self.sigma_divisor:
-            if not _is_infinite_point(p):
-                out *= (z - p) ** o
+        for p, o in _finite(self.sigma_divisor):
+            out *= (z - p) ** o
         return out
 
     def tau(self, z):
         out = 1.0 + 0j
-        for p, o in self.extra_zeros:
-            if not _is_infinite_point(p):
-                out *= (z - p) ** o
-        for p, o in self.attach_points:
-            if not _is_infinite_point(p):
-                out /= (z - p) ** o
+        for p, o in _finite(self.extra_zeros):
+            out *= (z - p) ** o
+        for p, o in _finite(self.attach_points):
+            out /= (z - p) ** o
         return out
+
+
+def _normal_point(p):
+    """p as a complex, or "inf" for "inf" and for a non-finite number."""
+    if p == "inf":
+        return p
+    z = complex(p)
+    if cmath.isfinite(z):
+        return z
+    if isinstance(p, str):
+        raise ValueError('point %r: write a point at infinity as "inf"' % p)
+    return "inf"
+
+
+def _finite(divisor):
+    """The (point, order) pairs of a normalised divisor away from infinity."""
+    return [(p, o) for p, o in divisor if p != "inf"]
 
 
 def _logderiv_support(data):
@@ -214,18 +235,14 @@ def _logderiv_support(data):
     contributions cancel (the proportional attach points) drop out.
     """
     support = {}
-
-    def add(p, w):
-        if _is_infinite_point(p) or w == 0:
-            return
-        support[p] = support.get(p, 0) + w
-
-    for p, o in data.sigma_divisor:
-        add(p, data.n0 * o)
-    for p, o in data.attach_points:
-        add(p, -data.m0 * o)
-    for p, o in data.extra_zeros:
-        add(p, data.m0 * o)
+    for divisor, weight in (
+        (data.sigma_divisor, data.n0),
+        (data.attach_points, -data.m0),
+        (data.extra_zeros, data.m0),
+    ):
+        for p, o in _finite(divisor):
+            if weight * o:
+                support[p] = support.get(p, 0) + weight * o
     return {p: w for p, w in support.items() if w != 0}
 
 
@@ -298,23 +315,12 @@ def essential_zeros(data):
     for r in _aberth_roots(coeffs):
         p, dp = _horner(coeffs, r)
         polished.append(r - p / dp if dp != 0 else r)
-    avoid = [
-        complex(p)
-        for group in (data.attach_points, data.sigma_divisor, data.extra_zeros)
-        for p, _ in group
-        if not _is_infinite_point(p)
-    ]
-    kept = [
-        r
-        for r in polished
-        if all(abs(r - a) > CLUSTER_TOL * (1 + abs(r)) for a in avoid)
-    ]
+    avoid = [p for p, _ in _finite(data.attach_points + data.sigma_divisor + data.extra_zeros)]
+    kept = [r for r in polished if not any(_near(r, a) for a in avoid)]
     kept.sort(key=_sort_key)
     clustered = []
     for r in kept:
-        if clustered and abs(r - clustered[-1][0] / clustered[-1][1]) <= CLUSTER_TOL * (
-            1 + abs(r)
-        ):
+        if clustered and _near(r, clustered[-1][0] / clustered[-1][1]):
             total, count = clustered[-1]
             clustered[-1] = (total + r, count + 1)
         else:
@@ -343,18 +349,12 @@ def subordinate_s_from_core(data, t, zeros):
     mbar0, nbar0 = data.m0 // g, data.n0 // g
     if data.l * data.n0 == data.m0:
         raise ValueError("need l*n0 != m0")
-    invariants = []
-    for alpha in zeros:
-        v = data.sigma(alpha) ** nbar0 * data.tau(alpha) ** mbar0
-        if not any(abs(v - u) <= CLUSTER_TOL * (1 + abs(u)) for u in invariants):
-            invariants.append(v)
+    invariants = _distinct(
+        data.sigma(alpha) ** nbar0 * data.tau(alpha) ** mbar0 for alpha in zeros
+    )
     prefactor = _prefactor(data.l, data.m0, data.n0, mbar0, nbar0)
-    s_values = []
-    for v in invariants:
-        rhs = prefactor * t**mbar0 * v
-        for s in _nth_roots(rhs, nbar0):
-            if not any(abs(s - u) <= CLUSTER_TOL * (1 + abs(u)) for u in s_values):
-                s_values.append(s)
+    s_values = _distinct(
+        s for v in invariants for s in _nth_roots(prefactor * t**mbar0 * v, nbar0)
+    )
     s_values.sort(key=_sort_key)
     return s_values, len(invariants)
-

@@ -254,6 +254,17 @@ def test_predict_malformed_crust_exits_2(capsys, crust, problem):
     assert problem in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subbranches", [[[], [], []], [[1], [1], []]])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_predict_bad_bark_multiplicity_exits_2(capsys, subbranches, json_flag):
+    # the first crust also admits no core section; l is checked before it
+    crust = json.dumps({"n0": 1, "subbranches": subbranches, "l": 0})
+    assert main(["predict", "II", "--crust", crust] + json_flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: bark multiplicity must be positive"]
+
+
 def test_localcheck(capsys):
     code, record = run_json(
         capsys, ["localcheck", "--m", "6", "--n", "4", "--t", "1+0i", "--c", "1"]

@@ -122,6 +122,11 @@ def test_singular_point_count_is_gcd(m, n, l):
         assert len(singular_points(spec, s)) == gcd(m, n)
 
 
+def test_no_singular_points_without_t_c():
+    """With t*c = 0 the only candidate is zeta = 0, which lies on the fiber s = 0 only."""
+    assert singular_points(LocalCurveSpec(3, 1, 1, 0.0, 1.0), 0.5) == []
+
+
 def test_singular_points_separate_fibers_near_zero():
     # |s| = 1.48e-16: an absolute tolerance puts s, 2s and -s on one fiber
     spec = LocalCurveSpec(3, 1, 1, 1e-5, 1.0)
@@ -257,6 +262,8 @@ def test_essential_zeros_agree_with_numpy_oracle():
             ((0, 1),),
             [cmath.exp(1j * cmath.pi * (2 * j + 1) / 4) for j in range(4)],
         ),
+        # one attach point alone: the numerator is the nonzero constant -m0
+        ((), ((0, 1),), []),
     ],
 )
 def test_essential_zeros_of_special_numerators(sigma, attach, want):
@@ -315,6 +322,21 @@ def test_subordinate_values_from_core_data():
         subordinate_s_from_core(replace(core, n0=3, l=2), 1.0, zeros)
     # tau(1) = (1 - 2) / (1 - 0): a finite extra zero is a factor, one at infinity is not
     assert replace(core, attach_points=((0, 1),), extra_zeros=((2, 1), ("inf", 1))).tau(1) == -1
+    # a non-finite number is the point at infinity too, stored as "inf"
+    for inf in (float("inf"), complex("inf"), float("nan")):
+        same = replace(
+            core,
+            attach_points=((0, 5), (1, 3), (inf, 2)),
+            sigma_divisor=((0, 5), (1, 4), (inf, 3)),
+        )
+        assert same == core
+        assert same.degree_consistent() and essential_zeros(same) == zeros
+        for z in (0.5, 2 + 1j, zeros[0]):
+            assert (same.sigma(z), same.tau(z)) == (core.sigma(z), core.tau(z))
+    # "inf" is the one string for it: "oo" does not parse, "infinity" is not finite
+    for bad in ("oo", "infinity"):
+        with pytest.raises(ValueError):
+            replace(core, attach_points=((0, 5), (1, 3), (bad, 2)))
 
 
 def test_subordinate_values_scale_with_t():

@@ -1,0 +1,77 @@
+"""Record one benchmark file, BENCH_<pr>.json, from perfbench runs.
+
+Usage, from any directory:
+
+    python3 tools/bench_record.py 19 --note "What changed and how it was run."
+
+Runs ``python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace T``
+for every workload and for T = 0 and T = 1, one after the other, and writes
+``BENCH_<pr>.json`` at the repository root: ``commit`` (HEAD of the checkout,
+so uncommitted work is named by its parent and told apart by
+``source_sha256``), ``note``, ``command``, ``environment`` (read from the
+record line of the first run) and ``results[W]["trace T"]`` (each run's
+result line).  If any run exits non-zero or reports ``correct: false`` the
+script exits 1 and writes no file.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402  stdlib-only module
+COMMAND = "python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace T"
+ENVIRONMENT_KEYS = ("cpu_model", "nproc", "python", "source_sha256")
+
+
+def run(workload, trace):
+    """The record and result objects of one run; RuntimeError when the run
+    exits non-zero or its answers are not correct."""
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "20"]
+    argv += ["--trace", str(trace)]
+    proc = subprocess.run([sys.executable] + argv, cwd=ROOT, capture_output=True, text=True)
+    name = " ".join(argv)
+    if proc.returncode != 0:
+        raise RuntimeError("%s exited %d: %s" % (name, proc.returncode, proc.stderr.strip()))
+    record_line, result_line = proc.stdout.splitlines()[-2:]
+    result = json.loads(result_line)
+    if result["correct"] is not True:
+        raise RuntimeError("%s is not correct: %s" % (name, result_line))
+    return json.loads(record_line)["record"], result
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("pr", type=int, help="number in the file name BENCH_<pr>.json")
+    parser.add_argument("--note", required=True, help="what the file measures")
+    args = parser.parse_args(argv)
+
+    results, environment = {}, None
+    for workload in WORKLOADS:
+        for trace in (0, 1):
+            print("running %s --trace %d" % (workload, trace), file=sys.stderr)
+            try:
+                record, result = run(workload, trace)
+            except RuntimeError as exc:
+                print("error: %s" % exc, file=sys.stderr)
+                return 1
+            environment = environment or record["environment"]
+            results.setdefault(workload, {})["trace %d" % trace] = result
+    bench = {
+        "commit": environment["commit"],
+        "note": args.note,
+        "command": COMMAND,
+        "environment": {key: environment[key] for key in ENVIRONMENT_KEYS},
+        "results": results,
+    }
+    path = ROOT / ("BENCH_%d.json" % args.pr)
+    path.write_text(json.dumps(bench, indent=1) + "\n")
+    print("wrote %s" % path, file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
