@@ -8,11 +8,11 @@ and searches for (or verifies) explicit factorizations of the original
 monodromy into conjugates of the factors' standard matrices.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from math import isqrt
-from operator import itemgetter
 
 from .kodaira import FiberClass, euler, parse_fiber, standard_monodromy
 from .sl2z import IDENTITY, Word, conj, eval_word, format_word, parse_word, trace
@@ -48,16 +48,28 @@ def euler_deficit(original, main):
     return d
 
 
-def _int_partitions(total, cap=None):
-    """Partitions of ``total`` as descending tuples of positive ints."""
-    if cap is None or cap > total:
-        cap = total
-    if total == 0:
-        yield ()
-        return
-    for first in range(cap, 0, -1):
-        for rest in _int_partitions(total - first, first):
-            yield (first,) + rest
+def _int_partitions(total):
+    """Partitions of ``total`` as descending tuples of positive ints, in
+    reverse lexicographic order: (total,), (total - 1, 1), ..., (1, ..., 1).
+
+    Each step lowers the last part above 1 by one and refills what follows
+    greedily with parts no larger than it.  ``head`` holds the parts above
+    1 and ``ones`` counts the 1s after them.
+    """
+    head, ones = ([total], 0) if total > 1 else ([], total)
+    while True:
+        yield (*head, *(1,) * ones)
+        if not head:
+            return
+        p = head.pop()
+        if p == 2:
+            ones += 2
+            continue
+        q, ones = divmod(p + ones, p - 1)
+        head += [p - 1] * q
+        if ones > 1:
+            head.append(ones)
+            ones = 0
 
 
 def order_weights(deficit):
@@ -74,6 +86,11 @@ def order_weights(deficit):
     return w_I, top - base**4, top - base**6
 
 
+# The largest deficit enumerate_multisets takes: it has 982,004 candidates,
+# and deficit 48 has 1,177,885, more than 10**6.
+MAX_DEFICIT = 47
+
+
 def enumerate_multisets(deficit):
     """All multisets over {I_n (n >= 1), II, III} with Euler sum ``deficit``.
 
@@ -87,28 +104,48 @@ def enumerate_multisets(deficit):
     larger parts first, with II/III preceding the equal-size nodal class;
     that is, ascending in the sum of order_weights(deficit) over the parts.
     Deficit 0 has the one empty candidate.
+
+    Raises:
+        ValueError: if ``deficit`` is negative, or above MAX_DEFICIT, whose
+        candidates would not fit in memory; nothing is built first.
     """
     if deficit < 0:
         raise ValueError("deficit must be nonnegative")
+    if deficit > MAX_DEFICIT:
+        raise ValueError(
+            "deficit %d has more than 10**6 candidate multisets; the largest "
+            "deficit enumerated is %d" % (deficit, MAX_DEFICIT)
+        )
     I_n = [FiberClass("I", n) for n in range(max(deficit, 3) + 1)]
     II, III = FiberClass("II"), FiberClass("III")
     w_I, w_II, w_III = order_weights(deficit)
     to_II, to_III = w_II - w_I[2], w_III - w_I[3]
-    keyed = []
+    # Runs of k equal classes, k = 0.. as far as a partition can need.
+    ones = [(I_n[1],) * k for k in range(deficit + 1)]
+    twos, IIs = ([(f,) * k for k in range(deficit // 2 + 1)] for f in (I_n[2], II))
+    threes, IIIs = ([(f,) * k for k in range(deficit // 3 + 1)] for f in (I_n[3], III))
+    keys, candidates = [], []
     for sizes in _int_partitions(deficit):
-        k2, k3 = sizes.count(2), sizes.count(3)
-        ones = (I_n[1],) * sizes.count(1)
-        big = tuple(I_n[n] for n in reversed(sizes) if n > 3)
-        key = sum(w_I[n] for n in sizes)
+        k1 = k2 = k3 = key = 0
+        big = ()
+        for n in sizes:
+            key += w_I[n]
+            if n > 3:
+                big = (I_n[n], *big)
+            elif n == 3:
+                k3 += 1
+            elif n == 2:
+                k2 += 1
+            else:
+                k1 += 1
+        head = ones[k1]
         for a2 in range(k2 + 1):
-            head = ones + (I_n[2],) * (k2 - a2)
+            two, two_II, key2 = twos[k2 - a2], IIs[a2], key + a2 * to_II
             for a3 in range(k3 + 1):
-                keyed.append((
-                    key + a2 * to_II + a3 * to_III,
-                    head + (I_n[3],) * (k3 - a3) + big + (II,) * a2 + (III,) * a3,
-                ))
-    keyed.sort(key=itemgetter(0))
-    return [ms for _, ms in keyed]
+                keys.append(key2 + a3 * to_III)
+                candidates.append((*head, *two, *threes[k3 - a3], *big, *two_II, *IIIs[a3]))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [candidates[i] for i in order]
 
 
 def _fiber_trace(f):
@@ -205,6 +242,13 @@ def _central_triple_rule(k, x1, x2):
     )
 
 
+def rule_reach(target):
+    """The most factors any obstruction reads for ``target``: three for
+    I0*, whose central triple rule reads three, and two otherwise.
+    decomposition_verdict decides nothing about a longer factor list."""
+    return 3 if _is_central(target) else 2
+
+
 def decomposition_verdict(target, parts):
     """Apply every applicable obstruction to a full factor list.
 
@@ -213,16 +257,15 @@ def decomposition_verdict(target, parts):
     central target with two factors takes the central pair rule, and with
     three factors the central triple rule for each I_k factor; a
     non-central target with two factors takes the trace shift rule for
-    each I_k factor.  Longer factor lists carry no trace
-    obstruction and return before any matrix is built.  Returns
+    each I_k factor.  Factor lists longer than rule_reach(target) carry
+    no trace obstruction and return before any matrix is built.  Returns
     (verdict, reasons): the first forbidding rule's reason alone, or the
     reason of every rule that passed.
     """
     parts = list(parts)
-    central = _is_central(target)
-    size = 3 if central else 2
-    if len(parts) > size:
+    if len(parts) > rule_reach(target):
         return UNDECIDED, [_NO_RULE % len(parts)]
+    central = _is_central(target)
     if len(parts) == 1:
         checks = [_class_rule(target, *parts)]
     elif central and len(parts) == 2:
@@ -240,6 +283,27 @@ def decomposition_verdict(target, parts):
             return FORBIDDEN, [reason]
         reasons.append(reason)
     return UNDECIDED, reasons or [_NO_RULE % len(parts)]
+
+
+def screen_candidates(target, main, candidates):
+    """(survivors, excluded) of ``candidates``, subordinate multisets in
+    enumerate_multisets order, for the factor lists ``main`` plus each one.
+
+    ``excluded`` pairs each forbidden candidate with its rule's reason, and
+    both lists keep the candidates' order.  Candidates come fewest parts
+    first, so decomposition_verdict is asked only about those within
+    rule_reach(target); every later one survives without a call.
+    """
+    cut = bisect_right(candidates, rule_reach(target) - 1, key=len)
+    survivors, excluded = [], []
+    for ms in islice(candidates, cut):
+        verdict, reasons = decomposition_verdict(target, (main, *ms))
+        if verdict == FORBIDDEN:
+            excluded.append((ms, reasons[0]))
+        else:
+            survivors.append(ms)
+    survivors += islice(candidates, cut, None)
+    return survivors, excluded
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,7 @@ from dataclasses import asdict, dataclass
 from math import gcd
 
 from .kodaira import FiberClass
-from .splitting import (
-    FORBIDDEN,
-    decomposition_verdict,
-    enumerate_multisets,
-    euler_deficit,
-    multiset,
-)
+from .splitting import enumerate_multisets, euler_deficit, multiset, screen_candidates
 
 NEAR_CORE = "near_core"
 NEAR_PROPORTIONAL_EDGE = "near_proportional_edge"
@@ -186,16 +180,11 @@ def full_report(original, main, crust=None):
     deficit = euler_deficit(original, main)
     evidence = ["euler deficit %d" % deficit]
     candidates = enumerate_multisets(deficit)
-    survivors, excluded = [], []
-    for ms in candidates:
-        verdict, reasons = decomposition_verdict(original, [main] + list(ms))
-        if verdict == FORBIDDEN:
-            excluded.append((ms, reasons[0]))
-            name = "+".join(str(f) for f in ms) or "(none)"
-            evidence.append("excluded %s: %s" % (name, reasons[0]))
-        else:
-            survivors.append(ms)
-    final = list(survivors)
+    survivors, excluded = screen_candidates(original, main, candidates)
+    for ms, reason in excluded:
+        name = "+".join(str(f) for f in ms) or "(none)"
+        evidence.append("excluded %s: %s" % (name, reason))
+    final = survivors
     profile = None
     if crust is not None:
         try:

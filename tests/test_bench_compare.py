@@ -1,0 +1,89 @@
+"""``tools/bench_compare.py`` on canned benchmark files."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_compare.py"
+SPEC = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+METRICS = [m["name"] for m in SPEC["end_to_end"]]
+
+
+@pytest.fixture
+def bench_compare():
+    spec = importlib.util.spec_from_file_location("bench_compare", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench(scale=None, drop=None):
+    """A benchmark file whose every metric reads 1.0, except that
+    ``scale`` maps (workload, metric) to another value and ``drop`` names
+    a (workload, metric) left out."""
+    scale = scale or {}
+    results = {}
+    for workload in WORKLOADS:
+        metrics = {
+            name: {"value": scale.get((workload, name), 1.0), "unit": "s"}
+            for name in METRICS
+            if (workload, name) != drop
+        }
+        results[workload] = {"trace 0": {"metrics": metrics}, "trace 1": {"metrics": {}}}
+    return {"results": results}
+
+
+def _run(module, tmp_path, old, new):
+    paths = []
+    for name, bench in (("old.json", old), ("new.json", new)):
+        path = tmp_path / name
+        path.write_text(json.dumps(bench))
+        paths.append(str(path))
+    return module.main(paths)
+
+
+def _lines(capsys):
+    return {
+        tuple(line.split()[:2]): line.split()
+        for line in capsys.readouterr().out.splitlines()[1:]
+    }
+
+
+def test_equal_files_pass(bench_compare, tmp_path, capsys):
+    assert _run(bench_compare, tmp_path, _bench(), _bench()) == 0
+    lines = _lines(capsys)
+    assert len(lines) == len(WORKLOADS) * len(METRICS)
+    assert lines["catalog", "run_s"] == ["catalog", "run_s", "1", "1", "+0.0%", "20%", "ok"]
+
+
+def test_a_gain_and_a_loss_within_the_bound_pass(bench_compare, tmp_path, capsys):
+    new = _bench({("catalog", "query_p50_ms"): 0.5, ("local", "peak_rss_mb"): 1.04})
+    assert _run(bench_compare, tmp_path, _bench(), new) == 0
+    lines = _lines(capsys)
+    assert lines["catalog", "query_p50_ms"][2:] == ["1", "0.5", "-50.0%", "25%", "ok"]
+    assert lines["local", "peak_rss_mb"][2:] == ["1", "1.04", "+4.0%", "5%", "ok"]
+
+
+def test_a_loss_beyond_the_bound_fails(bench_compare, tmp_path, capsys):
+    new = _bench({("local", "peak_rss_mb"): 1.06})
+    assert _run(bench_compare, tmp_path, _bench(), new) == 1
+    assert _lines(capsys)["local", "peak_rss_mb"][-1] == "WORSE"
+
+
+def test_a_missing_metric_fails(bench_compare, tmp_path, capsys):
+    assert _run(bench_compare, tmp_path, _bench(), _bench(drop=("catalog", "setup_s"))) == 1
+    assert _lines(capsys)["catalog", "setup_s"][2:] == ["1", "missing", "missing", "25%", "WORSE"]
+
+
+def test_higher_is_better_metrics_fail_when_they_fall(bench_compare):
+    spec = {
+        "workloads": [{"name": "catalog"}],
+        "end_to_end": [{"name": "run_s", "better": "higher", "bound": 0.2}],
+    }
+    rows = bench_compare.compare(_bench(), _bench({("catalog", "run_s"): 0.7}), spec)
+    assert rows == [("catalog", "run_s", 1.0, 0.7, pytest.approx(-0.3), 0.2, True)]
+    rows = bench_compare.compare(_bench(), _bench({("catalog", "run_s"): 2.0}), spec)
+    assert rows[0][-1] is False

@@ -367,6 +367,21 @@ def test_report_mismatch_shows_an_empty_multiset(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_report_deficit_above_the_limit_exits_2(tmp_path, capsys, json_flag):
+    """Deficit 60 has 9,189,072 candidates; the case fails before any is built."""
+    fixture = {"cases": [{"id": "big", "original": "I54*", "main": "I0", "expected": [[]]}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(fixture))
+    assert main(["report", "--fixture", str(path)] + json_flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: case big: deficit 60 has more than 10**6 candidate multisets; "
+        "the largest deficit enumerated is 47"
+    ]
+
+
 @pytest.mark.parametrize(
     "fixture,problem",
     [

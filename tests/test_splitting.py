@@ -1,6 +1,7 @@
 """Deficit accounting, candidate enumeration, trace obstructions, witnesses."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,10 +9,10 @@ from barkfib.kodaira import FiberClass, classify, euler, parse_fiber, standard_m
 from barkfib.sl2z import parse_word, word
 from barkfib.splitting import (
     FORBIDDEN,
+    MAX_DEFICIT,
     UNDECIDED,
     FactorizationWitness,
     SearchBudgetExceeded,
-    _int_partitions,
     _shift_admissible,
     all_witnesses,
     decomposition_verdict,
@@ -26,6 +27,7 @@ from barkfib.splitting import (
 )
 
 import oracle_classes
+import oracle_report
 
 
 def F(text):
@@ -93,7 +95,7 @@ def oracle_enumerate_multisets(deficit):
     every split of every partition, canonicalised by multiset() and
     sorted by part count, then by the parts' (-euler, nodal) keys."""
     out = []
-    for part_sizes in _int_partitions(deficit):
+    for part_sizes in oracle_report.int_partitions(deficit):
         k2, k3 = part_sizes.count(2), part_sizes.count(3)
         plain = [FiberClass("I", n) for n in part_sizes if n not in (2, 3)]
         for a2 in range(k2 + 1):
@@ -111,12 +113,40 @@ def test_enumeration_matches_sort_oracle(deficit):
     assert enumerate_multisets(deficit) == oracle_enumerate_multisets(deficit)
 
 
+def candidate_counts(top):
+    """The number of candidates of each deficit 0..top, read off the
+    generating function prod_{n>=1} 1/(1 - x^n) * 1/((1 - x^2)(1 - x^3)):
+    one factor per class, I_n weighing n, II 2 and III 3."""
+    counts = [1] + [0] * top
+    for weight in list(range(1, top + 1)) + [2, 3]:
+        for d in range(weight, top + 1):
+            counts[d] += counts[d - weight]
+    return counts
+
+
 def test_enumeration_counts():
     counts = [len(enumerate_multisets(d)) for d in range(1, 21)]
     assert counts == [
         1, 3, 5, 9, 14, 24, 35, 55, 80, 118,
         167, 240, 331, 462, 629, 857, 1148, 1540, 2033, 2686,
     ]
+    assert candidate_counts(20)[1:] == counts
+
+
+def test_max_deficit_is_the_last_with_at_most_a_million_candidates():
+    counts = candidate_counts(MAX_DEFICIT + 1)
+    assert counts[MAX_DEFICIT] == 982004 <= 10**6 < counts[MAX_DEFICIT + 1] == 1177885
+
+
+def test_enumeration_refuses_a_deficit_above_the_limit_before_building():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="deficit 48 has more than"):
+            enumerate_multisets(MAX_DEFICIT + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_enumeration_order_interleaves_partitions():

@@ -1,0 +1,78 @@
+"""Compare the end-to-end metrics of two benchmark files.
+
+Usage, from any directory:
+
+    python3 tools/bench_compare.py BENCH_19.json BENCH_20.json
+
+For each workload and each end-to-end metric that ``BENCHMARK.json``
+declares, prints the value in the untraced run (``results[W]["trace 0"]``)
+of the old file and of the new one, the relative change (new - old) / old,
+the metric's bound, and ``WORSE`` when the change goes against the metric's
+``better`` direction by more than that bound.  A metric missing from either
+file is printed as ``missing`` and counts as worse.  Exits 1 when any metric
+is worse than its bound, and 0 otherwise.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _value(bench, workload, metric):
+    try:
+        return bench["results"][workload]["trace 0"]["metrics"][metric]["value"]
+    except KeyError:
+        return None
+
+
+def compare(old, new, spec):
+    """One row (workload, metric, old, new, change, bound, worse) per
+    workload and end-to-end metric of ``spec``, the parsed BENCHMARK.json;
+    ``change`` is None when a value is missing."""
+    rows = []
+    for workload in (w["name"] for w in spec["workloads"]):
+        for metric in spec["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            a, b = _value(old, workload, name), _value(new, workload, name)
+            if a is None or b is None:
+                rows.append((workload, name, a, b, None, bound, True))
+                continue
+            change = (b - a) / a
+            against = change if metric["better"] == "lower" else -change
+            rows.append((workload, name, a, b, change, bound, against > bound))
+    return rows
+
+
+def _cell(value):
+    return "missing" if value is None else "%.4g" % value
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path, help="benchmark file before the change")
+    parser.add_argument("new", type=Path, help="benchmark file after the change")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    old, new = (json.loads(path.read_text()) for path in (args.old, args.new))
+    rows = compare(old, new, spec)
+    print("%-16s %-14s %10s %10s %9s %6s  %s" % (
+        "workload", "metric", "old", "new", "change", "bound", "verdict"))
+    for workload, name, a, b, change, bound, worse in rows:
+        print("%-16s %-14s %10s %10s %9s %5.0f%%  %s" % (
+            workload,
+            name,
+            _cell(a),
+            _cell(b),
+            "missing" if change is None else "%+.1f%%" % (100 * change),
+            100 * bound,
+            "WORSE" if worse else "ok",
+        ))
+    return 1 if any(row[-1] for row in rows) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
