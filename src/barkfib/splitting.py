@@ -3,15 +3,15 @@
 When a fiber of type ``original`` deforms so that the fiber over the
 origin becomes ``main``, the difference of Euler numbers must be carried
 by subordinate fibers drawn from {I_n, II, III}.  This module enumerates
-the possible multisets, rules candidates out by exact trace congruences,
-and searches for (or verifies) explicit factorizations of the original
-monodromy into conjugates of the factors' standard matrices.
+the possible multisets, rules candidates out by exact trace congruences
+and Euler numbers, and searches for (or verifies) explicit factorizations
+of the original monodromy into conjugates of the factors' standard matrices.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 
 from .kodaira import FiberClass, euler, parse_fiber, standard_monodromy
@@ -242,10 +242,25 @@ def _central_triple_rule(k, x1, x2):
     )
 
 
+def _euler_rule(target, parts):
+    """Rule for any number of factors: SL(2,Z) -> Z/12, its abelianization,
+    sends s0 and its conjugate s2 to 1, so each class to its Euler number,
+    the letter count of its standard word.  No reason when it passes."""
+    total, want = sum(map(euler, parts)), euler(target)
+    if (total - want) % 12:
+        return FORBIDDEN, (
+            "Euler number mod 12 rule: e(%s) = %d is %d mod 12, but the factors'"
+            " Euler numbers sum to %d, which is %d mod 12"
+            % (target, want, want % 12, total, total % 12)
+        )
+    return UNDECIDED, None
+
+
 def rule_reach(target):
-    """The most factors any obstruction reads for ``target``: three for
-    I0*, whose central triple rule reads three, and two otherwise.
-    decomposition_verdict decides nothing about a longer factor list."""
+    """The most factors any trace obstruction reads for ``target``: three
+    for I0*, whose central triple rule reads three, and two otherwise.  A
+    longer factor list meets the Euler number mod 12 rule only, which no
+    full_report candidate fails: each sums to the deficit."""
     return 3 if _is_central(target) else 2
 
 
@@ -258,15 +273,16 @@ def decomposition_verdict(target, parts):
     three factors the central triple rule for each I_k factor; a
     non-central target with two factors takes the trace shift rule for
     each I_k factor.  Factor lists longer than rule_reach(target) carry
-    no trace obstruction and return before any matrix is built.  Returns
-    (verdict, reasons): the first forbidding rule's reason alone, or the
-    reason of every rule that passed.
+    no trace obstruction, and no matrix is built for them.  Any number of
+    factors then takes the Euler number mod 12 rule, which adds no reason
+    when it passes.  Returns (verdict, reasons): the first forbidding
+    rule's reason alone, or the reason of every other rule that passed.
     """
     parts = list(parts)
-    if len(parts) > rule_reach(target):
-        return UNDECIDED, [_NO_RULE % len(parts)]
     central = _is_central(target)
-    if len(parts) == 1:
+    if len(parts) > rule_reach(target):
+        checks = []
+    elif len(parts) == 1:
         checks = [_class_rule(target, *parts)]
     elif central and len(parts) == 2:
         checks = [_central_pair_rule(*parts)]
@@ -278,10 +294,11 @@ def decomposition_verdict(target, parts):
             if p.kind == "I" and p.n
         )
     reasons = []
-    for verdict, reason in checks:
+    for verdict, reason in chain(checks, [_euler_rule(target, parts)]):
         if verdict == FORBIDDEN:
             return FORBIDDEN, [reason]
-        reasons.append(reason)
+        if reason:
+            reasons.append(reason)
     return UNDECIDED, reasons or [_NO_RULE % len(parts)]
 
 
@@ -645,15 +662,19 @@ def _complete(steps, idx, rest, last, builder, count, node_budget):
     to its inverse (d, -b, -c, a) times ``rest``.  ``count`` holds the
     node count: one for this node and one per child.  A child whose factor
     is the last is charged together with its leaf, and its lookup in the
-    last table is made here.  Returns the conjugates found, last factor
-    first, or None.
+    last table is made here, charged for each run of the list at once and
+    cut where the budget runs out: it raises where a count of one node at
+    a time would (a witness ends the search; the count is not read).  A
+    candidate whose product lacks the last class's trace, or the sign of
+    its lower-left entry, is in no table and is passed over before the
+    product is built.  Returns the conjugates found, last factor first, or
+    None.
 
     The tables are partial.  The loop over the last but one factor takes
-    another step of ``builder`` when it reaches the end of its list, and a
-    lookup that misses takes steps until it hits or the tables are full,
-    unless the candidate lacks the last class's trace or the sign of its
-    lower-left entry.  So the conjugates are read in the order of the full
-    tables, and the same ones are found.
+    another step of ``builder`` when it has read its list to the end,
+    entries that a lookup added included, and a lookup that misses takes
+    steps until it hits or the tables are full.  So the conjugates are read
+    in the order of the full tables, and the same ones are found.
     """
     count[0] += 1
     if count[0] > node_budget:
@@ -682,17 +703,25 @@ def _complete(steps, idx, rest, last, builder, count, node_budget):
                 found.append((a, b, c, d))
                 return found
         return None
-    items = unread = steps[idx]
-    table = last[0]
-    while True:
-        for a, b, c, d in unread:
-            count[0] += 2  # the child and its leaf
-            if count[0] > node_budget:
-                raise _budget_exceeded(node_budget)
-            m = (d * r0 - b * r2, d * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1)
+    items = steps[idx]
+    table, _, t, sign = last
+    read = 0
+    while read < len(items) or builder.step():
+        # two nodes per candidate, the child and its leaf
+        end = len(items)
+        stop = min(end, read + (node_budget - count[0]) // 2)
+        count[0] += 2 * (stop - read)
+        for a, b, c, d in islice(items, read, stop):
+            # the trace and lower-left entry of the needed last factor
+            if a * r3 + d * r0 - b * r2 - c * r1 != t:
+                continue
+            lower = a * r2 - c * r0
+            if lower * sign < 0:
+                continue
+            m = (d * r0 - b * r2, d * r1 - b * r3, lower, a * r3 - c * r1)
             if m in table or not builder.full and builder.find(last, m):
                 return [m, (a, b, c, d)]
-        if builder.full:
-            return None
-        unread = islice(items, len(items), None)
-        builder.step()
+        if stop < end:
+            raise _budget_exceeded(node_budget)
+        read = stop
+    return None

@@ -91,13 +91,14 @@ def count_bounds(crust):
     return ((crust.n0 // g) * chi, g * chi)
 
 
-def determine_types(profile, deficit):
+def determine_types(profile, deficit, candidates):
     """Distribute the Euler deficit over the predicted singularities.
 
     Every subordinate fiber is reduced with A-singularities only, so a
     fiber with sigma >= 2 singular points must be I_sigma (all nodes),
     while a fiber with a single singular point of Milnor number mu is
-    I_1 (mu = 1), II (mu = 2) or III (mu = 3).
+    I_1 (mu = 1), II (mu = 2) or III (mu = 3).  ``candidates`` is
+    enumerate_multisets(deficit), which the single-point case filters.
 
     Returns the list of compatible multisets (a singleton when forced).
     Raises ValueError when no distribution fits.
@@ -119,7 +120,7 @@ def determine_types(profile, deficit):
     single_point = {FiberClass("I", 1), FiberClass("II"), FiberClass("III")}
     found = [
         ms
-        for ms in enumerate_multisets(deficit)
+        for ms in candidates
         if len(ms) == fibers and single_point.issuperset(ms)
     ]
     if not found:
@@ -206,7 +207,7 @@ def full_report(original, main, crust=None):
                 % (profile.basis, profile.num_fibers, profile.sings_per_fiber)
             )
             try:
-                typed = determine_types(profile, deficit)
+                typed = determine_types(profile, deficit, candidates)
             except ValueError as err:
                 typed, conflict = (), "counting result infeasible (%s)" % err
             else:

@@ -103,7 +103,7 @@ def full_report(original, main, crust=None):
                 % (profile.basis, profile.num_fibers, profile.sings_per_fiber)
             )
             try:
-                typed = determine_types(profile, deficit)
+                typed = determine_types(profile, deficit, candidates)
             except ValueError as err:
                 typed, conflict = (), "counting result infeasible (%s)" % err
             else:

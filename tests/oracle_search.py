@@ -9,7 +9,9 @@ first words and the same dict order.
 
 ``find_conjugators`` builds those tables in full before it searches them,
 so it checks that the search, whose tables grow only as far as it reads
-them, finds the same first factorization.
+them, finds the same first factorization.  ``search_nodes`` also counts
+the nodes that search charges, one at a time by the documented rule, so
+it checks the charging in bulk.
 """
 
 from barkfib.kodaira import standard_monodromy
@@ -70,30 +72,48 @@ def find_conjugators(target_m, parts, max_len, exp_cap):
     or None, as ``barkfib.splitting._find_conjugators`` does, without a
     node count.
     """
+    return search_nodes(target_m, parts, max_len, exp_cap)[0]
+
+
+def search_nodes(target_m, parts, max_len, exp_cap):
+    """(find_conjugators(...), nodes): the nodes charged up to the first
+    factorization, or over the whole search when there is none.
+
+    One node per conjugator word, all max_len lengths of them; one per
+    (word, distinct class); and, in the depth-first search, one per node
+    and one per child, counted one at a time as the search meets them.
+    """
     classes = list(dict.fromkeys(parts))
     exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0] if max_len else []
+    # 2n words of length 1 with n exponents, and n children for each word
+    words = 1 + sum(2 * len(exps) ** k for k in range(1, max_len + 1))
+    count = [words * (1 + len(classes))]
     bases = [standard_monodromy(f).entries() for f in classes]
     tables = dict(zip(classes, conjugate_tables(bases, max_len, exps)))
     for order in _lexicographic_orders(parts):
-        found = _first_product(order, target_m, tables)
+        found = _first_product(order, target_m, tables, count)
         if found is not None:
-            return order, found
-    return None
+            return (order, found), count[0]
+    return None, count[0]
 
 
-def _first_product(order, rest, tables):
+def _first_product(order, rest, tables, count):
     """Letters of the first conjugates of ``order``, in table order, whose
-    product is ``rest``; or None."""
+    product is ``rest``; or None.  Adds this node and its children to
+    ``count``."""
+    count[0] += 1
     if len(order) == 1:
         w = tables[order[0]].get(rest)
         return None if w is None else [w]
     r0, r1, r2, r3 = rest
     for (a, b, c, d), letters in tables[order[0]].items():
+        count[0] += 1
         # the inverse (d, -b, -c, a) of the chosen conjugate times rest
         found = _first_product(
             order[1:],
             (d * r0 - b * r2, d * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
             tables,
+            count,
         )
         if found is not None:
             return [letters] + found

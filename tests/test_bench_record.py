@@ -24,15 +24,30 @@ def bench_record(tmp_path, monkeypatch):
     return module
 
 
+# run_s of a workload's three untraced runs, in run order, and of its traced run
+UNTRACED_RUN_S = [0.3, 0.1, 0.2]
+TRACED_RUN_S = 0.9
+
+
 def _fake_runs(monkeypatch, module, bad=None, code=0, correct=False):
     """Every run succeeds, except that the run of the (workload, trace)
-    ``bad`` exits with ``code`` and reports ``correct``."""
+    ``bad`` exits with ``code`` and reports ``correct``.  Each run's result
+    carries its argv, and its run_s is read from UNTRACED_RUN_S in run
+    order, or is TRACED_RUN_S."""
     calls = []
 
     def fake(argv, **_):
         calls.append(argv)
         environment = dict(ENVIRONMENT, commit="f00", seed=1)
-        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {"argv": argv}}
+        traced = argv[-1] == "1"
+        run_s = TRACED_RUN_S if traced else UNTRACED_RUN_S[(len(calls) - 1) % 4]
+        result = {
+            "correct": True,
+            "attempted": len(calls),
+            "failed": 0,
+            "argv": argv,
+            "metrics": {"run_s": {"value": run_s, "unit": "s"}},
+        }
         returncode = 0
         if (argv[argv.index("--workload") + 1], argv[-1]) == bad:
             returncode, result["correct"] = code, correct
@@ -44,21 +59,55 @@ def _fake_runs(monkeypatch, module, bad=None, code=0, correct=False):
     return calls
 
 
+def _argv_text(result):
+    return " ".join(result["argv"][1:])
+
+
 def test_writes_every_workload_and_trace(bench_record, tmp_path, monkeypatch):
     calls = _fake_runs(monkeypatch, bench_record)
     assert bench_record.main(["7", "--note", "a note"]) == 0
     bench = json.loads((tmp_path / "BENCH_7.json").read_text())
-    assert len(calls) == 8
+    # three untraced runs and one traced run per workload
+    assert len(calls) == 4 * len(bench_record.WORKLOADS)
     assert bench["commit"] == "f00"
     assert bench["note"] == "a note"
     assert bench["command"] == bench_record.COMMAND
     assert bench["environment"] == ENVIRONMENT
     assert list(bench["results"]) == list(bench_record.WORKLOADS)
+    want = "perfbench/run.py --workload %s --seed 1 --seconds 20 --trace %d"
     for workload, runs in bench["results"].items():
         assert list(runs) == ["trace 0", "trace 1"]
-        for trace, result in runs.items():
-            want = "perfbench/run.py --workload %s --seed 1 --seconds 20 --trace %s"
-            assert " ".join(result["metrics"]["argv"][1:]) == want % (workload, trace[-1])
+        assert _argv_text(runs["trace 1"]) == want % (workload, 1)
+        assert [_argv_text(run) for run in runs["trace 0"]["runs"]] == [want % (workload, 0)] * 3
+
+
+def test_untraced_metrics_are_medians_of_three(bench_record, tmp_path, monkeypatch):
+    _fake_runs(monkeypatch, bench_record)
+    assert bench_record.main(["7", "--note", "n"]) == 0
+    bench = json.loads((tmp_path / "BENCH_7.json").read_text())
+    for i, runs in enumerate(bench["results"].values()):
+        untraced = runs["trace 0"]
+        assert untraced["metrics"] == {"run_s": {"value": 0.2, "unit": "s"}}
+        assert [run["metrics"]["run_s"]["value"] for run in untraced["runs"]] == UNTRACED_RUN_S
+        # the fake's attempted counts the calls so far: 4i+1, 4i+2, 4i+3
+        assert (untraced["correct"], untraced["attempted"], untraced["failed"]) == (
+            True, 12 * i + 6, 0,
+        )
+        assert runs["trace 1"]["metrics"]["run_s"]["value"] == TRACED_RUN_S
+
+
+def test_bench_compare_reads_the_medians(bench_record, tmp_path, monkeypatch):
+    _fake_runs(monkeypatch, bench_record)
+    assert bench_record.main(["7", "--note", "n"]) == 0
+    path = Path(bench_record.__file__).parent / "bench_compare.py"
+    spec = importlib.util.spec_from_file_location("bench_compare", path)
+    bench_compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_compare)
+    bench = json.loads((tmp_path / "BENCH_7.json").read_text())
+    run_s = {"name": "run_s", "bound": 0.2, "better": "lower"}
+    workloads = {"workloads": [{"name": w} for w in bench["results"]], "end_to_end": [run_s]}
+    rows = bench_compare.compare(bench, bench, workloads)
+    assert [row[2:] for row in rows] == [(0.2, 0.2, 0.0, 0.2, False)] * len(bench["results"])
 
 
 @pytest.mark.parametrize("code,correct", [(1, True), (0, False)])

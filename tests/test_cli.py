@@ -204,11 +204,30 @@ def test_factorize_negative_bound_exits_2(capsys, flag):
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_factorize_budget_exceeded_exits_1(capsys, json_flag):
-    argv = ["factorize", "II*"] + ["I1"] * 5 + ["--max-conj-len", "6", "--budget", "50"]
+    # Euler-matched (4 = 2 + 2), so no rule forbids it and the search runs
+    argv = ["factorize", "IV", "II", "II", "--max-conj-len", "6", "--budget", "50"]
     assert main(argv + json_flag) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: search exceeded 50 nodes"]
+
+
+_EULER_PROOF = (
+    "Euler number mod 12 rule: e(II*) = 10 is 10 mod 12, but the factors'"
+    " Euler numbers sum to 5, which is 5 mod 12"
+)
+
+
+def test_euler_mismatch_is_forbidden_at_any_length(capsys):
+    # five I1 factors sum to 5, not 10 mod 12: proved, never searched, so
+    # neither the length nor the budget is reached
+    parts = ["II*"] + ["I1"] * 5
+    assert main(["obstruct"] + parts) == 0
+    assert capsys.readouterr().out.splitlines() == ["forbidden", "  " + _EULER_PROOF]
+    assert main(["factorize"] + parts + ["--max-conj-len", "6", "--budget", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["no factorization exists: " + _EULER_PROOF]
+    assert captured.err == ""
 
 
 def test_crusts_enumeration(capsys):

@@ -1,14 +1,15 @@
 """Hypothesis properties of the exact layers: class invariance under
-conjugation, conjugating a stored identity, and the trace rules'
-independence of factor order."""
+conjugation, conjugating a stored identity, the trace rules'
+independence of factor order, and no rule forbidding a product that
+exists."""
 
 from math import gcd
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from barkfib.kodaira import FiberClass, KINDS, classify, standard_monodromy
-from barkfib.sl2z import Mat2, Word, conj, eval_word
+from barkfib.sl2z import IDENTITY, Mat2, Word, conj, eval_word
 from barkfib.splitting import (
     FORBIDDEN,
     FactorizationWitness,
@@ -97,3 +98,16 @@ def test_verdict_ignores_factor_order(target, orders):
     assert decomposition_verdict(target, shuffled)[0] == verdict
     if verdict == FORBIDDEN:
         assert len(reasons) == 1
+
+
+@given(st.lists(st.tuples(SMALL_CLASSES, WORDS), min_size=1, max_size=4))
+def test_no_rule_forbids_a_product_of_conjugates(factors):
+    # the product of conjugated standard matrices, when classify names it,
+    # is a factorization, so every rule must pass it: the Euler number mod
+    # 12 rule for any number of factors, the trace rules within their reach
+    product = IDENTITY
+    for f, g in factors:
+        product = product * conj(standard_monodromy(f), eval_word(g))
+    target = classify(product)
+    assume(target is not None)
+    assert decomposition_verdict(target, [f for f, _ in factors])[0] != FORBIDDEN

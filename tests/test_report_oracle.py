@@ -9,7 +9,7 @@ import pytest
 
 import oracle_report
 from barkfib import splitting
-from barkfib.kodaira import parse_fiber
+from barkfib.kodaira import euler, parse_fiber
 from barkfib.splitting import (
     FORBIDDEN,
     UNDECIDED,
@@ -66,12 +66,21 @@ FACTORS = [parse_fiber(name) for name in ("I0", "I1", "I2", "I3", "II", "III", "
 
 @pytest.mark.parametrize("target", REACH_TARGETS, ids=str)
 def test_no_rule_reads_past_the_reach(target):
+    # Past the reach only the Euler number mod 12 rule acts, and it passes
+    # every full_report candidate, whose Euler numbers sum to the deficit.
     size = rule_reach(target) + 1
     for parts in combinations_with_replacement(FACTORS, size):
-        assert decomposition_verdict(target, parts) == (
-            UNDECIDED,
-            ["no trace obstruction applies to %d factors" % size],
-        )
+        total = sum(map(euler, parts))
+        if (total - euler(target)) % 12:
+            verdict, [reason] = decomposition_verdict(target, parts)
+            assert verdict == FORBIDDEN
+            assert reason.startswith("Euler number mod 12 rule: e(%s)" % target)
+            assert reason.endswith("sum to %d, which is %d mod 12" % (total, total % 12))
+        else:
+            assert decomposition_verdict(target, parts) == (
+                UNDECIDED,
+                ["no trace obstruction applies to %d factors" % size],
+            )
 
 
 def test_the_sweep_asks_547_verdicts(monkeypatch):

@@ -27,7 +27,7 @@ from barkfib.splitting import (
     search_factorization,
 )
 
-from oracle_search import conjugate_tables, find_conjugators
+from oracle_search import conjugate_tables, find_conjugators, search_nodes
 
 BASES = ["I1", "I2", "I3", "II", "III", "IV", "I0*", "I1*", "II*", "III*", "IV*"]
 EXP_CAP = 3
@@ -208,6 +208,48 @@ def test_kernel_budget_edges(target, parts, length, budget):
     assert _find_conjugators(*args, budget) is None
     with pytest.raises(SearchBudgetExceeded):
         _find_conjugators(*args, budget - 1)
+
+
+@pytest.mark.parametrize(
+    "target,parts,length,budget", [edge.values for edge in BUDGET_EDGES] + KERNEL_BUDGET_EDGES
+)
+def test_oracle_counts_the_budget_edges(target, parts, length, budget):
+    assert search_nodes(entries(target), multiset(*map(F, parts)), length, 8)[1] == budget
+
+
+@st.composite
+def small_searches(draw):
+    """(target, parts, max_len, exp_cap): at most 3 factors, length at most
+    2, exp_cap at most 3, and a target that is either a product of the
+    parts' conjugates within those bounds or a standard matrix."""
+    names = draw(st.lists(st.sampled_from(BASES), min_size=1, max_size=3))
+    max_len, exp_cap = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return entries(draw(st.sampled_from(BASES))), names, max_len, exp_cap
+    exps = [e for e in EXPS if abs(e) <= exp_cap]
+    target = IDENTITY
+    for name in names:
+        gen = draw(st.sampled_from(["s0", "s2"]))
+        letters = []
+        for e in draw(st.lists(st.sampled_from(exps), max_size=max_len)) if exps else ():
+            letters.append((gen, e))
+            gen = OTHER[gen]
+        target = target * conj(standard_monodromy(F(name)), eval_word(Word(letters)))
+    return target.entries(), names, max_len, exp_cap
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_searches())
+def test_search_charges_the_oracle_node_count(search):
+    # the leaf loop charges its runs in bulk: the count must still be the
+    # one-at-a-time count, so the search completes with exactly that budget
+    # and raises with one node less
+    target, names, max_len, exp_cap = search
+    parts = multiset(*map(F, names))
+    want, nodes = search_nodes(target, parts, max_len, exp_cap)
+    assert _find_conjugators(target, parts, max_len, exp_cap, nodes) == want
+    with pytest.raises(SearchBudgetExceeded):
+        _find_conjugators(target, parts, max_len, exp_cap, nodes - 1)
 
 
 @pytest.mark.parametrize("target,parts,length,budget", KERNEL_BUDGET_EDGES)

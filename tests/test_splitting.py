@@ -240,8 +240,23 @@ def test_shift_admissible_matches_oracle(other):
             ),
         ),
         ("IV", ["II", "II"], (UNDECIDED, ["no trace obstruction applies to 2 factors"])),
-        ("I0*", ["II", "III", "IV"], (UNDECIDED, ["no trace obstruction applies to 3 factors"])),
+        ("I0*", ["II", "II", "II"], (UNDECIDED, ["no trace obstruction applies to 3 factors"])),
         ("II*", ["I8", "I1", "I1"], (UNDECIDED, ["no trace obstruction applies to 3 factors"])),
+        # Euler numbers 2 + 3 + 4 = 9, not 6 mod 12: no trace rule reads these
+        # parts, and the Euler rule forbids them
+        (
+            "I0*",
+            ["II", "III", "IV"],
+            (
+                FORBIDDEN,
+                [
+                    "Euler number mod 12 rule: e(I0*) = 6 is 6 mod 12, but the"
+                    " factors' Euler numbers sum to 9, which is 9 mod 12"
+                ],
+            ),
+        ),
+        # 10 + 3 = 13 is 1 mod 12: Euler numbers need only agree mod 12
+        ("I1", ["II*", "III"], (UNDECIDED, ["no trace obstruction applies to 2 factors"])),
     ],
 )
 def test_rule_reason_texts(target, parts, expected):
@@ -400,7 +415,7 @@ def test_search_exhausts_on_forbidden_split():
 
 def test_search_budget_is_enforced():
     with pytest.raises(SearchBudgetExceeded):
-        search_factorization(F("II*"), [F("I1")] * 5, 6, node_budget=50)
+        search_factorization(F("IV"), [F("II")] * 2, 6, node_budget=50)
 
 
 def test_search_mismatched_euler_finds_nothing():

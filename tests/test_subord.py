@@ -131,21 +131,25 @@ def type_names(options):
     return ["+".join(str(f) for f in ms) for ms in options]
 
 
+def types_for(profile, deficit):
+    return determine_types(profile, deficit, enumerate_multisets(deficit))
+
+
 def test_determine_types_multinode_fibers():
     prof = SubordinateProfile(1, 2, NEAR_CORE, "Chi1")
-    assert type_names(determine_types(prof, 2)) == ["I2"]
+    assert type_names(types_for(prof, 2)) == ["I2"]
     prof = SubordinateProfile(2, 3, NEAR_CORE, "Chi1")
-    assert type_names(determine_types(prof, 6)) == ["I3+I3"]
+    assert type_names(types_for(prof, 6)) == ["I3+I3"]
 
 
 def test_determine_types_single_point_fibers():
     prof = SubordinateProfile(1, 1, NEAR_CORE, "Chi1")
-    assert type_names(determine_types(prof, 2)) == ["II"]
-    assert type_names(determine_types(prof, 3)) == ["III"]
+    assert type_names(types_for(prof, 2)) == ["II"]
+    assert type_names(types_for(prof, 3)) == ["III"]
     prof = SubordinateProfile(3, 1, NEAR_CORE, "Chi1")
-    assert type_names(determine_types(prof, 3)) == ["I1+I1+I1"]
+    assert type_names(types_for(prof, 3)) == ["I1+I1+I1"]
     prof = SubordinateProfile(2, 1, NEAR_CORE, "Chi1")
-    assert type_names(determine_types(prof, 4)) == ["I1+III", "II+II"]
+    assert type_names(types_for(prof, 4)) == ["I1+III", "II+II"]
 
 
 def test_determine_types_order_matches_part_keys():
@@ -156,7 +160,7 @@ def test_determine_types_order_matches_part_keys():
 
     for fibers in range(1, 7):
         for deficit in range(fibers, 3 * fibers + 1):
-            got = determine_types(SubordinateProfile(fibers, 1, NEAR_CORE, "Chi1"), deficit)
+            got = types_for(SubordinateProfile(fibers, 1, NEAR_CORE, "Chi1"), deficit)
             expected = sorted(
                 {ms for ms in enumerate_multisets(deficit) if len(ms) == fibers
                  and all(f.kind != "I" or f.n == 1 for f in ms)},
@@ -167,13 +171,13 @@ def test_determine_types_order_matches_part_keys():
 
 def test_determine_types_infeasible():
     with pytest.raises(ValueError):
-        determine_types(SubordinateProfile(1, 2, NEAR_CORE, "Chi1"), 3)
+        types_for(SubordinateProfile(1, 2, NEAR_CORE, "Chi1"), 3)
     with pytest.raises(ValueError):
-        determine_types(SubordinateProfile(2, 1, NEAR_CORE, "Chi1"), 7)
+        types_for(SubordinateProfile(2, 1, NEAR_CORE, "Chi1"), 7)
     with pytest.raises(ValueError):
-        determine_types(SubordinateProfile(2, 1, NEAR_CORE, "Chi1"), 1)
+        types_for(SubordinateProfile(2, 1, NEAR_CORE, "Chi1"), 1)
     with pytest.raises(ValueError, match="at least one singular point"):
-        determine_types(SubordinateProfile(0, 1, NEAR_CORE, "Chi1"), 3)
+        types_for(SubordinateProfile(0, 1, NEAR_CORE, "Chi1"), 3)
 
 
 # ------------------------------------------------------------ full reports
@@ -244,3 +248,19 @@ def test_report_counts_on_the_crusts_own_model():
     assert crust.fiber() == STELLAR_MODELS["III"]
     rep = full_report(F("III"), F("I1"), crust=crust)
     assert type_names(rep.determined) == ["I2"]
+
+
+def test_report_enumerates_its_candidates_once(monkeypatch):
+    # the counting stage filters the list full_report built, not a new one
+    from barkfib import subord
+
+    calls = []
+
+    def counted(deficit):
+        calls.append(deficit)
+        return enumerate_multisets(deficit)
+
+    monkeypatch.setattr(subord, "enumerate_multisets", counted)
+    rep = full_report(F("II*"), F("IV*"), crust=crust_for("2.2"))
+    assert rep.profile is not None and type_names(rep.determined) == ["II"]
+    assert calls == [2]

@@ -5,17 +5,21 @@ Usage, from any directory:
     python3 tools/bench_record.py 19 --note "What changed and how it was run."
 
 Runs ``python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace T``
-for every workload and for T = 0 and T = 1, one after the other, and writes
-``BENCH_<pr>.json`` at the repository root: ``commit`` (HEAD of the checkout,
-so uncommitted work is named by its parent and told apart by
-``source_sha256``), ``note``, ``command``, ``environment`` (read from the
-record line of the first run) and ``results[W]["trace T"]`` (each run's
-result line).  If any run exits non-zero or reports ``correct: false`` the
+for every workload, three times with T = 0 and once with T = 1 (its counts
+repeat exactly), one after the other, and writes ``BENCH_<pr>.json`` at the
+repository root: ``commit`` (HEAD of the checkout, so uncommitted work is
+named by its parent and told apart by ``source_sha256``), ``note``,
+``command``, ``environment`` (read from the record line of the first run)
+and ``results[W]["trace T"]``.  For T = 1 that is the run's result line; for
+T = 0 it has the same layout with each metric's median over the three runs,
+``attempted`` and ``failed`` summed over them, and the three result lines
+under ``runs``.  If any run exits non-zero or reports ``correct: false`` the
 script exits 1 and writes no file.
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +29,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402  stdlib-only module
 COMMAND = "python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace T"
 ENVIRONMENT_KEYS = ("cpu_model", "nproc", "python", "source_sha256")
+# untraced runs per workload, whose medians are recorded
+UNTRACED_RUNS = 3
 
 
 def run(workload, trace):
@@ -43,6 +49,22 @@ def run(workload, trace):
     return json.loads(record_line)["record"], result
 
 
+def median_result(runs):
+    """One result object for several untraced runs of a workload: each
+    metric's median, the summed call counts, and every run kept."""
+    metrics = {
+        name: dict(metric, value=statistics.median(r["metrics"][name]["value"] for r in runs))
+        for name, metric in runs[0]["metrics"].items()
+    }
+    return {
+        "correct": True,
+        "attempted": sum(r["attempted"] for r in runs),
+        "failed": sum(r["failed"] for r in runs),
+        "metrics": metrics,
+        "runs": runs,
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pr", type=int, help="number in the file name BENCH_<pr>.json")
@@ -51,7 +73,8 @@ def main(argv=None):
 
     results, environment = {}, None
     for workload in WORKLOADS:
-        for trace in (0, 1):
+        runs = []
+        for trace in [0] * UNTRACED_RUNS + [1]:
             print("running %s --trace %d" % (workload, trace), file=sys.stderr)
             try:
                 record, result = run(workload, trace)
@@ -59,7 +82,8 @@ def main(argv=None):
                 print("error: %s" % exc, file=sys.stderr)
                 return 1
             environment = environment or record["environment"]
-            results.setdefault(workload, {})["trace %d" % trace] = result
+            runs.append(result)
+        results[workload] = {"trace 0": median_result(runs[:-1]), "trace 1": runs[-1]}
     bench = {
         "commit": environment["commit"],
         "note": args.note,
