@@ -436,11 +436,16 @@ def _conjugator_count(max_len, n_exps, limit):
 
 
 def _conjugate_tables(bases, max_len, exps):
-    """The full tables of _ConjugateTables, one dict per base."""
+    """The full tables of _ConjugateTables as one dict per base, mapping
+    each conjugate alpha*I + beta*U to the letters of its first word."""
     builder = _ConjugateTables(bases, max_len, exps)
     while builder.step():
         pass
-    return [table for table, *_ in builder.tables]
+    return [
+        {(alpha + beta * a, beta * b, beta * c, alpha + beta * d): w
+         for (a, b, c, d), w in table.items()}
+        for table, _, _, _, alpha, beta in builder.tables
+    ]
 
 
 class _ConjugateTables:
@@ -455,29 +460,37 @@ class _ConjugateTables:
 
         g*s0^e = (a, a*e + b, c, c*e + d)    g*s2^e = (a - e*b, b, c - e*d, d)
 
-    A base with c = 0 (I_n, I_n*) is e*I + b*N with N = (0, 1, 0, 0), and
-    g*N*g^-1 = (-a*c, a^2, -c^2, a*c) depends only on g's first column up
-    to sign.  A right factor s0^e keeps that column, so only the empty word
-    and the words ending in s2 can reach a new conjugate.  One dict maps
-    each (a*c, a^2, c^2) to its first word, and every such table with
-    b != 0 is read from it; I0 and I0* have one conjugate, the base.  The
-    full product is computed for the other bases only, and without them
-    the last length's s0-children are not built.
+    Every conjugate is stored as a unit U, the conjugate being
+    alpha*I + beta*U.  For I0, I0* and the elliptic bases alpha = 0,
+    beta = 1 and U is the conjugate.  A base with c = 0 and b != 0 (I_n,
+    I_n*) is p*I + q*N with N = (0, 1, 0, 0), so alpha = p, beta = q and
+    U = g*N*g^-1 = (-a*c, a^2, -c^2, a*c), which depends only on g's
+    first column up to sign.  A right factor s0^e keeps that column, so
+    only the empty word and the words ending in s2 can reach a new unit.
+    One dict and one list of these units serve every I_n and I_n* base;
+    the full product is computed for the other bases only, and without
+    them the last length's s0-children are not built.
 
-    ``tables`` holds four entries per base: a dict mapping each conjugate
-    to the letters of the first word that produced it, a list of the same
-    conjugates in the same discovery order, and the base's trace and
-    lower-left entry, which every conjugate keeps (that entry by its sign,
-    when it is not 0).  Each step extends the dicts and lists by one word
-    length, so a partial table is a prefix of the full one; ``full`` is
-    set once no step is left.
+    ``tables`` holds six fields per base: a dict mapping each unit to the
+    letters of the first word that produced it, a list of the same units
+    in the same discovery order, the base's trace and lower-left entry,
+    which every conjugate keeps (that entry by its sign, when it is not
+    0), and alpha and beta.  Each step extends the dicts and lists by one
+    word length, so a partial table is a prefix of the full one; ``full``
+    is set once no step is left.
     """
 
     def __init__(self, bases, max_len, exps):
-        self.tables = [({m: ()}, [m], m[0] + m[3], m[2]) for m in bases]
+        n = (0, 1, 0, 0)
+        self._units = {n: ()}
+        units = (self._units, [n])
+        self.tables = [
+            (*units, m[0] + m[3], 0, m[0], m[1]) if m[1] and not m[2]
+            else ({m: ()}, [m], m[0] + m[3], m[2], 0, 1)
+            for m in bases
+        ]
         self._general = [(m, t[0]) for m, t in zip(bases, self.tables) if m[2]]
-        self._parabolic = [(m, t[0]) for m, t in zip(bases, self.tables) if m[1] and not m[2]]
-        self._columns = {(0, 1, 0): ()}
+        self._parabolic = any(m[1] and not m[2] for m in bases)
         self._frontier = [((), (1, 0, 0, 1))]
         self._exps = exps
         self._left = max_len if exps else 0
@@ -490,8 +503,7 @@ class _ConjugateTables:
         self._left -= 1
         keep = self._left > 0
         self.full = not keep
-        general, parabolic, columns = self._general, self._parabolic, self._columns
-        seen = len(columns)
+        general, parabolic, units = self._general, self._parabolic, self._units
         nxt = []
         for letters, (a, b, c, d) in self._frontier:
             last = letters[-1][0] if letters else None
@@ -505,7 +517,8 @@ class _ConjugateTables:
                     else:
                         g0, g1, g2, g3 = a - e * b, b, c - e * d, d
                         if parabolic:
-                            columns.setdefault((g0 * g2, g0 * g0, g2 * g2), child)
+                            ac = g0 * g2
+                            units.setdefault((-ac, g0 * g0, -g2 * g2, ac), child)
                     for (p, q, r, s), table in general:
                         # (g*M) * g^-1 with g^-1 = (g3, -g1, -g2, g0)
                         x, y = g0 * p + g1 * r, g0 * q + g1 * s
@@ -516,26 +529,28 @@ class _ConjugateTables:
                     if keep:
                         nxt.append((child, (g0, g1, g2, g3)))
         self._frontier = nxt
-        for (p, q, _, s), table in parabolic:
-            for (ac, aa, cc), w in islice(columns.items(), seen, None):
-                table[p - q * ac, q * aa, -q * cc, s + q * ac] = w
         for table, items, *_ in self.tables:
             items += islice(table, len(items), None)
         return True
 
     def find(self, entry, m):
-        """Whether ``m`` is in the dict of ``entry``, one of the tables,
-        taking steps until it is or the tables are full.  A matrix with
-        another trace than the base, or a lower-left entry of the other
-        sign when the base's is not 0, is in that dict at no length, so it
-        takes no step."""
-        table, _, t, c = entry
+        """The unit of ``m`` when it is in the dict of ``entry``, one of
+        the tables, taking steps until it is or the tables are full; else
+        None.  A matrix with another trace than the base, a lower-left
+        entry of the other sign when the base's is not 0, or an
+        m - alpha*I that beta does not divide is in that dict at no
+        length, so it takes no step."""
+        table, _, t, c, alpha, beta = entry
         if m[0] + m[3] != t or m[2] * c < 0:
-            return False
-        while m not in table:
+            return None
+        x, y, z, w = m[0] - alpha, m[1], m[2], m[3] - alpha
+        if x % beta or y % beta or z % beta or w % beta:
+            return None
+        u = (x // beta, y // beta, z // beta, w // beta)
+        while u not in table:
             if not self.step():
-                return False
-        return True
+                return None
+        return u
 
 
 def search_factorization(
@@ -554,9 +569,9 @@ def search_factorization(
     depth-first search runs over the conjugates of all but the last
     factor, each class's in the order they were first reached, and looks
     the needed last factor up among its conjugates.  So the first witness
-    found is deterministic.  The conjugates of an I_n or I_n* factor depend
-    only on g's first column, and are read from one table of first
-    columns shared by those classes.  The tables start at the empty word
+    found is deterministic.  An I_n or I_n* conjugate p*I + q*g*N*g^-1
+    depends only on g's first column; each unit g*N*g^-1 is stored once,
+    in one table shared by those classes.  The tables start at the empty word
     and grow one conjugator length at a time, only as far as the search
     reads them, so a witness with short conjugators is found without
     building the longer ones; the answer is the one the full tables give.
@@ -630,10 +645,10 @@ def _find_conjugators(target_m, parts, max_conj_len, exp_cap, node_budget):
 
     count = [nodes]
     for order in _distinct_orders(parts):
-        steps = [tables[f][1] for f in order[:-1]]
+        steps = [tables[f] for f in order[:-1]]
         found = _complete(steps, 0, target_m, tables[order[-1]], builder, count, node_budget)
         if found is not None:
-            return order, [tables[f][0][m] for f, m in zip(order, reversed(found))]
+            return order, [tables[f][0][u] for f, u in zip(order, reversed(found))]
     return None
 
 
@@ -656,72 +671,91 @@ def _budget_exceeded(node_budget):
 def _complete(steps, idx, rest, last, builder, count, node_budget):
     """Depth-first search for the factors idx.. of one order.
 
-    ``steps[i]`` lists factor i's conjugates, ``rest`` is what factors
-    idx.. must multiply to, and ``last`` is the last factor's entry of
-    ``builder.tables``.  Choosing a conjugate (a, b, c, d) steps ``rest``
-    to its inverse (d, -b, -c, a) times ``rest``.  ``count`` holds the
+    ``steps[i]`` is factor i's entry of ``builder.tables`` and ``last``
+    the last factor's; ``rest`` is what factors idx.. must multiply to.
+    Choosing the conjugate alpha*I + beta*U of a unit U = (a, b, c, d)
+    steps ``rest`` to its inverse times ``rest``, alpha*rest +
+    beta*adj(U)*rest with adj(U) = (d, -b, -c, a).  ``count`` holds the
     node count: one for this node and one per child.  A child whose factor
     is the last is charged together with its leaf, and its lookup in the
     last table is made here, charged for each run of the list at once and
     cut where the budget runs out: it raises where a count of one node at
-    a time would (a witness ends the search; the count is not read).  A
-    candidate whose product lacks the last class's trace, or the sign of
-    its lower-left entry, is in no table and is passed over before the
-    product is built.  Returns the conjugates found, last factor first, or
-    None.
+    a time would (a witness ends the search; the count is not read).  The
+    last factor needs the last class's trace t, so a unit is tried only
+    when the trace of adj(U)*rest is (t - alpha*trace(rest))/beta, and no
+    unit of a run is when beta does not divide that difference.  A unit
+    that passes, but whose last factor lacks the sign of the last class's
+    lower-left entry, is in no table and is passed over before that factor
+    is built.  Returns the units found, last factor first, or None.
 
     The tables are partial.  The loop over the last but one factor takes
     another step of ``builder`` when it has read its list to the end,
     entries that a lookup added included, and a lookup that misses takes
-    steps until it hits or the tables are full.  So the conjugates are read
-    in the order of the full tables, and the same ones are found.
+    steps until it hits or the tables are full.  So the units are read in
+    the order of the full tables, and the same ones are found.
     """
     count[0] += 1
     if count[0] > node_budget:
         raise _budget_exceeded(node_budget)
     if idx == len(steps):
-        return [rest] if builder.find(last, rest) else None
-    r0, r1, r2, r3 = rest
+        u = builder.find(last, rest)
+        return None if u is None else [u]
+    _, items, _, _, alpha, beta = steps[idx]
     if idx + 1 < len(steps):
         # This list grows while it is read, and the search below each child
         # finds a witness or reads the last but one factor's list to its
         # end, which fills the tables: so this loop reads the full list.
-        for a, b, c, d in steps[idx]:
+        for u in items:
             count[0] += 1
             if count[0] > node_budget:
                 raise _budget_exceeded(node_budget)
             found = _complete(
                 steps,
                 idx + 1,
-                (d * r0 - b * r2, d * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
+                _left_divide(alpha, beta, u, rest),
                 last,
                 builder,
                 count,
                 node_budget,
             )
             if found is not None:
-                found.append((a, b, c, d))
+                found.append(u)
                 return found
         return None
-    items = steps[idx]
-    table, _, t, sign = last
+    r0, r1, r2, r3 = rest
+    _, _, t, sign, _, _ = last
+    want, off = divmod(t - alpha * (r0 + r3), beta)
     read = 0
     while read < len(items) or builder.step():
         # two nodes per candidate, the child and its leaf
         end = len(items)
         stop = min(end, read + (node_budget - count[0]) // 2)
         count[0] += 2 * (stop - read)
-        for a, b, c, d in islice(items, read, stop):
+        # no unit of the run passes when beta does not divide t - alpha*trace(rest)
+        for a, b, c, d in () if off else islice(items, read, stop):
             # the trace and lower-left entry of the needed last factor
-            if a * r3 + d * r0 - b * r2 - c * r1 != t:
+            if a * r3 + d * r0 - b * r2 - c * r1 != want:
                 continue
-            lower = a * r2 - c * r0
-            if lower * sign < 0:
+            if (alpha * r2 + beta * (a * r2 - c * r0)) * sign < 0:
                 continue
-            m = (d * r0 - b * r2, d * r1 - b * r3, lower, a * r3 - c * r1)
-            if m in table or not builder.full and builder.find(last, m):
-                return [m, (a, b, c, d)]
+            u = (a, b, c, d)
+            found = builder.find(last, _left_divide(alpha, beta, u, rest))
+            if found is not None:
+                return [found, u]
         if stop < end:
             raise _budget_exceeded(node_budget)
         read = stop
     return None
+
+
+def _left_divide(alpha, beta, u, rest):
+    """(alpha*I + beta*U)^-1 * rest for the unit U = (a, b, c, d): the
+    inverse is alpha*I + beta*(d, -b, -c, a)."""
+    a, b, c, d = u
+    r0, r1, r2, r3 = rest
+    return (
+        alpha * r0 + beta * (d * r0 - b * r2),
+        alpha * r1 + beta * (d * r1 - b * r3),
+        alpha * r2 + beta * (a * r2 - c * r0),
+        alpha * r3 + beta * (a * r3 - c * r1),
+    )

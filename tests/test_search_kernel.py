@@ -218,11 +218,12 @@ def test_oracle_counts_the_budget_edges(target, parts, length, budget):
 
 
 @st.composite
-def small_searches(draw):
-    """(target, parts, max_len, exp_cap): at most 3 factors, length at most
-    2, exp_cap at most 3, and a target that is either a product of the
-    parts' conjugates within those bounds or a standard matrix."""
-    names = draw(st.lists(st.sampled_from(BASES), min_size=1, max_size=3))
+def small_searches(draw, names=BASES, min_size=1):
+    """(target, parts, max_len, exp_cap): min_size to 3 factors drawn from
+    ``names``, length at most 2, exp_cap at most 3, and a target that is
+    either a product of the parts' conjugates within those bounds or a
+    standard matrix."""
+    names = draw(st.lists(st.sampled_from(names), min_size=min_size, max_size=3))
     max_len, exp_cap = draw(st.integers(0, 2)), draw(st.integers(0, 3))
     if draw(st.booleans()):
         return entries(draw(st.sampled_from(BASES))), names, max_len, exp_cap
@@ -244,7 +245,25 @@ def test_search_charges_the_oracle_node_count(search):
     # the leaf loop charges its runs in bulk: the count must still be the
     # one-at-a-time count, so the search completes with exactly that budget
     # and raises with one node less
-    target, names, max_len, exp_cap = search
+    _assert_oracle_search(*search)
+
+
+# I_n and I_n* parts with |beta| >= 2 and both signs of alpha (I3, I5 and
+# I1 are I + n*N, I2* and I4* are -I - n*N), beside classes with alpha = 0.
+UNIT_PARTS = ["I3", "I5", "I2*", "I4*", "I1", "II", "IV*", "I0*"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_searches(UNIT_PARTS, min_size=2))
+def test_units_with_large_beta_match_the_oracle(search):
+    # a last but one factor with |beta| >= 2 skips the scan of a run whose
+    # trace difference beta does not divide, but charges it all the same
+    _assert_oracle_search(*search)
+
+
+def _assert_oracle_search(target, names, max_len, exp_cap):
+    """The oracle's first order and letters, found with exactly its node
+    count, and SearchBudgetExceeded with one node less."""
     parts = multiset(*map(F, names))
     want, nodes = search_nodes(target, parts, max_len, exp_cap)
     assert _find_conjugators(target, parts, max_len, exp_cap, nodes) == want
@@ -381,6 +400,19 @@ def test_short_witness_builds_short_tables(target, parts):
         assert search_factorization(F(target), [F(p) for p in parts], 3) is not None
 
     assert _peak_bytes(call) < 10**5
+
+
+def test_one_unit_store_serves_every_parabolic_class():
+    # I6, I1 and I2 read one dict and one list of units g*N*g^-1: the
+    # length-3 search peaks near 0.9*10^6 traced bytes, where a dict and a
+    # list per class took about 3*10^6
+    found = []
+
+    def call():
+        found.append(search_factorization(F("III*"), [F("I6"), F("I1"), F("I2")], 3))
+
+    assert _peak_bytes(call) < 1.5 * 10**6
+    assert format_identity(found[0]) == "III* = I1^(s2^-3) . I2^(s2^-1) . I6"
 
 
 def test_over_budget_search_builds_no_exponent_list():
