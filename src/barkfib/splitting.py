@@ -48,47 +48,22 @@ def euler_deficit(original, main):
     return d
 
 
-def _int_partitions(total):
-    """Partitions of ``total`` as descending tuples of positive ints, in
-    reverse lexicographic order: (total,), (total - 1, 1), ..., (1, ..., 1).
-
-    Each step lowers the last part above 1 by one and refills what follows
-    greedily with parts no larger than it.  ``head`` holds the parts above
-    1 and ``ones`` counts the 1s after them.
-    """
-    head, ones = ([total], 0) if total > 1 else ([], total)
-    while True:
-        yield (*head, *(1,) * ones)
-        if not head:
-            return
-        p = head.pop()
-        if p == 2:
-            ones += 2
-            continue
-        q, ones = divmod(p + ones, p - 1)
-        head += [p - 1] * q
-        if ones > 1:
-            head.append(ones)
-            ones = 0
-
-
-def order_weights(deficit):
-    """Weights (w_I, w_II, w_III), I_n weighing w_I[n], whose sum over a
-    candidate's parts is its sort key: fewer parts first, then part by part
-    from the largest, larger Euler number first and II/III before I2/I3.
-
-    A part of rank r weighs B^R - B^r, with B = deficit + 1 and R above every
-    rank (I_n: 2n - 1, II: 4, III: 6); no rank's count reaches B.
-    """
-    base = deficit + 1
-    top = base ** max(2 * deficit, 7)
-    w_I = [top - base ** (2 * n - 1) for n in range(max(deficit, 3) + 1)]
-    return w_I, top - base**4, top - base**6
-
-
 # The largest deficit enumerate_multisets takes: it has 982,004 candidates,
 # and deficit 48 has 1,177,885, more than 10**6.
 MAX_DEFICIT = 47
+
+# Every class a candidate up to MAX_DEFICIT holds, and the runs of k equal
+# classes a candidate is joined from: k IIs are _IIS[k], and so on.
+_I = [FiberClass("I", n) for n in range(MAX_DEFICIT + 1)]
+_II, _III = FiberClass("II"), FiberClass("III")
+_IIS = [(_II,) * k for k in range(MAX_DEFICIT // 2 + 1)]
+_THREES, _IIIS = ([(f,) * k for k in range(MAX_DEFICIT // 3 + 1)] for f in (_I[3], _III))
+# _NODAL[r]: each way to make r of I1s and I2s, more I2s first, as
+# (part count, I1s then I2s).
+_NODAL = [
+    [(r - k, (_I[1],) * (r - 2 * k) + (_I[2],) * k) for k in range(r // 2, -1, -1)]
+    for r in range(MAX_DEFICIT + 1)
+]
 
 
 def enumerate_multisets(deficit):
@@ -100,10 +75,18 @@ def enumerate_multisets(deficit):
     all starred and multiple classes.
 
     Each candidate is a canonical multiset (I_n ascending, then II, then
-    III).  The output order is deterministic: fewer parts first, then
-    larger parts first, with II/III preceding the equal-size nodal class;
-    that is, ascending in the sum of order_weights(deficit) over the parts.
-    Deficit 0 has the one empty candidate.
+    III).  The output order is deterministic: fewer parts first, and among
+    candidates with as many parts, their part ranks (I_n: 2n - 1, II: 4,
+    III: 6) listed from the largest and compared as sequences, the larger
+    first.  So larger parts come first, and II/III precede the nodal class
+    of their Euler number.  Deficit 0 has the one empty candidate.
+
+    A big part (I_n, n >= 4) outranks every small one, so the candidates
+    are built in that order, with no sort: one walk over the big parts,
+    each sequence of them after its own extensions, gives each sequence
+    its small rest with more III first, then more I3, then more II (the
+    part count then fixes the I2s and I1s), and appends each candidate to
+    the list of its part count.
 
     Raises:
         ValueError: if ``deficit`` is negative, or above MAX_DEFICIT, whose
@@ -116,36 +99,26 @@ def enumerate_multisets(deficit):
             "deficit %d has more than 10**6 candidate multisets; the largest "
             "deficit enumerated is %d" % (deficit, MAX_DEFICIT)
         )
-    I_n = [FiberClass("I", n) for n in range(max(deficit, 3) + 1)]
-    II, III = FiberClass("II"), FiberClass("III")
-    w_I, w_II, w_III = order_weights(deficit)
-    to_II, to_III = w_II - w_I[2], w_III - w_I[3]
-    # Runs of k equal classes, k = 0.. as far as a partition can need.
-    ones = [(I_n[1],) * k for k in range(deficit + 1)]
-    twos, IIs = ([(f,) * k for k in range(deficit // 2 + 1)] for f in (I_n[2], II))
-    threes, IIIs = ([(f,) * k for k in range(deficit // 3 + 1)] for f in (I_n[3], III))
-    keys, candidates = [], []
-    for sizes in _int_partitions(deficit):
-        k1 = k2 = k3 = key = 0
-        big = ()
-        for n in sizes:
-            key += w_I[n]
-            if n > 3:
-                big = (I_n[n], *big)
-            elif n == 3:
-                k3 += 1
-            elif n == 2:
-                k2 += 1
-            else:
-                k1 += 1
-        head = ones[k1]
-        for a2 in range(k2 + 1):
-            two, two_II, key2 = twos[k2 - a2], IIs[a2], key + a2 * to_II
-            for a3 in range(k3 + 1):
-                keys.append(key2 + a3 * to_III)
-                candidates.append((*head, *two, *threes[k3 - a3], *big, *two_II, *IIIs[a3]))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [candidates[i] for i in order]
+    by_count = [[] for _ in range(deficit + 1)]
+    adds = [candidates.append for candidates in by_count]
+
+    def walk(big, top, rest):
+        # big: the big parts so far, ascending; none above top; rest to split
+        for n in range(min(top, rest), 3, -1):
+            walk((_I[n], *big), n, rest - n)
+        for n_III in range(rest // 3, -1, -1):
+            rest_III = rest - 3 * n_III
+            for n_I3 in range(rest_III // 3, -1, -1):
+                rest_I3 = rest_III - 3 * n_I3
+                mid = (*_THREES[n_I3], *big)
+                for n_II in range(rest_I3 // 2, -1, -1):
+                    tail = (*mid, *_IIS[n_II], *_IIIS[n_III])
+                    count = len(big) + n_III + n_I3 + n_II
+                    for nodal_count, nodal in _NODAL[rest_I3 - 2 * n_II]:
+                        adds[count + nodal_count](nodal + tail)
+
+    walk((), deficit, deficit)
+    return list(chain.from_iterable(by_count))
 
 
 def _fiber_trace(f):

@@ -3,12 +3,12 @@
 
 ``int_partitions`` is the recursive partition generator, and
 ``enumerate_multisets`` the candidate list built from it with one tuple
-concatenation per run and one sort of (key, multiset) pairs.
-``full_report`` asks ``decomposition_verdict`` about every candidate,
-however many factors it has.  So they check the iterative partition
-walk, the one-step candidates and ``screen_candidates``, which asks only
-about the candidates a rule can read: the same candidates, reports and
-evidence, in the same order.
+concatenation per run and one sort of (key, multiset) pairs, the key
+summing ``order_weights`` over the parts.  ``full_report`` asks
+``decomposition_verdict`` about every candidate, however many factors it
+has.  So they check the walk that builds the candidates already in order
+and ``screen_candidates``, which asks only about the candidates a rule
+can read: the same candidates, reports and evidence, in the same order.
 
 ``sweep_pairs`` lists every (original, main) pair with deficit 1..20
 whose original is not I_n, and ``catalog_cases`` every packaged catalog
@@ -19,7 +19,7 @@ from operator import itemgetter
 
 from barkfib.crust import crust_from_json, load_catalog
 from barkfib.kodaira import FiberClass, euler, parse_fiber
-from barkfib.splitting import FORBIDDEN, decomposition_verdict, euler_deficit, order_weights
+from barkfib.splitting import FORBIDDEN, decomposition_verdict, euler_deficit
 from barkfib.subord import (
     HypothesisError,
     SplittingReport,
@@ -42,6 +42,20 @@ def int_partitions(total, cap=None):
     for first in range(cap, 0, -1):
         for rest in int_partitions(total - first, first):
             yield (first,) + rest
+
+
+def order_weights(deficit):
+    """Weights (w_I, w_II, w_III), I_n weighing w_I[n], whose sum over a
+    candidate's parts is its sort key: fewer parts first, then part by part
+    from the largest, larger Euler number first and II/III before I2/I3.
+
+    A part of rank r weighs B^R - B^r, with B = deficit + 1 and R above every
+    rank (I_n: 2n - 1, II: 4, III: 6); no rank's count reaches B.
+    """
+    base = deficit + 1
+    top = base ** max(2 * deficit, 7)
+    w_I = [top - base ** (2 * n - 1) for n in range(max(deficit, 3) + 1)]
+    return w_I, top - base**4, top - base**6
 
 
 def enumerate_multisets(deficit):

@@ -13,7 +13,6 @@ from barkfib.kodaira import euler, parse_fiber
 from barkfib.splitting import (
     FORBIDDEN,
     UNDECIDED,
-    _int_partitions,
     decomposition_verdict,
     enumerate_multisets,
     euler_deficit,
@@ -31,7 +30,13 @@ def test_the_sweep_has_438_pairs():
 
 @pytest.mark.parametrize("total", range(31))
 def test_partitions_match_the_recursive_oracle(total):
-    assert list(_int_partitions(total)) == list(oracle_report.int_partitions(total))
+    # the all-I_n candidates are the partitions of total, fewest parts first
+    nodal = [
+        tuple(sorted((f.n for f in ms), reverse=True))
+        for ms in enumerate_multisets(total)
+        if all(f.kind == "I" for f in ms)
+    ]
+    assert nodal == sorted(oracle_report.int_partitions(total), key=len)
 
 
 @pytest.mark.parametrize("deficit", range(31))

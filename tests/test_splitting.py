@@ -108,7 +108,7 @@ def oracle_enumerate_multisets(deficit):
     return out
 
 
-@pytest.mark.parametrize("deficit", range(1, 23))
+@pytest.mark.parametrize("deficit", range(31))
 def test_enumeration_matches_sort_oracle(deficit):
     assert enumerate_multisets(deficit) == oracle_enumerate_multisets(deficit)
 
@@ -136,6 +136,19 @@ def test_enumeration_counts():
 def test_max_deficit_is_the_last_with_at_most_a_million_candidates():
     counts = candidate_counts(MAX_DEFICIT + 1)
     assert counts[MAX_DEFICIT] == 982004 <= 10**6 < counts[MAX_DEFICIT + 1] == 1177885
+
+
+def test_enumeration_builds_each_candidate_once():
+    # 115,937 candidates take about 15 MB; sort keys and an index beside
+    # them would double the peak
+    tracemalloc.start()
+    try:
+        candidates = enumerate_multisets(36)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(candidates) == candidate_counts(36)[36]
+    assert peak < 24 * 10**6
 
 
 def test_enumeration_refuses_a_deficit_above_the_limit_before_building():
