@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
-from math import isqrt
+from math import inf, isqrt
 
 from .kodaira import FiberClass, euler, parse_fiber, standard_monodromy
 from .sl2z import IDENTITY, Word, conj, eval_word, format_word, parse_word, trace
@@ -394,24 +394,11 @@ def all_witnesses():
     return WITNESS_TABLE + [(format_identity(w), w) for w in family]
 
 
-def _conjugator_count(max_len, n_exps, limit):
-    """Number of normalized words of length <= max_len when each letter
-    has ``n_exps`` possible exponents: the empty word, 2*n_exps words of
-    length 1, and n_exps times as many at each further length.  The count
-    stops growing once it passes ``limit``."""
-    total, width = 1, 2 * n_exps
-    for _ in range(max_len):
-        if total > limit or not width:
-            break
-        total += width
-        width *= n_exps
-    return total
-
-
-def _conjugate_tables(bases, max_len, exps):
-    """The full tables of _ConjugateTables as one dict per base, mapping
-    each conjugate alpha*I + beta*U to the letters of its first word."""
-    builder = _ConjugateTables(bases, max_len, exps)
+def _conjugate_tables(bases, max_len, exp_cap):
+    """The full tables of _ConjugateTables, built with no node budget, as
+    one dict per base, mapping each conjugate alpha*I + beta*U to the
+    letters of its first word."""
+    builder = _ConjugateTables(bases, max_len, exp_cap, inf)
     while builder.step():
         pass
     return [
@@ -423,12 +410,13 @@ def _conjugate_tables(bases, max_len, exps):
 
 class _ConjugateTables:
     """The distinct conjugates g*M*g^-1 of each base M over the normalized
-    conjugator words g of length <= max_len, one word length per step.
+    conjugator words g of length <= max_len, one word length per step,
+    and the node count of the search that reads them.
 
     Matrices are (a, b, c, d) int tuples.  The words are visited breadth
-    first: the empty word; s0^e then s2^e for e in ``exps``; then, for
-    each word of the previous length in order, one more letter of the
-    other generator with every exponent.  A child's matrix is its
+    first: the empty word; s0^e then s2^e for e = -exp_cap..exp_cap, e != 0;
+    then, for each word of the previous length in order, one more letter
+    of the other generator with every exponent.  A child's matrix is its
     parent's times one generator power:
 
         g*s0^e = (a, a*e + b, c, c*e + d)    g*s2^e = (a - e*b, b, c - e*d, d)
@@ -451,9 +439,19 @@ class _ConjugateTables:
     0), and alpha and beta.  Each step extends the dicts and lists by one
     word length, so a partial table is a prefix of the full one; ``full``
     is set once no step is left.
+
+    The builder owns the search's node count ``count`` and its
+    ``budget``: charge() adds to the count and raises SearchBudgetExceeded
+    once it passes the budget.  A word length costs its words times
+    (1 + the number of bases): one word at length 0, 2n at length 1 and n
+    children per word after that, n = 2*exp_cap.  Length 0 is charged when
+    the builder is made, and each later length when step() builds it,
+    before anything is built; so the exponent list is made only once
+    length 1's charge has passed.  A frontier that the budget cannot
+    extend is not kept, since the step that would extend it raises.
     """
 
-    def __init__(self, bases, max_len, exps):
+    def __init__(self, bases, max_len, exp_cap, budget):
         n = (0, 1, 0, 0)
         self._units = {n: ()}
         units = (self._units, [n])
@@ -465,17 +463,32 @@ class _ConjugateTables:
         self._general = [(m, t[0]) for m, t in zip(bases, self.tables) if m[2]]
         self._parabolic = any(m[1] and not m[2] for m in bases)
         self._frontier = [((), (1, 0, 0, 1))]
-        self._exps = exps
-        self._left = max_len if exps else 0
+        self.count, self.budget = 0, budget
+        self._per_word = 1 + len(bases)
+        self.charge(self._per_word)
+        self._exp_cap, self._exps = exp_cap, None
+        self._words = 4 * exp_cap  # at length 1
+        self._left = max_len if exp_cap else 0
         self.full = not self._left
+
+    def charge(self, nodes):
+        """Add ``nodes`` to the count; raise once it passes the budget."""
+        self.count += nodes
+        if self.count > self.budget:
+            raise SearchBudgetExceeded("search exceeded %d nodes" % self.budget)
 
     def step(self):
         """Extend every table by one word length; False once they are full."""
         if self.full:
             return False
+        self.charge(self._words * self._per_word)
+        if self._exps is None:
+            cap = self._exp_cap
+            self._exps = [*range(-cap, 0), *range(1, cap + 1)]
+        self._words *= 2 * self._exp_cap
         self._left -= 1
-        keep = self._left > 0
-        self.full = not keep
+        self.full = not self._left
+        keep = not self.full and self.count + self._words * self._per_word <= self.budget
         general, parabolic, units = self._general, self._parabolic, self._units
         nxt = []
         for letters, (a, b, c, d) in self._frontier:
@@ -551,12 +564,12 @@ def search_factorization(
 
     Node accounting: one node per conjugator word, one per (word, distinct
     class) conjugation, whether or not that conjugation is computed, and
-    one per depth-first node and per child.  The
-    search raises SearchBudgetExceeded once the count would pass
-    ``node_budget`` (the conjugation phase, whose cost is known, is
-    charged in full, up to max_conj_len, before the search starts), so a
-    search that needs exactly ``node_budget`` nodes completes.  A
-    decomposition the obstructions forbid costs no nodes and never raises.
+    one per depth-first node and per child.  A word length is charged in
+    full when the tables grow to it, so the lengths a search never reads
+    cost nothing.  The search raises SearchBudgetExceeded once the count
+    would pass ``node_budget``, so a search that needs exactly
+    ``node_budget`` nodes completes.  A decomposition the obstructions
+    forbid costs no nodes and never raises.
 
     Args:
         target: the fiber class whose monodromy is to be factored.
@@ -605,21 +618,12 @@ def _find_conjugators(target_m, parts, max_conj_len, exp_cap, node_budget):
     answer is the one the full tables would give.
     """
     classes = list(dict.fromkeys(parts))
-    # The table phase costs a known number of nodes, so the budget is
-    # checked, from the counts alone, before any exponent list is built.
-    words = _conjugator_count(max_conj_len, 2 * exp_cap, node_budget)
-    nodes = words * (1 + len(classes))
-    if nodes > node_budget:
-        raise _budget_exceeded(node_budget)
-    exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0] if max_conj_len else []
     bases = [standard_monodromy(f).entries() for f in classes]
-    builder = _ConjugateTables(bases, max_conj_len, exps)
+    builder = _ConjugateTables(bases, max_conj_len, exp_cap, node_budget)
     tables = dict(zip(classes, builder.tables))
-
-    count = [nodes]
     for order in _distinct_orders(parts):
         steps = [tables[f] for f in order[:-1]]
-        found = _complete(steps, 0, target_m, tables[order[-1]], builder, count, node_budget)
+        found = _complete(steps, 0, target_m, tables[order[-1]], builder)
         if found is not None:
             return order, [tables[f][0][u] for f, u in zip(order, reversed(found))]
     return None
@@ -637,18 +641,14 @@ def _distinct_orders(parts):
                 yield (first,) + rest
 
 
-def _budget_exceeded(node_budget):
-    return SearchBudgetExceeded("search exceeded %d nodes" % node_budget)
-
-
-def _complete(steps, idx, rest, last, builder, count, node_budget):
+def _complete(steps, idx, rest, last, builder):
     """Depth-first search for the factors idx.. of one order.
 
     ``steps[i]`` is factor i's entry of ``builder.tables`` and ``last``
     the last factor's; ``rest`` is what factors idx.. must multiply to.
     Choosing the conjugate alpha*I + beta*U of a unit U = (a, b, c, d)
     steps ``rest`` to its inverse times ``rest``, alpha*rest +
-    beta*adj(U)*rest with adj(U) = (d, -b, -c, a).  ``count`` holds the
+    beta*adj(U)*rest with adj(U) = (d, -b, -c, a).  ``builder`` keeps the
     node count: one for this node and one per child.  A child whose factor
     is the last is charged together with its leaf, and its lookup in the
     last table is made here, charged for each run of the list at once and
@@ -665,11 +665,12 @@ def _complete(steps, idx, rest, last, builder, count, node_budget):
     another step of ``builder`` when it has read its list to the end,
     entries that a lookup added included, and a lookup that misses takes
     steps until it hits or the tables are full.  So the units are read in
-    the order of the full tables, and the same ones are found.
+    the order of the full tables, and the same ones are found.  A step is
+    charged when it is taken, so before a lookup that can take one the
+    unread rest of the run is taken back out of the count, and read again
+    after it.
     """
-    count[0] += 1
-    if count[0] > node_budget:
-        raise _budget_exceeded(node_budget)
+    builder.charge(1)
     if idx == len(steps):
         u = builder.find(last, rest)
         return None if u is None else [u]
@@ -679,18 +680,8 @@ def _complete(steps, idx, rest, last, builder, count, node_budget):
         # finds a witness or reads the last but one factor's list to its
         # end, which fills the tables: so this loop reads the full list.
         for u in items:
-            count[0] += 1
-            if count[0] > node_budget:
-                raise _budget_exceeded(node_budget)
-            found = _complete(
-                steps,
-                idx + 1,
-                _left_divide(alpha, beta, u, rest),
-                last,
-                builder,
-                count,
-                node_budget,
-            )
+            builder.charge(1)
+            found = _complete(steps, idx + 1, _left_divide(alpha, beta, u, rest), last, builder)
             if found is not None:
                 found.append(u)
                 return found
@@ -700,10 +691,12 @@ def _complete(steps, idx, rest, last, builder, count, node_budget):
     want, off = divmod(t - alpha * (r0 + r3), beta)
     read = 0
     while read < len(items) or builder.step():
-        # two nodes per candidate, the child and its leaf
         end = len(items)
-        stop = min(end, read + (node_budget - count[0]) // 2)
-        count[0] += 2 * (stop - read)
+        stop = min(end, read + (builder.budget - builder.count) // 2)
+        if stop == read < end:
+            builder.charge(2)  # raises: not one candidate's two nodes are left
+        # two nodes per candidate, the child and its leaf
+        builder.count += 2 * (stop - read)
         # no unit of the run passes when beta does not divide t - alpha*trace(rest)
         for a, b, c, d in () if off else islice(items, read, stop):
             # the trace and lower-left entry of the needed last factor
@@ -712,12 +705,17 @@ def _complete(steps, idx, rest, last, builder, count, node_budget):
             if (alpha * r2 + beta * (a * r2 - c * r0)) * sign < 0:
                 continue
             u = (a, b, c, d)
+            can_step = not builder.full
+            if can_step:
+                read = items.index(u, read) + 1
+                builder.count -= 2 * (stop - read)
             found = builder.find(last, _left_divide(alpha, beta, u, rest))
             if found is not None:
                 return [found, u]
-        if stop < end:
-            raise _budget_exceeded(node_budget)
-        read = stop
+            if can_step:
+                break
+        else:
+            read = stop
     return None
 
 

@@ -204,12 +204,19 @@ def test_factorize_negative_bound_exits_2(capsys, flag):
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_factorize_budget_exceeded_exits_1(capsys, json_flag):
-    # Euler-matched (4 = 2 + 2), so no rule forbids it and the search runs
-    argv = ["factorize", "IV", "II", "II", "--max-conj-len", "6", "--budget", "50"]
+    # Euler-matched (8 = 6 + 2) and undecided, so the search runs, and it has
+    # no witness with conjugators of length <= 5
+    argv = ["factorize", "I2*", "I0*", "II", "--max-conj-len", "6", "--budget", "50"]
     assert main(argv + json_flag) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: search exceeded 50 nodes"]
+
+
+def test_factorize_charges_only_the_lengths_it_reads(capsys):
+    # the witness has empty conjugators, so lengths 1..6 are never built
+    assert main(["factorize", "IV", "II", "II", "--max-conj-len", "6"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["IV = II . II"]
 
 
 _EULER_PROOF = (

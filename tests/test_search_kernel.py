@@ -56,7 +56,7 @@ def conjugators(draw, max_len):
 
 @functools.lru_cache(maxsize=None)
 def tables(max_len):
-    return dict(zip(BASES, _conjugate_tables([entries(b) for b in BASES], max_len, EXPS)))
+    return dict(zip(BASES, _conjugate_tables([entries(b) for b in BASES], max_len, EXP_CAP)))
 
 
 def words_in_search_order(max_len):
@@ -107,7 +107,7 @@ def test_tables_match_oracle(names):
     for exp_cap in (0, 1, 3, 8):
         exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0]
         for max_len in range(4):
-            got = _conjugate_tables(bases, max_len, exps)
+            got = _conjugate_tables(bases, max_len, exp_cap)
             want = conjugate_tables(bases, max_len, exps)
             for name, table, expected in zip(names, got, want):
                 assert list(table.items()) == list(expected.items()), (name, exp_cap, max_len)
@@ -158,7 +158,7 @@ def test_tuple_products_equal_mat2_products(case):
 # fixed so that the test names do not depend on the rows' positions.
 BUDGET_EDGES = [
     pytest.param("II", ["I1", "I1"], 2, 1093, id="II-parts0-2-1093"),
-    pytest.param("IV", ["I3", "I1"], 2, 1652, id="IV-parts3-2-1652"),
+    pytest.param("IV", ["I3", "I1"], 2, 116, id="IV-parts3-2-116"),
     pytest.param("III", ["I1", "I1", "I1"], 1, 71, id="III-parts4-1-71"),
     # Length 0 is the empty conjugator only: one word, one conjugation,
     # one search node.
@@ -184,10 +184,10 @@ def test_budget_edges(target, parts, length, budget):
         search_factorization(*args, node_budget=budget - 1)
 
 
-# II* = I8 . I1 . I1 at length 1: the tables cost 33 words x 3 = 99 nodes,
-# the root of the depth-first search is node 100 and its first child, charged
-# in the middle loop before it descends, is node 101.
-MIDDLE_LOOP_EDGE = ("II*", ["I8", "I1", "I1"], 1, 100)
+# II* = I8 . I1 . I1 at length 1: the empty word costs 1 x 3 = 3 nodes, the
+# root of the depth-first search is node 4 and its first child, charged in
+# the middle loop before it descends, is node 5.
+MIDDLE_LOOP_EDGE = ("II*", ["I8", "I1", "I1"], 1, 4)
 
 
 def test_budget_edge_in_the_middle_loop():
@@ -196,10 +196,30 @@ def test_budget_edge_in_the_middle_loop():
     for node_budget, nodes in ((budget - 1, budget), (budget, budget + 1)):
         with pytest.raises(SearchBudgetExceeded) as raised:
             search_factorization(*args, node_budget=node_budget)
-        # raised in the root's frame: by its own check, then by its first child's
-        frame = raised.traceback[-1]
+        # charged in the root's frame: its own node, then its first child
+        assert raised.traceback[-1].name == "charge"
+        frame = raised.traceback[-2]
         assert frame.name == "_complete"
-        assert (frame.locals["idx"], frame.locals["count"]) == (0, [nodes])
+        assert (frame.locals["idx"], frame.locals["builder"].count) == (0, nodes)
+
+
+# Searches whose witness is found before the tables are full: the lengths
+# they never read are not charged, so their node count does not depend on
+# the conjugator length bound.
+EARLY_WITNESS_NODES = [
+    ("II", ["I1", "I1"], 1093),
+    ("IV", ["I3", "I1"], 116),
+    ("IV", ["II", "II"], 5),
+]
+
+
+@pytest.mark.parametrize("target,parts,budget", EARLY_WITNESS_NODES)
+@pytest.mark.parametrize("length", [2, 3, 6, 30])
+def test_unread_lengths_cost_nothing(target, parts, budget, length):
+    args = (F(target), [F(p) for p in parts], length)
+    assert search_factorization(*args, node_budget=budget) is not None
+    with pytest.raises(SearchBudgetExceeded):
+        search_factorization(*args, node_budget=budget - 1)
 
 
 @pytest.mark.parametrize("target,parts,length,budget", KERNEL_BUDGET_EDGES)
@@ -269,6 +289,16 @@ def _assert_oracle_search(target, names, max_len, exp_cap):
     assert _find_conjugators(target, parts, max_len, exp_cap, nodes) == want
     with pytest.raises(SearchBudgetExceeded):
         _find_conjugators(target, parts, max_len, exp_cap, nodes - 1)
+
+
+def test_a_lookup_that_steps_is_charged_before_the_rest_of_its_run():
+    # II* = II . I2* at length 2, exp_cap 1: a lookup in the middle of a run
+    # of the leaf loop builds length 2, whose 8 words x 3 are charged before
+    # the candidates after it in the run, as a count of one node at a time
+    # charges them; charging the whole run first would raise at the oracle's
+    # 44 nodes
+    assert search_nodes(entries("II*"), multiset(F("II"), F("I2*")), 2, 1)[1] == 44
+    _assert_oracle_search(entries("II*"), ["II", "I2*"], 2, 1)
 
 
 @pytest.mark.parametrize("target,parts,length,budget", KERNEL_BUDGET_EDGES)
@@ -432,9 +462,17 @@ def test_length_zero_search_builds_no_exponent_list():
 
 
 def test_huge_length_is_bounded_by_the_count():
-    # the count stops at the budget, and no exponents leave only the empty word
-    with pytest.raises(SearchBudgetExceeded):
-        search_factorization(F("II"), [F("I1"), F("I1")], 10**9)
+    # only the lengths the search reads are built and charged, the length
+    # the budget cannot pay for raises before it is built, and no exponents
+    # leave only the empty word
+    w = search_factorization(F("II"), [F("I1"), F("I1")], 10**9)
+    assert format_identity(w) == "II = I1 . I1^(s0^-1 s2^-1)"
+
+    def call():
+        with pytest.raises(SearchBudgetExceeded):
+            search_factorization(F("I2*"), [F("I0*"), F("II")], 10**9, node_budget=50)
+
+    assert _peak_bytes(call) < 10**6
     assert search_factorization(F("I1"), [F("I1")], 10**9, exp_cap=0) is not None
 
 

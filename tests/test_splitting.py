@@ -428,7 +428,7 @@ def test_search_exhausts_on_forbidden_split():
 
 def test_search_budget_is_enforced():
     with pytest.raises(SearchBudgetExceeded):
-        search_factorization(F("IV"), [F("II")] * 2, 6, node_budget=50)
+        search_factorization(F("I2*"), [F("I0*"), F("II")], 6, node_budget=50)
 
 
 def test_search_mismatched_euler_finds_nothing():
