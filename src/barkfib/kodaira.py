@@ -10,6 +10,8 @@ generators s0, s2, and the monodromy matrix the word evaluates to:
 The letter count of each word equals the Euler number of the fiber.
 In closed form I_n is [[1, n], [0, 1]] and I_n* is [[-1, -n], [0, -1]],
 since (s0 s2)^3 = -I; the six elliptic matrices are evaluated once.
+standard_entries gives these entries as a tuple, and standard_monodromy
+the Mat2 built from them.
 Classification of an arbitrary determinant-1 integer matrix onto these
 conjugacy classes dispatches on the trace: a parabolic (trace 2) or
 quasi-parabolic (trace -2) matrix reduces to a normal-form index, and
@@ -149,24 +151,30 @@ def standard_word(f):
     return Word([("s0", 1), ("s2", 1)] * pairs + [("s0", tail)])
 
 
-def standard_monodromy(f):
-    """The monodromy matrix, equal to eval_word(standard_word(f)): I_n is
-    [[1, n], [0, 1]], I_n* is [[-1, -n], [0, -1]], the rest by table."""
+def standard_entries(f):
+    """The (a, b, c, d) entries of the standard matrix, with no Mat2 built:
+    I_n is (1, n, 0, 1), I_n* is (-1, -n, 0, -1), the rest by table."""
     if f.kind == "I":
-        return Mat2(1, f.n, 0, 1)
+        return (1, f.n, 0, 1)
     if f.kind == "I*":
-        return Mat2(-1, -f.n, 0, -1)
-    return _ELLIPTIC_MONODROMY[f.kind]
+        return (-1, -f.n, 0, -1)
+    return _ELLIPTIC_ENTRIES[f.kind]
 
 
-_ELLIPTIC_MONODROMY = {
-    k: eval_word(standard_word(FiberClass(k))) for k in _PLAIN_KINDS[1:] + _STAR_KINDS[1:]
+def standard_monodromy(f):
+    """The monodromy matrix, equal to eval_word(standard_word(f))."""
+    return Mat2(*standard_entries(f))
+
+
+_ELLIPTIC_ENTRIES = {
+    k: eval_word(standard_word(FiberClass(k))).entries()
+    for k in _PLAIN_KINDS[1:] + _STAR_KINDS[1:]
 }
 
 # (trace, lower-left entry > 0) of each elliptic class: both are
 # conjugacy invariants, and together they tell the six classes apart.
 _ELLIPTIC_CLASSES = {
-    (sl2z.trace(m), m.c > 0): FiberClass(k) for k, m in _ELLIPTIC_MONODROMY.items()
+    (a + d, c > 0): FiberClass(k) for k, (a, b, c, d) in _ELLIPTIC_ENTRIES.items()
 }
 
 

@@ -12,10 +12,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
-from math import inf, isqrt
+from math import isqrt
 
-from .kodaira import FiberClass, euler, parse_fiber, standard_monodromy
-from .sl2z import IDENTITY, Word, conj, eval_word, format_word, parse_word, trace
+from .kodaira import FiberClass, euler, parse_fiber, standard_entries, standard_monodromy
+from .sl2z import IDENTITY, Word, conj, eval_word, format_word, parse_word
 
 FORBIDDEN = "forbidden"
 UNDECIDED = "undecided"
@@ -105,15 +105,15 @@ def enumerate_multisets(deficit):
     def walk(big, top, rest):
         # big: the big parts so far, ascending; none above top; rest to split
         for n in range(min(top, rest), 3, -1):
-            walk((_I[n], *big), n, rest - n)
+            walk((_I[n],) + big, n, rest - n)
         for n_III in range(rest // 3, -1, -1):
-            rest_III = rest - 3 * n_III
+            rest_III, iiis = rest - 3 * n_III, _IIIS[n_III]
+            count_III = len(big) + n_III
             for n_I3 in range(rest_III // 3, -1, -1):
-                rest_I3 = rest_III - 3 * n_I3
-                mid = (*_THREES[n_I3], *big)
+                rest_I3, mid = rest_III - 3 * n_I3, _THREES[n_I3] + big
+                count_I3 = count_III + n_I3
                 for n_II in range(rest_I3 // 2, -1, -1):
-                    tail = (*mid, *_IIS[n_II], *_IIIS[n_III])
-                    count = len(big) + n_III + n_I3 + n_II
+                    tail, count = mid + _IIS[n_II] + iiis, count_I3 + n_II
                     for nodal_count, nodal in _NODAL[rest_I3 - 2 * n_II]:
                         adds[count + nodal_count](nodal + tail)
 
@@ -122,7 +122,8 @@ def enumerate_multisets(deficit):
 
 
 def _fiber_trace(f):
-    return trace(standard_monodromy(f))
+    a, _, _, d = standard_entries(f)
+    return a + d
 
 
 def _is_square(x):
@@ -131,31 +132,33 @@ def _is_square(x):
 
 def _shift_admissible(c, m):
     """Is the integer trace shift ``c`` a lower-left entry of a conjugate
-    of ``m``, the standard matrix of the other factor's class?
+    of ``m``, the (a, b, c, d) entries of the other factor's standard
+    matrix?
 
     Conjugating both factors so that the I_k factor is I + kN with
     N = [[0, 1], [0, 0]], the target trace equals trace(m) + k*c, where
     c = trace(N*B) is the lower-left entry of B, the conjugate of ``m``
     that the other factor becomes.  That pins c exactly for the
     (quasi-)unipotent classes, as the conjugates of e*[[1, n], [0, 1]]
-    (m.b = e*n) have lower-left entries -e*n*r^2 for every integer r:
+    (b = e*n) have lower-left entries -e*n*r^2 for every integer r:
 
       I_0, I_0*    : c = 0
       I_j  (j >= 1): c = -j*r^2 for some integer r
       I_j* (j >= 1): c = +j*r^2
 
-    and pins its sign for the elliptic ones (m.c != 0), since the sign
-    of the lower-left entry is constant on their conjugacy classes:
+    and pins its sign for the elliptic ones (lower-left entry not 0),
+    since the sign of that entry is constant on their conjugacy classes:
     c < 0 for II, III, IV and c > 0 for II*, III*, IV*.
 
     Only the necessary direction is used, so "admissible" can never
     wrongly exclude a realizable splitting.
     """
-    if m.c:
-        return c * m.c > 0
-    if not m.b:
+    _, b, lower, _ = m
+    if lower:
+        return c * lower > 0
+    if not b:
         return c == 0
-    return c % m.b == 0 and _is_square(-c // m.b)
+    return c % b == 0 and _is_square(-c // b)
 
 
 def _trace_shift_rule(target, k, other):
@@ -166,8 +169,8 @@ def _trace_shift_rule(target, k, other):
     trace(target) - trace(other) would equal k*c for an admissible shift
     c (see _shift_admissible).  Forbidden when no admissible c exists.
     """
-    m = standard_monodromy(other)
-    delta = _fiber_trace(target) - trace(m)
+    m = standard_entries(other)
+    delta = _fiber_trace(target) - m[0] - m[3]
     if delta % k == 0 and _shift_admissible(delta // k, m):
         return UNDECIDED, "trace shift rule passed for I_%d factor" % k
     return FORBIDDEN, (
@@ -184,7 +187,7 @@ def _class_rule(target, part):
 
 
 def _is_central(target):
-    """Monodromy -I: only I_0*, as standard_monodromy(I_n*) = -[[1, n], [0, 1]]."""
+    """Monodromy -I: only I_0*, as standard_entries(I_n*) = (-1, -n, 0, -1)."""
     return target.kind == "I*" and target.n == 0
 
 
@@ -394,20 +397,6 @@ def all_witnesses():
     return WITNESS_TABLE + [(format_identity(w), w) for w in family]
 
 
-def _conjugate_tables(bases, max_len, exp_cap):
-    """The full tables of _ConjugateTables, built with no node budget, as
-    one dict per base, mapping each conjugate alpha*I + beta*U to the
-    letters of its first word."""
-    builder = _ConjugateTables(bases, max_len, exp_cap, inf)
-    while builder.step():
-        pass
-    return [
-        {(alpha + beta * a, beta * b, beta * c, alpha + beta * d): w
-         for (a, b, c, d), w in table.items()}
-        for table, _, _, _, alpha, beta in builder.tables
-    ]
-
-
 class _ConjugateTables:
     """The distinct conjugates g*M*g^-1 of each base M over the normalized
     conjugator words g of length <= max_len, one word length per step,
@@ -594,7 +583,7 @@ def search_factorization(
     if not parts or decomposition_verdict(target, parts)[0] == FORBIDDEN:
         return None
     found = _find_conjugators(
-        standard_monodromy(target).entries(), parts, max_conj_len, exp_cap, node_budget
+        standard_entries(target), parts, max_conj_len, exp_cap, node_budget
     )
     if found is None:
         return None
@@ -618,7 +607,7 @@ def _find_conjugators(target_m, parts, max_conj_len, exp_cap, node_budget):
     answer is the one the full tables would give.
     """
     classes = list(dict.fromkeys(parts))
-    bases = [standard_monodromy(f).entries() for f in classes]
+    bases = [standard_entries(f) for f in classes]
     builder = _ConjugateTables(bases, max_conj_len, exp_cap, node_budget)
     tables = dict(zip(classes, builder.tables))
     for order in _distinct_orders(parts):

@@ -9,6 +9,10 @@ factor's standard matrix, and ``barkfib.kodaira.classify``, which looks
 the elliptic classes up by the invariants of their standard matrices.
 The parabolic normal form and the square test are shared with barkfib.
 
+``rule_verdict`` derives the verdict of ``barkfib.splitting.
+decomposition_verdict`` rule by rule from the kind-by-kind traces and
+Euler numbers, ``shift_admissible`` and the central trace sums.
+
 ``parse_fiber`` is the character-by-character scanner that preceded the
 one regular expression of ``barkfib.kodaira.parse_fiber``.  Beyond the
 documented grammar it had its own messages for a blank name and for a
@@ -19,7 +23,67 @@ there ("1II").
 from barkfib import sl2z
 from barkfib.kodaira import FiberClass, _parabolic_index
 from barkfib.sl2z import Mat2
-from barkfib.splitting import _is_square
+from barkfib.splitting import FORBIDDEN, UNDECIDED, _is_square
+
+# kind -> (trace, Euler number) of the standard matrix; for I and I* the
+# Euler number is n plus the value given.
+_TRACE_EULER = {
+    "I": (2, 0), "II": (1, 2), "III": (0, 3), "IV": (-1, 4),
+    "I*": (-2, 6), "IV*": (-1, 8), "III*": (0, 9), "II*": (1, 10),
+}
+
+
+def _trace(f):
+    return _TRACE_EULER[f.kind][0]
+
+
+def _euler(f):
+    return _TRACE_EULER[f.kind][1] + f.n
+
+
+def rule_verdict(target, parts):
+    """(verdict, starts) for the ordered factor list ``parts`` of
+    ``target``: the verdict of the class, trace and Euler number mod 12
+    rules, and how each of decomposition_verdict's reasons begins.  A
+    forbidden list has the first forbidding rule's reason alone; an
+    undecided one has one reason per rule that ran, or the no-rule text.
+
+      one factor            : the class rule, on the reduced classes
+      I0*, two factors      : the central pair rule, trace(x1) + trace(x2) = 0
+      I0*, three factors    : for each I_k factor (k >= 1) in order, k divides
+                              the sum of the other two traces
+      other target, two     : for each I_k factor (k >= 1) in order, k divides
+                              delta = trace(target) - trace(other), and
+                              shift_admissible(delta // k, other)
+      any number of factors : the Euler numbers agree with e(target) mod 12
+    """
+    central = target.kind == "I*" and target.n == 0
+    passed = []
+    if len(parts) == 1:
+        if parts[0].reduced() != target.reduced():
+            return FORBIDDEN, ["class rule: "]
+        passed.append("class rule passed")
+    elif central and len(parts) == 2:
+        if _trace(parts[0]) + _trace(parts[1]):
+            return FORBIDDEN, ["central pair rule: "]
+        passed.append("central pair rule passed")
+    elif len(parts) == (3 if central else 2):
+        name = "central triple rule" if central else "trace shift rule"
+        for i, p in enumerate(parts):
+            if p.kind != "I" or p.n == 0:
+                continue
+            others = parts[:i] + parts[i + 1:]
+            if central:
+                admitted = sum(map(_trace, others)) % p.n == 0
+            else:
+                delta = _trace(target) - _trace(others[0])
+                admitted = delta % p.n == 0 and shift_admissible(delta // p.n, others[0])
+            if not admitted:
+                return FORBIDDEN, [name + ": "]
+            passed.append("%s passed for I_%d factor" % (name, p.n))
+    if (sum(map(_euler, parts)) - _euler(target)) % 12:
+        return FORBIDDEN, ["Euler number mod 12 rule: "]
+    return UNDECIDED, passed or ["no trace obstruction applies to %d factors" % len(parts)]
 
 
 def shift_admissible(c, other):

@@ -4,8 +4,9 @@
 word with the full 2x2 product g*M*g^-1, in the search's breadth-first
 word order, and keeps the first word per conjugate.  It takes no shortcut
 for any class of base, so it checks the tables that
-``barkfib.splitting._conjugate_tables`` builds: the same keys, the same
-first words and the same dict order.
+``barkfib.splitting._ConjugateTables`` builds, read in full by
+``builder_tables``: the same keys, the same first words and the same dict
+order.
 
 ``find_conjugators`` builds those tables in full before it searches them,
 so it checks that the search, whose tables grow only as far as it reads
@@ -15,7 +16,24 @@ each word length charged when the search first needs it, so it checks
 the charging in bulk and as the tables grow.
 """
 
+from math import inf
+
 from barkfib.kodaira import standard_monodromy
+from barkfib.splitting import _ConjugateTables
+
+
+def builder_tables(bases, max_len, exp_cap):
+    """The full tables of _ConjugateTables, built with no node budget, as
+    one dict per base, mapping each conjugate alpha*I + beta*U to the
+    letters of its first word."""
+    builder = _ConjugateTables(bases, max_len, exp_cap, inf)
+    while builder.step():
+        pass
+    return [
+        {(alpha + beta * a, beta * b, beta * c, alpha + beta * d): w
+         for (a, b, c, d), w in table.items()}
+        for table, _, _, _, alpha, beta in builder.tables
+    ]
 
 
 def conjugate_tables(bases, max_len, exps):

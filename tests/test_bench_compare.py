@@ -87,3 +87,20 @@ def test_higher_is_better_metrics_fail_when_they_fall(bench_compare):
     assert rows == [("catalog", "run_s", 1.0, 0.7, pytest.approx(-0.3), 0.2, True)]
     rows = bench_compare.compare(_bench(), _bench({("catalog", "run_s"): 2.0}), spec)
     assert rows[0][-1] is False
+
+
+def test_attempted_counts_are_shown_and_never_fail(bench_compare, tmp_path, capsys):
+    old, new = _bench(), _bench()
+    for bench, counts in ((old, (100, 40)), (new, (300, None))):
+        for workload, count in zip(("catalog", "local"), counts):
+            if count is not None:
+                bench["results"][workload]["trace 0"]["attempted"] = count
+    assert _run(bench_compare, tmp_path, old, new) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in out]
+    assert ["catalog", "attempted", "100", "300", "+200.0%", "-", "info"] in rows
+    assert ["local", "attempted", "40", "missing", "missing", "-", "info"] in rows
+    assert not any(row[:2] == ["search-exhaust", "attempted"] for row in rows)
+    # each count follows its workload's peak_rss_mb row
+    at = [row[:2] for row in rows].index(["catalog", "peak_rss_mb"])
+    assert rows[at + 1][:2] == ["catalog", "attempted"]

@@ -14,6 +14,7 @@ from barkfib.kodaira import (
     classify,
     euler,
     parse_fiber,
+    standard_entries,
     standard_monodromy,
     standard_word,
 )
@@ -93,6 +94,19 @@ def test_standard_monodromy_closed_form_equals_word():
     assert {f.kind for f in classes} == set(KINDS)
     for f in classes:
         assert standard_monodromy(f) == eval_word(standard_word(f)), f
+
+
+def test_standard_entries_are_the_standard_matrix():
+    """standard_entries reads the same matrix as standard_monodromy and as
+    the standard word, for I0-I30, I0*-I30*, the six elliptic classes and
+    multiplicity 2."""
+    classes = all_reduced_classes(30)
+    classes += [FiberClass(k, n, 2) for k in ("I", "I*") for n in range(31)]
+    for f in classes:
+        entries = standard_entries(f)
+        assert type(entries) is tuple, f
+        assert entries == standard_monodromy(f).entries(), f
+        assert entries == eval_word(standard_word(f)).entries(), f
 
 
 @given(st.sampled_from(["I", "I*"]), st.integers(0, 10**6), st.integers(1, 3))

