@@ -426,18 +426,18 @@ class _ConjugateTables:
     in the same discovery order, the base's trace and lower-left entry,
     which every conjugate keeps (that entry by its sign, when it is not
     0), and alpha and beta.  Each step extends the dicts and lists by one
-    word length, so a partial table is a prefix of the full one; ``full``
-    is set once no step is left.
+    word length, so a partial table is a prefix of the full one.
 
     The builder owns the search's node count ``count`` and its
-    ``budget``: charge() adds to the count and raises SearchBudgetExceeded
-    once it passes the budget.  A word length costs its words times
-    (1 + the number of bases): one word at length 0, 2n at length 1 and n
-    children per word after that, n = 2*exp_cap.  Length 0 is charged when
-    the builder is made, and each later length when step() builds it,
-    before anything is built; so the exponent list is made only once
-    length 1's charge has passed.  A frontier that the budget cannot
-    extend is not kept, since the step that would extend it raises.
+    ``budget``: charge(), the only code that moves the count, adds to it
+    and raises SearchBudgetExceeded once it passes the budget.  A word
+    length costs its words times (1 + the number of bases): one word at
+    length 0, 2n at length 1 and n children per word after that,
+    n = 2*exp_cap.  Length 0 is charged when the builder is made, and each
+    later length when step() builds it, before anything is built; so the
+    exponent list is made only once length 1's charge has passed.  A
+    frontier that the budget cannot extend is not kept, since the step
+    that would extend it raises.
     """
 
     def __init__(self, bases, max_len, exp_cap, budget):
@@ -458,7 +458,6 @@ class _ConjugateTables:
         self._exp_cap, self._exps = exp_cap, None
         self._words = 4 * exp_cap  # at length 1
         self._left = max_len if exp_cap else 0
-        self.full = not self._left
 
     def charge(self, nodes):
         """Add ``nodes`` to the count; raise once it passes the budget."""
@@ -468,7 +467,7 @@ class _ConjugateTables:
 
     def step(self):
         """Extend every table by one word length; False once they are full."""
-        if self.full:
+        if not self._left:
             return False
         self.charge(self._words * self._per_word)
         if self._exps is None:
@@ -476,8 +475,7 @@ class _ConjugateTables:
             self._exps = [*range(-cap, 0), *range(1, cap + 1)]
         self._words *= 2 * self._exp_cap
         self._left -= 1
-        self.full = not self._left
-        keep = not self.full and self.count + self._words * self._per_word <= self.budget
+        keep = self._left and self.count + self._words * self._per_word <= self.budget
         general, parabolic, units = self._general, self._parabolic, self._units
         nxt = []
         for letters, (a, b, c, d) in self._frontier:
@@ -639,25 +637,24 @@ def _complete(steps, idx, rest, last, builder):
     steps ``rest`` to its inverse times ``rest``, alpha*rest +
     beta*adj(U)*rest with adj(U) = (d, -b, -c, a).  ``builder`` keeps the
     node count: one for this node and one per child.  A child whose factor
-    is the last is charged together with its leaf, and its lookup in the
-    last table is made here, charged for each run of the list at once and
-    cut where the budget runs out: it raises where a count of one node at
-    a time would (a witness ends the search; the count is not read).  The
-    last factor needs the last class's trace t, so a unit is tried only
-    when the trace of adj(U)*rest is (t - alpha*trace(rest))/beta, and no
-    unit of a run is when beta does not divide that difference.  A unit
-    that passes, but whose last factor lacks the sign of the last class's
-    lower-left entry, is in no table and is passed over before that factor
-    is built.  Returns the units found, last factor first, or None.
+    is the last, and its leaf, cost two nodes; its lookup in the last
+    table is made here.  The loop owes those two nodes for each unit it
+    reads and pays what it owes before each lookup, since a lookup may
+    take a step, which is charged when it is taken, and at the end of the
+    list.  So the count is the one of one node at a time, a witness
+    included.  The last factor needs the last class's trace t, so a unit
+    is tried only when the trace of adj(U)*rest is
+    (t - alpha*trace(rest))/beta, and none is when beta does not divide
+    that difference.  A unit that passes, but whose last factor lacks the
+    sign of the last class's lower-left entry, is in no table and is
+    passed over before that factor is built.  Returns the units found,
+    last factor first, or None.
 
     The tables are partial.  The loop over the last but one factor takes
     another step of ``builder`` when it has read its list to the end,
     entries that a lookup added included, and a lookup that misses takes
     steps until it hits or the tables are full.  So the units are read in
-    the order of the full tables, and the same ones are found.  A step is
-    charged when it is taken, so before a lookup that can take one the
-    unread rest of the run is taken back out of the count, and read again
-    after it.
+    the order of the full tables, and the same ones are found.
     """
     builder.charge(1)
     if idx == len(steps):
@@ -680,31 +677,23 @@ def _complete(steps, idx, rest, last, builder):
     want, off = divmod(t - alpha * (r0 + r3), beta)
     read = 0
     while read < len(items) or builder.step():
-        end = len(items)
-        stop = min(end, read + (builder.budget - builder.count) // 2)
-        if stop == read < end:
-            builder.charge(2)  # raises: not one candidate's two nodes are left
-        # two nodes per candidate, the child and its leaf
-        builder.count += 2 * (stop - read)
-        # no unit of the run passes when beta does not divide t - alpha*trace(rest)
-        for a, b, c, d in () if off else islice(items, read, stop):
+        # no unit passes when beta does not divide t - alpha*trace(rest)
+        owed = 2 * (len(items) - read) if off else 0
+        for a, b, c, d in () if off else islice(items, read, None):
+            owed += 2  # the child and its leaf
             # the trace and lower-left entry of the needed last factor
             if a * r3 + d * r0 - b * r2 - c * r1 != want:
                 continue
             if (alpha * r2 + beta * (a * r2 - c * r0)) * sign < 0:
                 continue
+            builder.charge(owed)  # before a lookup, which may take a step
+            owed = 0
             u = (a, b, c, d)
-            can_step = not builder.full
-            if can_step:
-                read = items.index(u, read) + 1
-                builder.count -= 2 * (stop - read)
             found = builder.find(last, _left_divide(alpha, beta, u, rest))
             if found is not None:
                 return [found, u]
-            if can_step:
-                break
-        else:
-            read = stop
+        builder.charge(owed)
+        read = len(items)
     return None
 
 

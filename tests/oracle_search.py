@@ -13,7 +13,9 @@ so it checks that the search, whose tables grow only as far as it reads
 them, finds the same first factorization.  ``search_nodes`` also counts
 the nodes that search charges, one at a time by the documented rule, with
 each word length charged when the search first needs it, so it checks
-the charging in bulk and as the tables grow.
+the leaf loop's owed charge, the two nodes of each candidate it reads
+paid before each lookup and at the end of its list, and the charging of
+each length as the tables grow.
 """
 
 from math import inf

@@ -17,6 +17,7 @@ from barkfib.splitting import (
     FORBIDDEN,
     WITNESS_TABLE,
     SearchBudgetExceeded,
+    _ConjugateTables,
     _distinct_orders,
     _find_conjugators,
     decomposition_verdict,
@@ -167,6 +168,16 @@ BUDGET_EDGES = [
     pytest.param("III*", ["I6", "I1", "I2"], 2, 5117, id="III*-I6-I1-I2-2-5117"),
 ]
 
+# The length-3 searches of the search-witness benchmark workload's tail:
+# their leaf loops read the full tables and find the witness there.  Kept
+# apart from BUDGET_EDGES so that the oracle test's positional ids of the
+# rows above and of KERNEL_BUDGET_EDGES stay as they were.
+LENGTH_3_EDGES = [
+    pytest.param("I6*", ["I10", "I1", "I1"], 3, 77576, id="I6*-I10-I1-I1-3-77576"),
+    pytest.param("II*", ["I8", "I1", "I1"], 3, 45470, id="II*-I8-I1-I1-3-45470"),
+    pytest.param("III*", ["I6", "I1", "I2"], 3, 73453, id="III*-I6-I1-I2-3-73453"),
+]
+
 # Searches the trace rules forbid: search_factorization returns None
 # without searching, so the kernel's node accounting is pinned directly.
 KERNEL_BUDGET_EDGES = [
@@ -175,7 +186,7 @@ KERNEL_BUDGET_EDGES = [
 ]
 
 
-@pytest.mark.parametrize("target,parts,length,budget", BUDGET_EDGES)
+@pytest.mark.parametrize("target,parts,length,budget", BUDGET_EDGES + LENGTH_3_EDGES)
 def test_budget_edges(target, parts, length, budget):
     args = (F(target), [F(p) for p in parts], length)
     search_factorization(*args, node_budget=budget)
@@ -230,7 +241,10 @@ def test_kernel_budget_edges(target, parts, length, budget):
 
 
 @pytest.mark.parametrize(
-    "target,parts,length,budget", [edge.values for edge in BUDGET_EDGES] + KERNEL_BUDGET_EDGES
+    "target,parts,length,budget",
+    [edge.values for edge in BUDGET_EDGES]
+    + KERNEL_BUDGET_EDGES
+    + [edge.values for edge in LENGTH_3_EDGES],
 )
 def test_oracle_counts_the_budget_edges(target, parts, length, budget):
     assert search_nodes(entries(target), multiset(*map(F, parts)), length, 8)[1] == budget
@@ -261,9 +275,10 @@ def small_searches(draw, names=BASES, min_size=1):
 @settings(max_examples=50, deadline=None)
 @given(small_searches())
 def test_search_charges_the_oracle_node_count(search):
-    # the leaf loop charges its runs in bulk: the count must still be the
-    # one-at-a-time count, so the search completes with exactly that budget
-    # and raises with one node less
+    # the leaf loop pays for the candidates it has read before each lookup
+    # and at the end of its list: the count must still be the one-at-a-time
+    # count, so the search completes with exactly that budget and raises
+    # with one node less
     _assert_oracle_search(*search)
 
 
@@ -275,7 +290,7 @@ UNIT_PARTS = ["I3", "I5", "I2*", "I4*", "I1", "II", "IV*", "I0*"]
 @settings(max_examples=50, deadline=None)
 @given(small_searches(UNIT_PARTS, min_size=2))
 def test_units_with_large_beta_match_the_oracle(search):
-    # a last but one factor with |beta| >= 2 skips the scan of a run whose
+    # a last but one factor with |beta| >= 2 skips the scan of a list whose
     # trace difference beta does not divide, but charges it all the same
     _assert_oracle_search(*search)
 
@@ -291,13 +306,48 @@ def _assert_oracle_search(target, names, max_len, exp_cap):
 
 
 def test_a_lookup_that_steps_is_charged_before_the_rest_of_its_run():
-    # II* = II . I2* at length 2, exp_cap 1: a lookup in the middle of a run
-    # of the leaf loop builds length 2, whose 8 words x 3 are charged before
-    # the candidates after it in the run, as a count of one node at a time
-    # charges them; charging the whole run first would raise at the oracle's
-    # 44 nodes
+    # II* = II . I2* at length 2, exp_cap 1: a lookup in the middle of the
+    # leaf loop's list builds length 2, whose 8 words x 3 are charged before
+    # the candidates after it in the list, as a count of one node at a time
+    # charges them; charging the whole list first would raise at the
+    # oracle's 44 nodes
     assert search_nodes(entries("II*"), multiset(F("II"), F("I2*")), 2, 1)[1] == 44
     _assert_oracle_search(entries("II*"), ["II", "I2*"], 2, 1)
+
+
+# Searches that find a witness: after it, as after a search with none, the
+# count is the oracle's count of one node at a time.
+EXACT_COUNTS = [
+    ("I6*", ["I10", "I1", "I1"], 3, 8),
+    ("II*", ["I8", "I1", "I1"], 3, 8),
+    ("III*", ["I6", "I1", "I2"], 3, 8),
+    ("II*", ["II", "I2*"], 2, 1),
+    ("II*", ["I1"] * 10, 1, 8),
+]
+
+
+@pytest.mark.parametrize("target,parts,length,exp_cap", EXACT_COUNTS)
+def test_count_after_a_witness_is_exact(monkeypatch, target, parts, length, exp_cap):
+    # charge() is the only code that moves the count
+    builders, charged = [], []
+    init, charge = _ConjugateTables.__init__, _ConjugateTables.charge
+
+    def capture(self, *args):
+        builders.append(self)
+        init(self, *args)
+
+    def record(self, nodes):
+        charged.append(nodes)
+        charge(self, nodes)
+
+    monkeypatch.setattr(_ConjugateTables, "__init__", capture)
+    monkeypatch.setattr(_ConjugateTables, "charge", record)
+    args = (entries(target), multiset(*map(F, parts)), length, exp_cap)
+    want, nodes = search_nodes(*args)
+    assert want is not None
+    assert _find_conjugators(*args, 10**7) == want
+    [builder] = builders
+    assert builder.count == sum(charged) == nodes
 
 
 @pytest.mark.parametrize("target,parts,length,budget", KERNEL_BUDGET_EDGES)
