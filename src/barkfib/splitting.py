@@ -508,22 +508,14 @@ class _ConjugateTables:
 
     def find(self, entry, m):
         """The unit of ``m`` when it is in the dict of ``entry``, one of
-        the tables, taking steps until it is or the tables are full; else
-        None.  A matrix with another trace than the base, a lower-left
-        entry of the other sign when the base's is not 0, or an
-        m - alpha*I that beta does not divide is in that dict at no
-        length, so it takes no step."""
-        table, _, t, c, alpha, beta = entry
-        if m[0] + m[3] != t or m[2] * c < 0:
-            return None
+        the tables; else None.  An m - alpha*I that beta does not divide
+        is the conjugate of no unit."""
+        table, _, _, _, alpha, beta = entry
         x, y, z, w = m[0] - alpha, m[1], m[2], m[3] - alpha
         if x % beta or y % beta or z % beta or w % beta:
             return None
         u = (x // beta, y // beta, z // beta, w // beta)
-        while u not in table:
-            if not self.step():
-                return None
-        return u
+        return u if u in table else None
 
 
 def search_factorization(
@@ -537,23 +529,23 @@ def search_factorization(
     means the empty word only, so every factor is its standard matrix.
     The words are taken breadth first (the empty word, s0^e and s2^e for
     e = -exp_cap..exp_cap, then one more alternating letter per length);
-    a conjugate reached by several words keeps the first.  The distinct
-    orderings of ``parts`` are tried in permutation order; for each, a
-    depth-first search runs over the conjugates of all but the last
-    factor, each class's in the order they were first reached, and looks
-    the needed last factor up among its conjugates.  So the first witness
-    found is deterministic.  An I_n or I_n* conjugate p*I + q*g*N*g^-1
-    depends only on g's first column; each unit g*N*g^-1 is stored once,
-    in one table shared by those classes.  The tables start at the empty word
-    and grow one conjugator length at a time, only as far as the search
-    reads them, so a witness with short conjugators is found without
-    building the longer ones; the answer is the one the full tables give.
+    a conjugate reached by several words keeps the first.  The search runs
+    one pass per conjugator length, shortest first, on the tables of the
+    words up to that length.  In a pass the distinct orderings of
+    ``parts`` are tried in permutation order; for each, a depth-first
+    search runs over the conjugates of all but the last factor, each
+    class's in the order they were first reached, and looks the needed
+    last factor up among its conjugates.  So the first witness found is
+    deterministic, and its longest conjugator is as short as the bounds
+    allow.  An I_n or I_n* conjugate p*I + q*g*N*g^-1 depends only on g's
+    first column; each unit g*N*g^-1 is stored once, in one table shared
+    by those classes.
 
     Node accounting: one node per conjugator word, one per (word, distinct
     class) conjugation, whether or not that conjugation is computed, and
-    one per depth-first node and per child.  A word length is charged in
-    full when the tables grow to it, so the lengths a search never reads
-    cost nothing.  The search raises SearchBudgetExceeded once the count
+    one per depth-first node and per child, in every pass.  A word length
+    is charged in full when its pass starts, so the lengths past the
+    witness cost nothing.  The search raises SearchBudgetExceeded once the count
     would pass ``node_budget``, so a search that needs exactly
     ``node_budget`` nodes completes.  A decomposition the obstructions
     forbid costs no nodes and never raises.
@@ -599,21 +591,24 @@ def _find_conjugators(target_m, parts, max_conj_len, exp_cap, node_budget):
 
     ``parts`` is a canonical multiset.  Returns (order, letters), the
     factor order and each factor's conjugator letters, for the first
-    ordered product equal to ``target_m``; or None.  The conjugate tables
-    start at the empty word and grow one conjugator length at a time, only
-    as far as the depth-first search reads them (see _complete), so the
-    answer is the one the full tables would give.
+    ordered product equal to ``target_m``; or None.  The first pass reads
+    the tables of the empty word; each later one first grows them by one
+    conjugator length, and none runs once they are full.  Nothing grows
+    during a pass, so the witness is the first in (length, order, table
+    order).
     """
     classes = list(dict.fromkeys(parts))
     bases = [standard_entries(f) for f in classes]
     builder = _ConjugateTables(bases, max_conj_len, exp_cap, node_budget)
     tables = dict(zip(classes, builder.tables))
-    for order in _distinct_orders(parts):
-        steps = [tables[f] for f in order[:-1]]
-        found = _complete(steps, 0, target_m, tables[order[-1]], builder)
-        if found is not None:
-            return order, [tables[f][0][u] for f, u in zip(order, reversed(found))]
-    return None
+    while True:
+        for order in _distinct_orders(parts):
+            steps = [tables[f] for f in order[:-1]]
+            found = _complete(steps, 0, target_m, tables[order[-1]], builder)
+            if found is not None:
+                return order, [tables[f][0][u] for f, u in zip(order, reversed(found))]
+        if not builder.step():
+            return None
 
 
 def _distinct_orders(parts):
@@ -638,23 +633,15 @@ def _complete(steps, idx, rest, last, builder):
     beta*adj(U)*rest with adj(U) = (d, -b, -c, a).  ``builder`` keeps the
     node count: one for this node and one per child.  A child whose factor
     is the last, and its leaf, cost two nodes; its lookup in the last
-    table is made here.  The loop owes those two nodes for each unit it
-    reads and pays what it owes before each lookup, since a lookup may
-    take a step, which is charged when it is taken, and at the end of the
-    list.  So the count is the one of one node at a time, a witness
-    included.  The last factor needs the last class's trace t, so a unit
-    is tried only when the trace of adj(U)*rest is
-    (t - alpha*trace(rest))/beta, and none is when beta does not divide
-    that difference.  A unit that passes, but whose last factor lacks the
-    sign of the last class's lower-left entry, is in no table and is
-    passed over before that factor is built.  Returns the units found,
-    last factor first, or None.
-
-    The tables are partial.  The loop over the last but one factor takes
-    another step of ``builder`` when it has read its list to the end,
-    entries that a lookup added included, and a lookup that misses takes
-    steps until it hits or the tables are full.  So the units are read in
-    the order of the full tables, and the same ones are found.
+    table is made here, and the loop charges the two nodes of every unit
+    it has read when it finds the witness or reaches the end of its list.
+    So the count is the one of one node at a time, a witness included.
+    The last factor needs the last class's trace t, so a unit is tried
+    only when the trace of adj(U)*rest is (t - alpha*trace(rest))/beta,
+    and none is when beta does not divide that difference.  A unit that
+    passes, but whose last factor lacks the sign of the last class's
+    lower-left entry, is in no table and is passed over before that
+    factor is built.  Returns the units found, last factor first, or None.
     """
     builder.charge(1)
     if idx == len(steps):
@@ -662,9 +649,6 @@ def _complete(steps, idx, rest, last, builder):
         return None if u is None else [u]
     _, items, _, _, alpha, beta = steps[idx]
     if idx + 1 < len(steps):
-        # This list grows while it is read, and the search below each child
-        # finds a witness or reads the last but one factor's list to its
-        # end, which fills the tables: so this loop reads the full list.
         for u in items:
             builder.charge(1)
             found = _complete(steps, idx + 1, _left_divide(alpha, beta, u, rest), last, builder)
@@ -675,25 +659,18 @@ def _complete(steps, idx, rest, last, builder):
     r0, r1, r2, r3 = rest
     _, _, t, sign, _, _ = last
     want, off = divmod(t - alpha * (r0 + r3), beta)
-    read = 0
-    while read < len(items) or builder.step():
-        # no unit passes when beta does not divide t - alpha*trace(rest)
-        owed = 2 * (len(items) - read) if off else 0
-        for a, b, c, d in () if off else islice(items, read, None):
-            owed += 2  # the child and its leaf
-            # the trace and lower-left entry of the needed last factor
-            if a * r3 + d * r0 - b * r2 - c * r1 != want:
-                continue
-            if (alpha * r2 + beta * (a * r2 - c * r0)) * sign < 0:
-                continue
-            builder.charge(owed)  # before a lookup, which may take a step
-            owed = 0
-            u = (a, b, c, d)
-            found = builder.find(last, _left_divide(alpha, beta, u, rest))
-            if found is not None:
-                return [found, u]
-        builder.charge(owed)
-        read = len(items)
+    for read, (a, b, c, d) in enumerate(() if off else items, 1):
+        # the trace and lower-left entry of the needed last factor
+        if a * r3 + d * r0 - b * r2 - c * r1 != want:
+            continue
+        if (alpha * r2 + beta * (a * r2 - c * r0)) * sign < 0:
+            continue
+        u = (a, b, c, d)
+        found = builder.find(last, _left_divide(alpha, beta, u, rest))
+        if found is not None:
+            builder.charge(2 * read)  # the child and its leaf per unit read
+            return [found, u]
+    builder.charge(2 * len(items))
     return None
 
 

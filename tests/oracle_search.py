@@ -8,14 +8,16 @@ for any class of base, so it checks the tables that
 ``builder_tables``: the same keys, the same first words and the same dict
 order.
 
-``find_conjugators`` builds those tables in full before it searches them,
-so it checks that the search, whose tables grow only as far as it reads
-them, finds the same first factorization.  ``search_nodes`` also counts
-the nodes that search charges, one at a time by the documented rule, with
-each word length charged when the search first needs it, so it checks
-the leaf loop's owed charge, the two nodes of each candidate it reads
-paid before each lookup and at the end of its list, and the charging of
-each length as the tables grow.
+``find_conjugators`` searches one conjugator length at a time, shortest
+first, each on tables built in full from the empty word, so it checks
+the search, which grows one set of tables by a length before each pass,
+and finds the same first factorization.  ``search_nodes`` also counts
+the nodes that search charges, one at a time by the documented rule,
+with each length charged when its pass starts, so it checks the leaf
+loop's charge of the two nodes of each candidate it reads, and the
+charging of each pass.  ``has_factorization`` searches the full tables
+of one length for any factorization, which the length-by-length search
+must find exactly when one exists.
 """
 
 from math import inf
@@ -84,14 +86,15 @@ def conjugate_tables(bases, max_len, exps):
 
 
 def find_conjugators(target_m, parts, max_len, exp_cap):
-    """The first factorization of the eager search: build the full tables
-    of ``conjugate_tables``, then try the distinct orders of the canonical
-    multiset ``parts`` in lexicographic order, which is the order of their
-    first occurrence in permutations(parts), and for each run a depth-first
-    search over the conjugates of all but the last factor, in table order,
-    with the last factor looked up in its table.  Returns (order, letters)
-    or None, as ``barkfib.splitting._find_conjugators`` does, without a
-    node count.
+    """The first factorization of the eager search, length by length: for
+    each conjugator length 0..max_len, build the full tables of
+    ``conjugate_tables`` up to that length, then try the distinct orders
+    of the canonical multiset ``parts`` in lexicographic order, which is
+    the order of their first occurrence in permutations(parts), and for
+    each run a depth-first search over the conjugates of all but the last
+    factor, in table order, with the last factor looked up in its table.
+    Returns (order, letters) or None, as
+    ``barkfib.splitting._find_conjugators`` does, without a node count.
     """
     return search_nodes(target_m, parts, max_len, exp_cap)[0]
 
@@ -100,75 +103,53 @@ def search_nodes(target_m, parts, max_len, exp_cap):
     """(find_conjugators(...), nodes): the nodes charged up to the first
     factorization, or over the whole search when there is none.
 
-    In the depth-first search, one node per node and one per child,
-    counted one at a time as the search meets them.  A word length costs
-    one node per word and one per (word, distinct class), and is charged
-    when the search first needs it: length 0 at the start; a later length
-    to read an entry of that length, or to find a last factor whose first
-    word has that length; and every length when the loop over the last but
-    one factor reaches its end, or when a last factor that has its class's
-    invariants is in no table.
+    Each length's pass is charged when it starts: one node per word of
+    that length and one per (word, distinct class), with one word at
+    length 0, 2n at length 1 and n children per word after that, for n
+    exponents.  With no exponents only length 0 has words, so there is
+    one pass.  In the depth-first search of a pass, one node per node and
+    one per child, counted one at a time as the search meets them.
     """
     classes = list(dict.fromkeys(parts))
     exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0] if max_len else []
     bases = [standard_monodromy(f).entries() for f in classes]
+    count = [0]
+    for length in range(max_len + 1 if exps else 1):
+        words = 2 * len(exps) ** length if length else 1
+        count[0] += words * (1 + len(classes))
+        tables = dict(zip(classes, conjugate_tables(bases, length, exps)))
+        for order in _lexicographic_orders(parts):
+            found = _first_product(order, target_m, tables, count)
+            if found is not None:
+                return (order, found), count[0]
+    return None, count[0]
+
+
+def has_factorization(target_m, parts, max_len, exp_cap):
+    """Is ``target_m`` a product, in some order of ``parts``, of conjugates
+    in the full tables of length ``max_len``?"""
+    exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0]
+    classes = list(dict.fromkeys(parts))
+    bases = [standard_monodromy(f).entries() for f in classes]
     tables = dict(zip(classes, conjugate_tables(bases, max_len, exps)))
-    count = _Count(len(classes), max_len if exps else 0, len(exps))
-    for order in _lexicographic_orders(parts):
-        found = _first_product(order, target_m, tables, count)
-        if found is not None:
-            return (order, found), count.nodes
-    return None, count.nodes
-
-
-class _Count:
-    """The node count, with each word length charged once."""
-
-    def __init__(self, n_classes, max_len, n_exps):
-        self.nodes, self.lengths = 0, 0
-        self._per_word, self._max_len, self._n = 1 + n_classes, max_len, n_exps
-        self.need(0)
-
-    def need(self, length=None):
-        """Charge every length up to ``length`` not charged yet; all of
-        them when ``length`` is None."""
-        top = self._max_len if length is None else length
-        while self.lengths <= top:
-            # the empty word, then 2n words at length 1 with n exponents,
-            # and n children for each word after that
-            words = 2 * self._n ** self.lengths if self.lengths else 1
-            self.nodes += words * self._per_word
-            self.lengths += 1
-
-
-def _has_invariants(m, base):
-    """Does ``m`` keep what every conjugate of ``base`` keeps: its trace,
-    the sign of its lower-left entry, and, for a base p*I + q*N with
-    N = [[0, 1], [0, 0]] (I_n and I_n*), the form p*I + q*U with U
-    integral?"""
-    p, q, r, s = base
-    if m[0] + m[3] != p + s or m[2] * r < 0:
-        return False
-    return bool(r) or not q or all(x % q == 0 for x in (m[0] - p, m[1], m[2], m[3] - p))
+    return any(
+        _first_product(order, target_m, tables, [0]) is not None
+        for order in _lexicographic_orders(parts)
+    )
 
 
 def _first_product(order, rest, tables, count):
     """Letters of the first conjugates of ``order``, in table order, whose
-    product is ``rest``; or None.  Adds this node, its children and the
-    word lengths they need to ``count``."""
-    count.nodes += 1
+    product is ``rest``; or None.  Adds this node and its children to
+    ``count[0]``."""
+    count[0] += 1
     table = tables[order[0]]
     if len(order) == 1:
         w = table.get(rest)
-        if w is not None:
-            count.need(len(w))
-        elif _has_invariants(rest, standard_monodromy(order[0]).entries()):
-            count.need()
         return None if w is None else [w]
     r0, r1, r2, r3 = rest
     for (a, b, c, d), letters in table.items():
-        count.need(len(letters))
-        count.nodes += 1
+        count[0] += 1
         # the inverse (d, -b, -c, a) of the chosen conjugate times rest
         found = _first_product(
             order[1:],
@@ -178,8 +159,6 @@ def _first_product(order, rest, tables, count):
         )
         if found is not None:
             return [letters] + found
-    if len(order) == 2:
-        count.need()
     return None
 
 

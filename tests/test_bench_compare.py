@@ -104,3 +104,15 @@ def test_attempted_counts_are_shown_and_never_fail(bench_compare, tmp_path, caps
     # each count follows its workload's peak_rss_mb row
     at = [row[:2] for row in rows].index(["catalog", "peak_rss_mb"])
     assert rows[at + 1][:2] == ["catalog", "attempted"]
+
+
+def test_setup_worse_everywhere_prints_a_note(bench_compare, tmp_path, capsys):
+    slow = {(workload, "setup_s"): 2.0 for workload in WORKLOADS}
+    assert _run(bench_compare, tmp_path, _bench(), _bench(slow)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].startswith("note: setup_s is WORSE on every workload")
+    assert "uncorrected wall time" in out[-1] and "re-record the parent" in out[-1]
+    # one workload within its bound: no note, and the exit code is the same
+    del slow["local", "setup_s"]
+    assert _run(bench_compare, tmp_path, _bench(), _bench(slow)) == 1
+    assert not any(line.startswith("note") for line in capsys.readouterr().out.splitlines())

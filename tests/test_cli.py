@@ -144,7 +144,7 @@ def test_factorize_found(capsys):
 def test_factorize_text_is_a_verifying_identity(capsys):
     assert main(["factorize", "II", "I1", "I1"]) == 0
     [line] = capsys.readouterr().out.splitlines()
-    assert line == "II = I1 . I1^(s0^-1 s2^-1)"
+    assert line == "II = I1^(s2^-1) . I1"
     assert verify_witness(parse_identity(line))
 
 
@@ -214,9 +214,25 @@ def test_factorize_budget_exceeded_exits_1(capsys, json_flag):
 
 
 def test_factorize_charges_only_the_lengths_it_reads(capsys):
-    # the witness has empty conjugators, so lengths 1..6 are never built
-    assert main(["factorize", "IV", "II", "II", "--max-conj-len", "6"]) == 0
-    assert capsys.readouterr().out.splitlines() == ["IV = II . II"]
+    # the witness has empty conjugators, so lengths 1..6 are never built:
+    # the pass of length 0 costs 5 nodes, as README says
+    argv = ["factorize", "IV", "II", "II", "--max-conj-len", "6"]
+    assert main(argv) == 0
+    assert main(argv + ["--budget", "5"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["IV = II . II"] * 2
+    assert main(argv + ["--budget", "4"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: search exceeded 4 nodes"]
+
+
+@pytest.mark.parametrize("length", ["0", "50"])
+def test_factorize_without_exponents_runs_one_pass(capsys, length):
+    # with --exp-cap 0 the empty word is the only conjugator, so the pass of
+    # length 0 is the only one at any length bound: 5 nodes either way
+    argv = ["factorize", "II", "I1", "I1", "--exp-cap", "0", "--max-conj-len", length]
+    assert main(argv + ["--budget", "5"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["no factorization found"]
+    assert main(argv + ["--budget", "4"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: search exceeded 4 nodes"]
 
 
 _EULER_PROOF = (

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barkfib.kodaira import euler, parse_fiber, standard_monodromy
-from barkfib.sl2z import IDENTITY, Word, conj, eval_word, format_word
+from barkfib.kodaira import classify, euler, parse_fiber, standard_entries, standard_monodromy
+from barkfib.sl2z import IDENTITY, Mat2, Word, conj, eval_word, format_word
 from barkfib.splitting import (
     FORBIDDEN,
     WITNESS_TABLE,
+    FactorizationWitness,
     SearchBudgetExceeded,
     _ConjugateTables,
     _distinct_orders,
@@ -25,9 +26,16 @@ from barkfib.splitting import (
     multiset,
     parse_identity,
     search_factorization,
+    verify_witness,
 )
 
-from oracle_search import builder_tables, conjugate_tables, find_conjugators, search_nodes
+from oracle_search import (
+    builder_tables,
+    conjugate_tables,
+    find_conjugators,
+    has_factorization,
+    search_nodes,
+)
 
 BASES = ["I1", "I2", "I3", "II", "III", "IV", "I0*", "I1*", "II*", "III*", "IV*"]
 EXP_CAP = 3
@@ -155,34 +163,35 @@ def test_tuple_products_equal_mat2_products(case):
 
 
 # The smallest budget with which each search completes.  The ids are
-# fixed so that the test names do not depend on the rows' positions.
+# fixed so that the test names do not depend on the rows' positions or
+# values: the number that ends an id is the budget the row was first
+# frozen with, before the search went one conjugator length per pass.
 BUDGET_EDGES = [
-    pytest.param("II", ["I1", "I1"], 2, 1093, id="II-parts0-2-1093"),
-    pytest.param("IV", ["I3", "I1"], 2, 116, id="IV-parts3-2-116"),
-    pytest.param("III", ["I1", "I1", "I1"], 1, 71, id="III-parts4-1-71"),
+    pytest.param("II", ["I1", "I1"], 2, 88, id="II-parts0-2-1093"),
+    pytest.param("IV", ["I3", "I1"], 2, 122, id="IV-parts3-2-116"),
+    pytest.param("III", ["I1", "I1", "I1"], 1, 76, id="III-parts4-1-71"),
     # Length 0 is the empty conjugator only: one word, one conjugation,
     # one search node.
     pytest.param("I1", ["I1"], 0, 3, id="I1-parts5-0-3"),
     # Three factors with a distinct last class: pins the two nodes charged
     # for each child whose factor is the last (the child and its leaf).
-    pytest.param("III*", ["I6", "I1", "I2"], 2, 5117, id="III*-I6-I1-I2-2-5117"),
+    pytest.param("III*", ["I6", "I1", "I2"], 2, 399, id="III*-I6-I1-I2-2-5117"),
 ]
 
-# The length-3 searches of the search-witness benchmark workload's tail:
-# their leaf loops read the full tables and find the witness there.  Kept
-# apart from BUDGET_EDGES so that the oracle test's positional ids of the
-# rows above and of KERNEL_BUDGET_EDGES stay as they were.
+# The three-factor length-3 searches of the search-witness benchmark
+# workload: each finds its witness in the pass of length 1.
 LENGTH_3_EDGES = [
-    pytest.param("I6*", ["I10", "I1", "I1"], 3, 77576, id="I6*-I10-I1-I1-3-77576"),
-    pytest.param("II*", ["I8", "I1", "I1"], 3, 45470, id="II*-I8-I1-I1-3-45470"),
-    pytest.param("III*", ["I6", "I1", "I2"], 3, 73453, id="III*-I6-I1-I2-3-73453"),
+    pytest.param("I6*", ["I10", "I1", "I1"], 3, 459, id="I6*-I10-I1-I1-3-77576"),
+    pytest.param("II*", ["I8", "I1", "I1"], 3, 239, id="II*-I8-I1-I1-3-45470"),
+    pytest.param("III*", ["I6", "I1", "I2"], 3, 399, id="III*-I6-I1-I2-3-73453"),
 ]
 
 # Searches the trace rules forbid: search_factorization returns None
 # without searching, so the kernel's node accounting is pinned directly.
+# Every pass runs, so each is charged the search of every length.
 KERNEL_BUDGET_EDGES = [
-    ("IV", ["I2", "I2"], 2, 1575),
-    ("I0*", ["I3", "I2", "I1"], 1, 3810),
+    pytest.param("IV", ["I2", "I2"], 2, 1613, id="IV-parts0-2-1575"),
+    pytest.param("I0*", ["I3", "I2", "I1"], 1, 3840, id="I0*-parts1-1-3810"),
 ]
 
 
@@ -214,12 +223,12 @@ def test_budget_edge_in_the_middle_loop():
 
 
 # Searches whose witness is found before the tables are full: the lengths
-# they never read are not charged, so their node count does not depend on
+# past its pass are not charged, so their node count does not depend on
 # the conjugator length bound.
 EARLY_WITNESS_NODES = [
-    ("II", ["I1", "I1"], 1093),
-    ("IV", ["I3", "I1"], 116),
-    ("IV", ["II", "II"], 5),
+    pytest.param("II", ["I1", "I1"], 88, id="II-parts0-1093"),
+    pytest.param("IV", ["I3", "I1"], 122, id="IV-parts1-116"),
+    pytest.param("IV", ["II", "II"], 5, id="IV-parts2-5"),
 ]
 
 
@@ -240,11 +249,29 @@ def test_kernel_budget_edges(target, parts, length, budget):
         _find_conjugators(*args, budget - 1)
 
 
+# The oracle test's fixed ids, one per row of BUDGET_EDGES,
+# KERNEL_BUDGET_EDGES and LENGTH_3_EDGES in that order: the row's position
+# and, as above, its first frozen budget.
+ORACLE_EDGE_IDS = [
+    "II-parts0-2-1093",
+    "IV-parts1-2-116",
+    "III-parts2-1-71",
+    "I1-parts3-0-3",
+    "III*-parts4-2-5117",
+    "IV-parts5-2-1575",
+    "I0*-parts6-1-3810",
+    "I6*-parts7-3-77576",
+    "II*-parts8-3-45470",
+    "III*-parts9-3-73453",
+]
+
+
 @pytest.mark.parametrize(
     "target,parts,length,budget",
-    [edge.values for edge in BUDGET_EDGES]
-    + KERNEL_BUDGET_EDGES
-    + [edge.values for edge in LENGTH_3_EDGES],
+    [
+        pytest.param(*edge.values, id=name)
+        for edge, name in zip(BUDGET_EDGES + KERNEL_BUDGET_EDGES + LENGTH_3_EDGES, ORACLE_EDGE_IDS)
+    ],
 )
 def test_oracle_counts_the_budget_edges(target, parts, length, budget):
     assert search_nodes(entries(target), multiset(*map(F, parts)), length, 8)[1] == budget
@@ -275,10 +302,10 @@ def small_searches(draw, names=BASES, min_size=1):
 @settings(max_examples=50, deadline=None)
 @given(small_searches())
 def test_search_charges_the_oracle_node_count(search):
-    # the leaf loop pays for the candidates it has read before each lookup
-    # and at the end of its list: the count must still be the one-at-a-time
-    # count, so the search completes with exactly that budget and raises
-    # with one node less
+    # the leaf loop charges the candidates it has read when it finds the
+    # witness and at the end of its list: the count must still be the
+    # one-at-a-time count, so the search completes with exactly that budget
+    # and raises with one node less
     _assert_oracle_search(*search)
 
 
@@ -295,6 +322,27 @@ def test_units_with_large_beta_match_the_oracle(search):
     _assert_oracle_search(*search)
 
 
+@settings(max_examples=50, deadline=None)
+@given(small_searches())
+def test_witness_has_the_shortest_conjugators(search):
+    # a witness is found at length L exactly when the full tables of length
+    # L hold one, and its longest conjugator is the shortest length that
+    # holds one: at one length less the oracle finds none
+    target, names, max_len, exp_cap = search
+    parts = multiset(*map(F, names))
+    found = _find_conjugators(target, parts, max_len, exp_cap, 10**7)
+    assert (found is not None) == has_factorization(target, parts, max_len, exp_cap)
+    if found is None:
+        return
+    order, letters = found
+    longest = max(map(len, letters))
+    assert longest == 0 or find_conjugators(target, parts, longest - 1, exp_cap) is None
+    witness = FactorizationWitness(classify(Mat2(*target)), tuple(zip(order, map(Word, letters))))
+    assert witness.product().entries() == target
+    if witness.target is not None and standard_entries(witness.target) == target:
+        assert verify_witness(witness)
+
+
 def _assert_oracle_search(target, names, max_len, exp_cap):
     """The oracle's first order and letters, found with exactly its node
     count, and SearchBudgetExceeded with one node less."""
@@ -303,16 +351,6 @@ def _assert_oracle_search(target, names, max_len, exp_cap):
     assert _find_conjugators(target, parts, max_len, exp_cap, nodes) == want
     with pytest.raises(SearchBudgetExceeded):
         _find_conjugators(target, parts, max_len, exp_cap, nodes - 1)
-
-
-def test_a_lookup_that_steps_is_charged_before_the_rest_of_its_run():
-    # II* = II . I2* at length 2, exp_cap 1: a lookup in the middle of the
-    # leaf loop's list builds length 2, whose 8 words x 3 are charged before
-    # the candidates after it in the list, as a count of one node at a time
-    # charges them; charging the whole list first would raise at the
-    # oracle's 44 nodes
-    assert search_nodes(entries("II*"), multiset(F("II"), F("I2*")), 2, 1)[1] == 44
-    _assert_oracle_search(entries("II*"), ["II", "I2*"], 2, 1)
 
 
 # Searches that find a witness: after it, as after a search with none, the
@@ -408,8 +446,8 @@ LENGTH_3_SEARCHES = [
 
 
 def test_search_matches_eager_oracle():
-    # Tables grown only as far as the search reads them give what the search
-    # over the full tables gives: the same (order, letters), or None.  Every
+    # One set of tables grown by a length before each pass gives what tables
+    # built afresh for each length give: the same (order, letters), or None.  Every
     # Euler-matched problem over CLASSES, forbidden ones included (one factor
     # at length 3, two at length 2, three at length 1), and the length-3 rows.
     problems = [
@@ -428,21 +466,16 @@ def test_search_matches_eager_oracle():
 
 
 FIRST_WITNESSES = [
-    ("II", ["I1", "I1"], 2, [("I1", ""), ("I1", "s0^-1 s2^-1")]),
+    ("II", ["I1", "I1"], 2, [("I1", "s2^-1"), ("I1", "")]),
     ("IV", ["I3", "I1"], 2, [("I1", "s2^-2"), ("I3", "s2^-1")]),
     ("III*", ["I6", "I1", "I2"], 3, [("I1", "s2^-3"), ("I2", "s2^-1"), ("I6", "")]),
     # Length 3: elliptic factors only, mixed, and parabolic factors only.
     ("IV", ["II", "II"], 3, [("II", ""), ("II", "")]),
     ("II*", ["IV*", "II"], 3, [("II", ""), ("IV*", "")]),
     ("IV", ["III", "I1"], 3, [("I1", ""), ("III", "")]),
-    (
-        "I6*",
-        ["I10", "I1", "I1"],
-        3,
-        [("I1", "s2^-1"), ("I1", "s0^-8 s2^-1"), ("I10", "s0^-7 s2^-1")],
-    ),
+    ("I6*", ["I10", "I1", "I1"], 3, [("I1", "s2"), ("I1", "s2^-1"), ("I10", "")]),
     ("II*", ["I8", "I1", "I1"], 3, [("I1", "s2^-6"), ("I1", "s2^-3"), ("I8", "s2^-1")]),
-    ("IV*", ["I0*", "I1", "I1"], 3, [("I1", ""), ("I1", "s0^-1 s2^-1"), ("I0*", "")]),
+    ("IV*", ["I0*", "I1", "I1"], 3, [("I1", "s2^-1"), ("I1", ""), ("I0*", "")]),
 ]
 
 
@@ -482,16 +515,15 @@ def test_short_witness_builds_short_tables(target, parts):
 
 
 def test_one_unit_store_serves_every_parabolic_class():
-    # I6, I1 and I2 read one dict and one list of units g*N*g^-1: the
-    # length-3 search peaks near 0.9*10^6 traced bytes, where a dict and a
-    # list per class took about 3*10^6
-    found = []
-
+    # I6, I1 and I2 read one dict and one list of units g*N*g^-1: their
+    # full length-3 tables peak near 0.8*10^6 traced bytes, where a dict
+    # and a list per class took about 3*10^6
     def call():
-        found.append(search_factorization(F("III*"), [F("I6"), F("I1"), F("I2")], 3))
+        builder = _ConjugateTables([entries(f) for f in ("I6", "I1", "I2")], 3, 8, 10**7)
+        while builder.step():
+            pass
 
     assert _peak_bytes(call) < 1.5 * 10**6
-    assert format_identity(found[0]) == "III* = I1^(s2^-3) . I2^(s2^-1) . I6"
 
 
 def test_over_budget_search_builds_no_exponent_list():
@@ -515,7 +547,7 @@ def test_huge_length_is_bounded_by_the_count():
     # the budget cannot pay for raises before it is built, and no exponents
     # leave only the empty word
     w = search_factorization(F("II"), [F("I1"), F("I1")], 10**9)
-    assert format_identity(w) == "II = I1 . I1^(s0^-1 s2^-1)"
+    assert format_identity(w) == "II = I1^(s2^-1) . I1"
 
     def call():
         with pytest.raises(SearchBudgetExceeded):

@@ -13,8 +13,12 @@ file is printed as ``missing`` and counts as worse.  After each workload's
 ``peak_rss_mb`` row, a row ``attempted`` gives the calls the untraced runs
 made in all, old and new, since that metric grows with the number of calls;
 it is information only, marked ``info``, and is left out when neither file
-records it.  Exits 1 when any metric is worse than its bound, and 0
-otherwise.
+records it.  When ``setup_s`` is worse than its bound on every workload,
+a ``note`` line follows the table: ``setup_s`` is process start-up wall
+time, which nothing corrects for the machine's load, so a change on all
+workloads at once most likely reads the machine, and the parent should be
+recorded again in the same session as the change.  Exits 1 when any
+metric is worse than its bound, and 0 otherwise; the note changes neither.
 """
 
 import argparse
@@ -94,6 +98,13 @@ def main(argv=None):
                     "-",
                     "info",
                 ))
+    setup = [row[-1] for row in rows if row[1] == "setup_s"]
+    if setup and all(setup):
+        print(
+            "note: setup_s is WORSE on every workload; it is uncorrected wall time"
+            " of process start-up, so re-record the parent in the same session"
+            " and compare with that"
+        )
     return 1 if any(row[-1] for row in rows) else 0
 
 
