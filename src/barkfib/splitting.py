@@ -417,16 +417,15 @@ class _ConjugateTables:
     U = g*N*g^-1 = (-a*c, a^2, -c^2, a*c), which depends only on g's
     first column up to sign.  A right factor s0^e keeps that column, so
     only the empty word and the words ending in s2 can reach a new unit.
-    One dict and one list of these units serve every I_n and I_n* base;
-    the full product is computed for the other bases only, and without
-    them the last length's s0-children are not built.
+    One dict of these units serves every I_n and I_n* base; the full
+    product is computed for the other bases only, and without them the
+    last length's s0-children are not built.
 
-    ``tables`` holds six fields per base: a dict mapping each unit to the
-    letters of the first word that produced it, a list of the same units
-    in the same discovery order, the base's trace and lower-left entry,
-    which every conjugate keeps (that entry by its sign, when it is not
-    0), and alpha and beta.  Each step extends the dicts and lists by one
-    word length, so a partial table is a prefix of the full one.
+    ``tables`` holds four fields per base: a dict mapping each unit to the
+    letters of the first word that produced it, in discovery order, the
+    base's trace, which every conjugate keeps, and alpha and beta.  Each
+    step extends the dicts by one word length, so a partial table is a
+    prefix of the full one.
 
     The builder owns the search's node count ``count`` and its
     ``budget``: charge(), the only code that moves the count, adds to it
@@ -441,12 +440,10 @@ class _ConjugateTables:
     """
 
     def __init__(self, bases, max_len, exp_cap, budget):
-        n = (0, 1, 0, 0)
-        self._units = {n: ()}
-        units = (self._units, [n])
+        self._units = {(0, 1, 0, 0): ()}
         self.tables = [
-            (*units, m[0] + m[3], 0, m[0], m[1]) if m[1] and not m[2]
-            else ({m: ()}, [m], m[0] + m[3], m[2], 0, 1)
+            (self._units, m[0] + m[3], m[0], m[1]) if m[1] and not m[2]
+            else ({m: ()}, m[0] + m[3], 0, 1)
             for m in bases
         ]
         self._general = [(m, t[0]) for m, t in zip(bases, self.tables) if m[2]]
@@ -502,15 +499,13 @@ class _ConjugateTables:
                     if keep:
                         nxt.append((child, (g0, g1, g2, g3)))
         self._frontier = nxt
-        for table, items, *_ in self.tables:
-            items += islice(table, len(items), None)
         return True
 
     def find(self, entry, m):
         """The unit of ``m`` when it is in the dict of ``entry``, one of
         the tables; else None.  An m - alpha*I that beta does not divide
         is the conjugate of no unit."""
-        table, _, _, _, alpha, beta = entry
+        table, _, alpha, beta = entry
         x, y, z, w = m[0] - alpha, m[1], m[2], m[3] - alpha
         if x % beta or y % beta or z % beta or w % beta:
             return None
@@ -634,22 +629,24 @@ def _complete(steps, idx, rest, last, builder):
     node count: one for this node and one per child.  A child whose factor
     is the last, and its leaf, cost two nodes; its lookup in the last
     table is made here, and the loop charges the two nodes of every unit
-    it has read when it finds the witness or reaches the end of its list.
+    it has read when it finds the witness or reaches the end of its table.
     So the count is the one of one node at a time, a witness included.
     The last factor needs the last class's trace t, so a unit is tried
     only when the trace of adj(U)*rest is (t - alpha*trace(rest))/beta,
-    and none is when beta does not divide that difference.  A unit that
-    passes, but whose last factor lacks the sign of the last class's
-    lower-left entry, is in no table and is passed over before that
-    factor is built.  Returns the units found, last factor first, or None.
+    and none is when beta does not divide that difference.  That is the
+    only filter before the lookup: a needed last factor of the other
+    elliptic class of its trace would miss it, and the Euler number mod 12
+    rule, which every search has passed, leaves none, as the two classes
+    of a trace differ mod 12.  Returns the units found, last factor first,
+    or None.
     """
     builder.charge(1)
     if idx == len(steps):
         u = builder.find(last, rest)
         return None if u is None else [u]
-    _, items, _, _, alpha, beta = steps[idx]
+    table, _, alpha, beta = steps[idx]
     if idx + 1 < len(steps):
-        for u in items:
+        for u in table:
             builder.charge(1)
             found = _complete(steps, idx + 1, _left_divide(alpha, beta, u, rest), last, builder)
             if found is not None:
@@ -657,20 +654,18 @@ def _complete(steps, idx, rest, last, builder):
                 return found
         return None
     r0, r1, r2, r3 = rest
-    _, _, t, sign, _, _ = last
+    _, t, _, _ = last
     want, off = divmod(t - alpha * (r0 + r3), beta)
-    for read, (a, b, c, d) in enumerate(() if off else items, 1):
-        # the trace and lower-left entry of the needed last factor
+    for read, (a, b, c, d) in enumerate(() if off else table, 1):
+        # the trace of the needed last factor
         if a * r3 + d * r0 - b * r2 - c * r1 != want:
-            continue
-        if (alpha * r2 + beta * (a * r2 - c * r0)) * sign < 0:
             continue
         u = (a, b, c, d)
         found = builder.find(last, _left_divide(alpha, beta, u, rest))
         if found is not None:
             builder.charge(2 * read)  # the child and its leaf per unit read
             return [found, u]
-    builder.charge(2 * len(items))
+    builder.charge(2 * len(table))
     return None
 
 

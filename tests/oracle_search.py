@@ -36,7 +36,7 @@ def builder_tables(bases, max_len, exp_cap):
     return [
         {(alpha + beta * a, beta * b, beta * c, alpha + beta * d): w
          for (a, b, c, d), w in table.items()}
-        for table, _, _, _, alpha, beta in builder.tables
+        for table, _, alpha, beta in builder.tables
     ]
 
 

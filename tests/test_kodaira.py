@@ -18,7 +18,7 @@ from barkfib.kodaira import (
     standard_monodromy,
     standard_word,
 )
-from barkfib.sl2z import IDENTITY, Mat2, S0, S2, conj, eval_word, format_word, trace, word
+from barkfib.sl2z import IDENTITY, Mat2, S0, S2, Word, conj, eval_word, format_word, trace, word
 
 import oracle_classes
 
@@ -207,6 +207,59 @@ def test_classify_matches_oracle_on_small_matrices():
     assert len(grid) == 564
     for m in grid:
         assert classify(m) == oracle_classes.classify(m), m
+
+
+ELLIPTIC = [parse_fiber(k) for k in ("II", "III", "IV", "II*", "III*", "IV*")]
+
+
+def test_elliptic_classes_differ_in_trace_or_euler_mod_12():
+    """II/II*, III/III* and IV/IV* share a trace, but their Euler numbers
+    2/10, 3/9 and 4/8 differ mod 12."""
+    keys = {(trace(standard_monodromy(f)), euler(f) % 12) for f in ELLIPTIC}
+    assert len(keys) == 6
+
+
+def _normalized_words(max_letters, max_exp):
+    letters = st.tuples(st.sampled_from(["s0", "s2"]), st.integers(-max_exp, max_exp))
+    return st.lists(letters, max_size=max_letters).map(lambda ls: Word(tuple(ls)))
+
+
+# Every normalized word of at most three letters with exponents in -3..3
+# whose matrix has |trace| <= 1; the standard elliptic words are among them.
+SMALL_TRACE_WORDS = [
+    w
+    for n in range(4)
+    for gens in product(["s0", "s2"], repeat=n)
+    for exps in product([-3, -2, -1, 1, 2, 3], repeat=n)
+    for w in [Word(tuple(zip(gens, exps)))]
+    if len(w) == n and abs(trace(eval_word(w))) <= 1
+]
+
+
+def _inverse(w):
+    return Word(tuple((gen, -e) for gen, e in reversed(w.letters)))
+
+
+# (s0 s2)^3 = -I, of exponent sum 6: a power of it moves a class to its
+# star partner (II <-> IV*, III <-> III*, IV <-> II*) or back.
+HALF_TURN = Word((("s0", 1), ("s2", 1)) * 3)
+
+
+@given(_normalized_words(5, 4), st.sampled_from(SMALL_TRACE_WORDS), st.integers(-3, 3))
+def test_elliptic_class_is_its_trace_and_exponent_sum_mod_12(g, seed, turns):
+    """A word g*seed*g^-1*(s0 s2)^(3*turns), of |trace| <= 1, is of the
+    elliptic class with its trace whose Euler number is its exponent sum
+    mod 12: SL(2,Z) -> Z/12 sends s0 and s2 to 1, and each class to its
+    Euler number."""
+    turn = HALF_TURN if turns > 0 else _inverse(HALF_TURN)
+    w = g * seed * _inverse(g) * Word(turn.letters * abs(turns))
+    m = eval_word(w)
+    total = sum(e for _, e in w)
+    [want] = [
+        f for f in ELLIPTIC
+        if trace(standard_monodromy(f)) == trace(m) and euler(f) % 12 == total % 12
+    ]
+    assert classify(m) == want
 
 
 def test_classify_none_cases():

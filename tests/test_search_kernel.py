@@ -162,40 +162,43 @@ def test_tuple_products_equal_mat2_products(case):
     assert product == target
 
 
-# The smallest budget with which each search completes.  The ids are
-# fixed so that the test names do not depend on the rows' positions or
-# values: the number that ends an id is the budget the row was first
-# frozen with, before the search went one conjugator length per pass.
+def by_case(rows):
+    """Parameters of (target, parts, length, ...) rows, each with the id of
+    its case alone, e.g. II-I1-I1-L2."""
+    return [pytest.param(*row, id="-".join([row[0], *row[1], "L%d" % row[2]])) for row in rows]
+
+
+# The smallest budget with which each search completes.
 BUDGET_EDGES = [
-    pytest.param("II", ["I1", "I1"], 2, 88, id="II-parts0-2-1093"),
-    pytest.param("IV", ["I3", "I1"], 2, 122, id="IV-parts3-2-116"),
-    pytest.param("III", ["I1", "I1", "I1"], 1, 76, id="III-parts4-1-71"),
+    ("II", ["I1", "I1"], 2, 88),
+    ("IV", ["I3", "I1"], 2, 122),
+    ("III", ["I1", "I1", "I1"], 1, 76),
     # Length 0 is the empty conjugator only: one word, one conjugation,
     # one search node.
-    pytest.param("I1", ["I1"], 0, 3, id="I1-parts5-0-3"),
+    ("I1", ["I1"], 0, 3),
     # Three factors with a distinct last class: pins the two nodes charged
     # for each child whose factor is the last (the child and its leaf).
-    pytest.param("III*", ["I6", "I1", "I2"], 2, 399, id="III*-I6-I1-I2-2-5117"),
+    ("III*", ["I6", "I1", "I2"], 2, 399),
 ]
 
 # The three-factor length-3 searches of the search-witness benchmark
 # workload: each finds its witness in the pass of length 1.
 LENGTH_3_EDGES = [
-    pytest.param("I6*", ["I10", "I1", "I1"], 3, 459, id="I6*-I10-I1-I1-3-77576"),
-    pytest.param("II*", ["I8", "I1", "I1"], 3, 239, id="II*-I8-I1-I1-3-45470"),
-    pytest.param("III*", ["I6", "I1", "I2"], 3, 399, id="III*-I6-I1-I2-3-73453"),
+    ("I6*", ["I10", "I1", "I1"], 3, 459),
+    ("II*", ["I8", "I1", "I1"], 3, 239),
+    ("III*", ["I6", "I1", "I2"], 3, 399),
 ]
 
 # Searches the trace rules forbid: search_factorization returns None
 # without searching, so the kernel's node accounting is pinned directly.
 # Every pass runs, so each is charged the search of every length.
 KERNEL_BUDGET_EDGES = [
-    pytest.param("IV", ["I2", "I2"], 2, 1613, id="IV-parts0-2-1575"),
-    pytest.param("I0*", ["I3", "I2", "I1"], 1, 3840, id="I0*-parts1-1-3810"),
+    ("IV", ["I2", "I2"], 2, 1613),
+    ("I0*", ["I3", "I2", "I1"], 1, 3840),
 ]
 
 
-@pytest.mark.parametrize("target,parts,length,budget", BUDGET_EDGES + LENGTH_3_EDGES)
+@pytest.mark.parametrize("target,parts,length,budget", by_case(BUDGET_EDGES + LENGTH_3_EDGES))
 def test_budget_edges(target, parts, length, budget):
     args = (F(target), [F(p) for p in parts], length)
     search_factorization(*args, node_budget=budget)
@@ -226,22 +229,28 @@ def test_budget_edge_in_the_middle_loop():
 # past its pass are not charged, so their node count does not depend on
 # the conjugator length bound.
 EARLY_WITNESS_NODES = [
-    pytest.param("II", ["I1", "I1"], 88, id="II-parts0-1093"),
-    pytest.param("IV", ["I3", "I1"], 122, id="IV-parts1-116"),
-    pytest.param("IV", ["II", "II"], 5, id="IV-parts2-5"),
+    ("II", ["I1", "I1"], 88),
+    ("IV", ["I3", "I1"], 122),
+    ("IV", ["II", "II"], 5),
 ]
 
 
-@pytest.mark.parametrize("target,parts,budget", EARLY_WITNESS_NODES)
-@pytest.mark.parametrize("length", [2, 3, 6, 30])
-def test_unread_lengths_cost_nothing(target, parts, budget, length):
+@pytest.mark.parametrize(
+    "target,parts,length,budget",
+    by_case(
+        (target, parts, length, budget)
+        for target, parts, budget in EARLY_WITNESS_NODES
+        for length in (2, 3, 6, 30)
+    ),
+)
+def test_unread_lengths_cost_nothing(target, parts, length, budget):
     args = (F(target), [F(p) for p in parts], length)
     assert search_factorization(*args, node_budget=budget) is not None
     with pytest.raises(SearchBudgetExceeded):
         search_factorization(*args, node_budget=budget - 1)
 
 
-@pytest.mark.parametrize("target,parts,length,budget", KERNEL_BUDGET_EDGES)
+@pytest.mark.parametrize("target,parts,length,budget", by_case(KERNEL_BUDGET_EDGES))
 def test_kernel_budget_edges(target, parts, length, budget):
     args = (entries(target), multiset(*map(F, parts)), length, 8)
     assert _find_conjugators(*args, budget) is None
@@ -249,29 +258,8 @@ def test_kernel_budget_edges(target, parts, length, budget):
         _find_conjugators(*args, budget - 1)
 
 
-# The oracle test's fixed ids, one per row of BUDGET_EDGES,
-# KERNEL_BUDGET_EDGES and LENGTH_3_EDGES in that order: the row's position
-# and, as above, its first frozen budget.
-ORACLE_EDGE_IDS = [
-    "II-parts0-2-1093",
-    "IV-parts1-2-116",
-    "III-parts2-1-71",
-    "I1-parts3-0-3",
-    "III*-parts4-2-5117",
-    "IV-parts5-2-1575",
-    "I0*-parts6-1-3810",
-    "I6*-parts7-3-77576",
-    "II*-parts8-3-45470",
-    "III*-parts9-3-73453",
-]
-
-
 @pytest.mark.parametrize(
-    "target,parts,length,budget",
-    [
-        pytest.param(*edge.values, id=name)
-        for edge, name in zip(BUDGET_EDGES + KERNEL_BUDGET_EDGES + LENGTH_3_EDGES, ORACLE_EDGE_IDS)
-    ],
+    "target,parts,length,budget", by_case(BUDGET_EDGES + KERNEL_BUDGET_EDGES + LENGTH_3_EDGES)
 )
 def test_oracle_counts_the_budget_edges(target, parts, length, budget):
     assert search_nodes(entries(target), multiset(*map(F, parts)), length, 8)[1] == budget
@@ -303,7 +291,7 @@ def small_searches(draw, names=BASES, min_size=1):
 @given(small_searches())
 def test_search_charges_the_oracle_node_count(search):
     # the leaf loop charges the candidates it has read when it finds the
-    # witness and at the end of its list: the count must still be the
+    # witness and at the end of its table: the count must still be the
     # one-at-a-time count, so the search completes with exactly that budget
     # and raises with one node less
     _assert_oracle_search(*search)
@@ -317,7 +305,7 @@ UNIT_PARTS = ["I3", "I5", "I2*", "I4*", "I1", "II", "IV*", "I0*"]
 @settings(max_examples=50, deadline=None)
 @given(small_searches(UNIT_PARTS, min_size=2))
 def test_units_with_large_beta_match_the_oracle(search):
-    # a last but one factor with |beta| >= 2 skips the scan of a list whose
+    # a last but one factor with |beta| >= 2 skips the scan of a table whose
     # trace difference beta does not divide, but charges it all the same
     _assert_oracle_search(*search)
 
@@ -388,7 +376,7 @@ def test_count_after_a_witness_is_exact(monkeypatch, target, parts, length, exp_
     assert builder.count == sum(charged) == nodes
 
 
-@pytest.mark.parametrize("target,parts,length,budget", KERNEL_BUDGET_EDGES)
+@pytest.mark.parametrize("target,parts,length,budget", by_case(KERNEL_BUDGET_EDGES))
 def test_forbidden_search_builds_nothing(target, parts, length, budget):
     assert decomposition_verdict(F(target), map(F, parts))[0] == FORBIDDEN
 
@@ -515,9 +503,9 @@ def test_short_witness_builds_short_tables(target, parts):
 
 
 def test_one_unit_store_serves_every_parabolic_class():
-    # I6, I1 and I2 read one dict and one list of units g*N*g^-1: their
-    # full length-3 tables peak near 0.8*10^6 traced bytes, where a dict
-    # and a list per class took about 3*10^6
+    # I6, I1 and I2 read one dict of units g*N*g^-1: their full length-3
+    # tables peak near 1.2*10^6 traced bytes, where a dict and a list per
+    # class took about 3*10^6
     def call():
         builder = _ConjugateTables([entries(f) for f in ("I6", "I1", "I2")], 3, 8, 10**7)
         while builder.step():
