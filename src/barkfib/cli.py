@@ -300,7 +300,11 @@ def build_parser():
     p = sub.add_parser("factorize", help="search for an exact monodromy factorization")
     p.add_argument("target", metavar="TARGET")
     p.add_argument("parts", nargs="+", metavar="PART")
-    p.add_argument("--max-conj-len", type=int, default=2)
+    p.add_argument(
+        "--max-conj-len", type=int, default=2,
+        help="longest conjugator word of each part, the parts taken in canonical"
+        " order: I_n ascending, II, III, IV, then the starred classes alike",
+    )
     p.add_argument("--exp-cap", type=int, default=8)
     p.add_argument("--budget", type=int, default=10**7)
     p.set_defaults(func=cmd_factorize)

@@ -524,17 +524,19 @@ def search_factorization(
     means the empty word only, so every factor is its standard matrix.
     The words are taken breadth first (the empty word, s0^e and s2^e for
     e = -exp_cap..exp_cap, then one more alternating letter per length);
-    a conjugate reached by several words keeps the first.  The search runs
-    one pass per conjugator length, shortest first, on the tables of the
-    words up to that length.  In a pass the distinct orderings of
-    ``parts`` are tried in permutation order; for each, a depth-first
-    search runs over the conjugates of all but the last factor, each
-    class's in the order they were first reached, and looks the needed
-    last factor up among its conjugates.  So the first witness found is
-    deterministic, and its longest conjugator is as short as the bounds
-    allow.  An I_n or I_n* conjugate p*I + q*g*N*g^-1 depends only on g's
-    first column; each unit g*N*g^-1 is stored once, in one table shared
-    by those classes.
+    a conjugate reached by several words keeps the first.  The factors
+    are taken in the canonical order of ``parts`` (see multiset): whether
+    a factorization exists does not depend on the order, as a Hurwitz move
+    turns T = X*Y into T = (X*Y*X^-1)*X, but the bounds apply to the
+    conjugators of that order.  The search runs one pass per conjugator
+    length, shortest first, on the tables of the words up to that length.
+    In a pass a depth-first search runs over the conjugates of all but the
+    last factor, each class's in the order they were first reached, and
+    looks the needed last factor up among its conjugates.  So the first
+    witness found is deterministic, and its longest conjugator is as short
+    as the bounds allow.  An I_n or I_n* conjugate p*I + q*g*N*g^-1
+    depends only on g's first column; each unit g*N*g^-1 is stored once,
+    in one table shared by those classes.
 
     Node accounting: one node per conjugator word, one per (word, distinct
     class) conjugation, whether or not that conjugation is computed, and
@@ -572,9 +574,8 @@ def search_factorization(
     )
     if found is None:
         return None
-    order, conjugators = found
     witness = FactorizationWitness(
-        target, tuple((f, Word(letters)) for f, letters in zip(order, conjugators))
+        target, tuple((f, Word(letters)) for f, letters in zip(parts, found))
     )
     if not verify_witness(witness):
         raise AssertionError("search produced a non-verifying witness")
@@ -584,42 +585,28 @@ def search_factorization(
 def _find_conjugators(target_m, parts, max_conj_len, exp_cap, node_budget):
     """The search of search_factorization on (a, b, c, d) tuples.
 
-    ``parts`` is a canonical multiset.  Returns (order, letters), the
-    factor order and each factor's conjugator letters, for the first
-    ordered product equal to ``target_m``; or None.  The first pass reads
-    the tables of the empty word; each later one first grows them by one
-    conjugator length, and none runs once they are full.  Nothing grows
-    during a pass, so the witness is the first in (length, order, table
-    order).
+    ``parts`` is a canonical multiset, and the factors are taken in its
+    order.  Returns each factor's conjugator letters for the first product
+    equal to ``target_m``; or None.  The first pass reads the tables of
+    the empty word; each later one first grows them by one conjugator
+    length, and none runs once they are full.  Nothing grows during a
+    pass, so the witness is the first in (length, table order).
     """
     classes = list(dict.fromkeys(parts))
     bases = [standard_entries(f) for f in classes]
     builder = _ConjugateTables(bases, max_conj_len, exp_cap, node_budget)
     tables = dict(zip(classes, builder.tables))
+    steps = [tables[f] for f in parts[:-1]]
     while True:
-        for order in _distinct_orders(parts):
-            steps = [tables[f] for f in order[:-1]]
-            found = _complete(steps, 0, target_m, tables[order[-1]], builder)
-            if found is not None:
-                return order, [tables[f][0][u] for f, u in zip(order, reversed(found))]
+        found = _complete(steps, 0, target_m, tables[parts[-1]], builder)
+        if found is not None:
+            return [tables[f][0][u] for f, u in zip(parts, reversed(found))]
         if not builder.step():
             return None
 
 
-def _distinct_orders(parts):
-    """The distinct orderings of the sorted tuple ``parts``, lexicographic in
-    its order: the order of their first occurrences in permutations(parts)."""
-    if len(parts) <= 1:
-        yield parts
-        return
-    for i, first in enumerate(parts):
-        if i == 0 or first != parts[i - 1]:
-            for rest in _distinct_orders(parts[:i] + parts[i + 1:]):
-                yield (first,) + rest
-
-
 def _complete(steps, idx, rest, last, builder):
-    """Depth-first search for the factors idx.. of one order.
+    """Depth-first search for the factors idx.. of the product.
 
     ``steps[i]`` is factor i's entry of ``builder.tables`` and ``last``
     the last factor's; ``rest`` is what factors idx.. must multiply to.

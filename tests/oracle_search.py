@@ -8,16 +8,17 @@ for any class of base, so it checks the tables that
 ``builder_tables``: the same keys, the same first words and the same dict
 order.
 
-``find_conjugators`` searches one conjugator length at a time, shortest
-first, each on tables built in full from the empty word, so it checks
-the search, which grows one set of tables by a length before each pass,
-and finds the same first factorization.  ``search_nodes`` also counts
-the nodes that search charges, one at a time by the documented rule,
-with each length charged when its pass starts, so it checks the leaf
-loop's charge of the two nodes of each candidate it reads, and the
-charging of each pass.  ``has_factorization`` searches the full tables
-of one length for any factorization, which the length-by-length search
-must find exactly when one exists.
+``find_conjugators`` searches the factors in the canonical order of
+their multiset, one conjugator length at a time, shortest first, each on
+tables built in full from the empty word, so it checks the search, which
+grows one set of tables by a length before each pass, and finds the same
+first factorization.  ``search_nodes`` also counts the nodes that search
+charges, one at a time by the documented rule, with each length charged
+when its pass starts, so it checks the leaf loop's charge of the two
+nodes of each candidate it reads, and the charging of each pass.
+``has_factorization`` searches the full tables of one length for any
+factorization in a given order, which the length-by-length search must
+find, in canonical order, exactly when one exists.
 """
 
 from math import inf
@@ -88,13 +89,12 @@ def conjugate_tables(bases, max_len, exps):
 def find_conjugators(target_m, parts, max_len, exp_cap):
     """The first factorization of the eager search, length by length: for
     each conjugator length 0..max_len, build the full tables of
-    ``conjugate_tables`` up to that length, then try the distinct orders
-    of the canonical multiset ``parts`` in lexicographic order, which is
-    the order of their first occurrence in permutations(parts), and for
-    each run a depth-first search over the conjugates of all but the last
-    factor, in table order, with the last factor looked up in its table.
-    Returns (order, letters) or None, as
-    ``barkfib.splitting._find_conjugators`` does, without a node count.
+    ``conjugate_tables`` up to that length, then run a depth-first search
+    over the conjugates of all but the last factor of the canonical
+    multiset ``parts``, in its order and in table order, with the last
+    factor looked up in its table.  Returns the letters of each factor's
+    conjugator or None, as ``barkfib.splitting._find_conjugators`` does,
+    without a node count.
     """
     return search_nodes(target_m, parts, max_len, exp_cap)[0]
 
@@ -118,33 +118,29 @@ def search_nodes(target_m, parts, max_len, exp_cap):
         words = 2 * len(exps) ** length if length else 1
         count[0] += words * (1 + len(classes))
         tables = dict(zip(classes, conjugate_tables(bases, length, exps)))
-        for order in _lexicographic_orders(parts):
-            found = _first_product(order, target_m, tables, count)
-            if found is not None:
-                return (order, found), count[0]
+        found = _first_product(parts, target_m, tables, count)
+        if found is not None:
+            return found, count[0]
     return None, count[0]
 
 
 def has_factorization(target_m, parts, max_len, exp_cap):
-    """Is ``target_m`` a product, in some order of ``parts``, of conjugates
+    """Is ``target_m`` a product, in the order of ``parts``, of conjugates
     in the full tables of length ``max_len``?"""
     exps = [e for e in range(-exp_cap, exp_cap + 1) if e != 0]
     classes = list(dict.fromkeys(parts))
     bases = [standard_monodromy(f).entries() for f in classes]
     tables = dict(zip(classes, conjugate_tables(bases, max_len, exps)))
-    return any(
-        _first_product(order, target_m, tables, [0]) is not None
-        for order in _lexicographic_orders(parts)
-    )
+    return _first_product(parts, target_m, tables, [0]) is not None
 
 
-def _first_product(order, rest, tables, count):
-    """Letters of the first conjugates of ``order``, in table order, whose
+def _first_product(parts, rest, tables, count):
+    """Letters of the first conjugates of ``parts``, in table order, whose
     product is ``rest``; or None.  Adds this node and its children to
     ``count[0]``."""
     count[0] += 1
-    table = tables[order[0]]
-    if len(order) == 1:
+    table = tables[parts[0]]
+    if len(parts) == 1:
         w = table.get(rest)
         return None if w is None else [w]
     r0, r1, r2, r3 = rest
@@ -152,7 +148,7 @@ def _first_product(order, rest, tables, count):
         count[0] += 1
         # the inverse (d, -b, -c, a) of the chosen conjugate times rest
         found = _first_product(
-            order[1:],
+            parts[1:],
             (d * r0 - b * r2, d * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
             tables,
             count,
@@ -160,22 +156,3 @@ def _first_product(order, rest, tables, count):
         if found is not None:
             return [letters] + found
     return None
-
-
-def _lexicographic_orders(parts):
-    """The distinct orderings of the sorted tuple ``parts`` in lexicographic
-    order of the parts' positions in it, by the next-permutation step."""
-    rank = {f: i for i, f in enumerate(dict.fromkeys(parts))}
-    order = list(parts)
-    while True:
-        yield tuple(order)
-        i = len(order) - 2
-        while i >= 0 and rank[order[i]] >= rank[order[i + 1]]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(order) - 1
-        while rank[order[j]] <= rank[order[i]]:
-            j -= 1
-        order[i], order[j] = order[j], order[i]
-        order[i + 1:] = reversed(order[i + 1:])

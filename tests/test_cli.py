@@ -165,6 +165,39 @@ def test_factorize_undecided_not_found_json(capsys):
     assert record["reasons"] == ["trace shift rule passed for I_1 factor"] * 2
 
 
+_III_WITNESS = {
+    "factors": [{"class": "I1", "conjugator": ""}, {"class": "II", "conjugator": "s0^-1"}],
+    "found": True,
+    "schema": "barkfib/1",
+    "target": "III",
+}
+
+
+@pytest.mark.parametrize("length", ["1", "3"])
+def test_factorize_takes_the_parts_in_canonical_order(capsys, length):
+    # III = II . I1 holds with standard matrices, but only the canonical
+    # order I1, II is searched, and its first witness needs length 1
+    argv = ["factorize", "III", "II", "I1", "--max-conj-len", length]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["III = I1 . II^(s0^-1)"]
+    assert run_json(capsys, argv) == (0, _III_WITNESS)
+
+
+def test_factorize_canonical_order_finds_nothing_at_length_0(capsys):
+    argv = ["factorize", "III", "II", "I1", "--max-conj-len", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == ["no factorization found"]
+    code, record = run_json(capsys, argv)
+    assert code == 1
+    assert record == {
+        "found": False,
+        "reasons": ["trace shift rule passed for I_1 factor"],
+        "schema": "barkfib/1",
+        "target": "III",
+        "verdict": "undecided",
+    }
+
+
 _SHIFT_PROOF = (
     "no factorization exists: trace shift rule: trace(IV)-trace(I2) = -3"
     " admits no valid multiple of 2"

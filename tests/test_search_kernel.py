@@ -19,7 +19,6 @@ from barkfib.splitting import (
     FactorizationWitness,
     SearchBudgetExceeded,
     _ConjugateTables,
-    _distinct_orders,
     _find_conjugators,
     decomposition_verdict,
     format_identity,
@@ -146,18 +145,18 @@ def test_tuple_conjugation_equals_conj(g):
     )
 )
 def test_tuple_products_equal_mat2_products(case):
-    """A product of conjugates built with Mat2.__mul__ is found, and the
-    conjugators found multiply back to it."""
+    """A product of conjugates built with Mat2.__mul__, in the canonical
+    order of their classes, is found, and the conjugators found multiply
+    back to it."""
     names, gs = case
-    target = IDENTITY
-    for name, g in zip(names, gs):
-        target = target * conj(standard_monodromy(F(name)), eval_word(Word(g)))
     parts = multiset(*map(F, names))
+    target = IDENTITY
+    for f, g in zip(parts, gs):
+        target = target * conj(standard_monodromy(f), eval_word(Word(g)))
     found = _find_conjugators(target.entries(), parts, max(map(len, gs)), EXP_CAP, 10**7)
     assert found is not None
-    order, letters = found
     product = IDENTITY
-    for f, w in zip(order, letters):
+    for f, w in zip(parts, found):
         product = product * conj(standard_monodromy(f), eval_word(Word(w)))
     assert product == target
 
@@ -171,22 +170,22 @@ def by_case(rows):
 # The smallest budget with which each search completes.
 BUDGET_EDGES = [
     ("II", ["I1", "I1"], 2, 88),
-    ("IV", ["I3", "I1"], 2, 122),
+    ("IV", ["I3", "I1"], 2, 119),
     ("III", ["I1", "I1", "I1"], 1, 76),
     # Length 0 is the empty conjugator only: one word, one conjugation,
     # one search node.
     ("I1", ["I1"], 0, 3),
     # Three factors with a distinct last class: pins the two nodes charged
     # for each child whose factor is the last (the child and its leaf).
-    ("III*", ["I6", "I1", "I2"], 2, 399),
+    ("III*", ["I6", "I1", "I2"], 2, 374),
 ]
 
 # The three-factor length-3 searches of the search-witness benchmark
 # workload: each finds its witness in the pass of length 1.
 LENGTH_3_EDGES = [
-    ("I6*", ["I10", "I1", "I1"], 3, 459),
-    ("II*", ["I8", "I1", "I1"], 3, 239),
-    ("III*", ["I6", "I1", "I2"], 3, 399),
+    ("I6*", ["I10", "I1", "I1"], 3, 449),
+    ("II*", ["I8", "I1", "I1"], 3, 229),
+    ("III*", ["I6", "I1", "I2"], 3, 374),
 ]
 
 # Searches the trace rules forbid: search_factorization returns None
@@ -194,7 +193,7 @@ LENGTH_3_EDGES = [
 # Every pass runs, so each is charged the search of every length.
 KERNEL_BUDGET_EDGES = [
     ("IV", ["I2", "I2"], 2, 1613),
-    ("I0*", ["I3", "I2", "I1"], 1, 3840),
+    ("I0*", ["I3", "I2", "I1"], 1, 750),
 ]
 
 
@@ -230,7 +229,7 @@ def test_budget_edge_in_the_middle_loop():
 # the conjugator length bound.
 EARLY_WITNESS_NODES = [
     ("II", ["I1", "I1"], 88),
-    ("IV", ["I3", "I1"], 122),
+    ("IV", ["I3", "I1"], 119),
     ("IV", ["II", "II"], 5),
 ]
 
@@ -322,18 +321,17 @@ def test_witness_has_the_shortest_conjugators(search):
     assert (found is not None) == has_factorization(target, parts, max_len, exp_cap)
     if found is None:
         return
-    order, letters = found
-    longest = max(map(len, letters))
+    longest = max(map(len, found))
     assert longest == 0 or find_conjugators(target, parts, longest - 1, exp_cap) is None
-    witness = FactorizationWitness(classify(Mat2(*target)), tuple(zip(order, map(Word, letters))))
+    witness = FactorizationWitness(classify(Mat2(*target)), tuple(zip(parts, map(Word, found))))
     assert witness.product().entries() == target
     if witness.target is not None and standard_entries(witness.target) == target:
         assert verify_witness(witness)
 
 
 def _assert_oracle_search(target, names, max_len, exp_cap):
-    """The oracle's first order and letters, found with exactly its node
-    count, and SearchBudgetExceeded with one node less."""
+    """The oracle's first letters, found with exactly its node count, and
+    SearchBudgetExceeded with one node less."""
     parts = multiset(*map(F, names))
     want, nodes = search_nodes(target, parts, max_len, exp_cap)
     assert _find_conjugators(target, parts, max_len, exp_cap, nodes) == want
@@ -435,7 +433,7 @@ LENGTH_3_SEARCHES = [
 
 def test_search_matches_eager_oracle():
     # One set of tables grown by a length before each pass gives what tables
-    # built afresh for each length give: the same (order, letters), or None.  Every
+    # built afresh for each length give: the same letters, or None.  Every
     # Euler-matched problem over CLASSES, forbidden ones included (one factor
     # at length 3, two at length 2, three at length 1), and the length-3 rows.
     problems = [
@@ -546,25 +544,37 @@ def test_huge_length_is_bounded_by_the_count():
 
 
 def test_length_zero_uses_standard_matrices_only():
-    assert search_factorization(F("III"), [F("II"), F("I1")], 0) is not None
+    # II* = II . IV* with both factors standard, in canonical order
+    assert search_factorization(F("II*"), [F("IV*"), F("II")], 0) is not None
     assert search_factorization(F("II"), [F("I1"), F("I1")], 0) is None
 
 
-
-def test_distinct_orders_follow_permutation_order():
-    # the order of first occurrence in permutations(parts), which the first
-    # witnesses and node counts are pinned to, for every multiset of up to
-    # 6 parts over {I1, I2, II}
-    classes = [F("I1"), F("I2"), F("II")]
-    for size in range(1, 7):
-        for combo in combinations_with_replacement(classes, size):
-            parts = multiset(*combo)
-            assert list(_distinct_orders(parts)) == list(dict.fromkeys(permutations(parts)))
-
-
 def test_many_identical_factors_search_one_order():
-    # one distinct order of ten I1 factors, not 10! index permutations
+    # ten I1 factors are one order, not 10! index permutations
     assert search_factorization(F("II*"), [F("I1")] * 10, 0) is None
+
+
+# The rule-passing three-factor problems of the normalised sweep that have
+# conjugators of length <= 1 in some order of their parts but not in the
+# canonical order, which is the only order searched: each needs length 2.
+CANONICAL_ORDER_NEEDS_LENGTH_2 = [
+    ("I2*", ["I1", "I3", "I4"]),
+    *(("I%d*" % n, ["I3", "I%d" % (n + 1), "II"]) for n in range(3, 15)),
+    *(("I%d*" % n, ["I1", "I%d" % (n + 3), "II"]) for n in range(8, 15)),
+    *(("I%d*" % n, ["I1", "I%d" % (n + 2), "III"]) for n in range(9, 15)),
+    *(("I%d*" % n, ["I1", "I%d" % (n + 1), "IV"]) for n in range(9, 15)),
+]
+
+
+def test_canonical_order_trades_length_for_orders():
+    assert len(CANONICAL_ORDER_NEEDS_LENGTH_2) == 32
+    for target, names in CANONICAL_ORDER_NEEDS_LENGTH_2:
+        parts = multiset(*map(F, names))
+        m = entries(target)
+        assert any(has_factorization(m, order, 1, 8) for order in set(permutations(parts)))
+        assert search_factorization(F(target), parts, 1) is None, target
+        w = search_factorization(F(target), parts, 2)
+        assert w is not None and verify_witness(w), target
 
 
 @pytest.mark.parametrize(
