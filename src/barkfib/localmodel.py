@@ -21,8 +21,7 @@ residual checks are relative to the coefficient scale.
 import cmath
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import exp, gcd, log, log1p
 
 CLUSTER_TOL = 1e-7
 RESIDUAL_TOL = 1e-9
@@ -97,11 +96,18 @@ def _nth_roots(w, k):
     ]
 
 
+def _log_ratio(p, q):
+    """log(p/q) of positive integers, by log1p (accurate near 1) where p/q >= 1/2."""
+    return log1p((p - q) / q) if 2 * p >= q else log(p / q)
+
+
 def _prefactor(l, m, n, mbar, nbar):
-    """The exact (l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar as a
-    complex; raises OverflowError when it does not fit a float."""
-    ln = l * n
-    return complex(Fraction(ln, ln - m) ** (l * nbar) * Fraction(ln - m, m) ** mbar)
+    """(l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar as a complex, from its
+    logarithm; both bases are negative when l*n < m.  Raises OverflowError
+    when it does not fit a float."""
+    ln, d = l * n, abs(l * n - m)
+    magnitude = exp(l * nbar * _log_ratio(ln, d) + mbar * _log_ratio(d, m))
+    return complex(-magnitude if ln < m and (l * nbar + mbar) % 2 else magnitude)
 
 
 def singular_s_values(spec):
@@ -141,7 +147,7 @@ def singular_points(spec, s):
     RESIDUAL_TOL * (1 + max(|s|, |t*c|)), else a RuntimeError with the
     residuals is raised.
     """
-    w = complex(Fraction(spec.l * spec.n - spec.m, spec.m)) * spec.t * spec.c
+    w = (spec.l * spec.n - spec.m) / spec.m * spec.t * spec.c
     scale = 1.0 + max(abs(s), abs(spec.t * spec.c))
     F = spec.curve(s)
     points = []

@@ -8,19 +8,20 @@ fibers and of singularities on each is governed by the core invariant
 where h is the branch count, v the number of proportional subbranches,
 k the zero count of the core section away from the attach points, and
 g0 the core genus (0, as stellar cores are rational), all read from the
-crust.  Two regimes give exact counts: chi = 1 with no proportional
-subbranch (counts driven by n0 against the core multiplicity m0), and
-chi = 0 with exactly one proportional subbranch (counts driven by the
-subbranch's last pair (m_lam, n_lam)).  Outside those regimes only
-upper bounds survive, and reports fall back to Euler accounting plus
-trace obstructions.
+crust.  Two regimes give exact counts, and both obey one law: n/g
+subordinate fibers, each with g = gcd(m, n) singular points.  With
+chi = 1 and no proportional subbranch (Chi1) the law is read at the
+core pair (m0, n0); with chi = 0 and exactly one proportional subbranch
+(ProportionalChi0) at the subbranch's last pair (m_lam, n_lam).
+Outside those regimes only upper bounds survive, and reports fall back
+to Euler accounting plus trace obstructions.
 """
 
 from dataclasses import asdict, dataclass
 from math import gcd
 
 from .kodaira import FiberClass
-from .splitting import enumerate_multisets, euler_deficit, multiset, screen_candidates
+from .splitting import enumerate_multisets, euler_deficit, screen_candidates
 
 NEAR_CORE = "near_core"
 NEAR_PROPORTIONAL_EDGE = "near_proportional_edge"
@@ -54,7 +55,8 @@ def core_invariant(crust):
 
 def predict_counts(crust):
     """Exact subordinate counts in the two tractable regimes, for a
-    simple crust of the stellar fiber ``crust.fiber()``.
+    simple crust of the stellar fiber ``crust.fiber()``: the gcd law read
+    at the regime's pair (m, n).
 
     Raises HypothesisError (with .condition set) unless the fiber has
     three branches, the core section has no extra zero, and at most one
@@ -65,22 +67,19 @@ def predict_counts(crust):
         raise HypothesisError("branch_count")
     _, k = crust.core_section()
     if k != 0:
-        raise HypothesisError(
-            "tau_zero_degree", "core section has %d extra zero(s)" % k
-        )
+        raise HypothesisError("tau_zero_degree", "core section has %d extra zero(s)" % k)
     props = crust.proportional_subbranches()
-    if len(props) == 0:
-        g = gcd(fiber.core_mult, crust.n0)
-        return SubordinateProfile(crust.n0 // g, g, NEAR_CORE, "Chi1")
-    if len(props) == 1:
+    if len(props) > 1:
+        raise HypothesisError("proportional_count")
+    if props:
         sb = props[0]
-        m_last = sb.parent.mult(sb.nu)
-        n_last = sb.value(sb.nu)
-        g = gcd(m_last, n_last)
-        return SubordinateProfile(
-            n_last // g, g, NEAR_PROPORTIONAL_EDGE, "ProportionalChi0"
-        )
-    raise HypothesisError("proportional_count")
+        m, n = sb.parent.mult(sb.nu), sb.value(sb.nu)
+        location, basis = NEAR_PROPORTIONAL_EDGE, "ProportionalChi0"
+    else:
+        m, n = fiber.core_mult, crust.n0
+        location, basis = NEAR_CORE, "Chi1"
+    g = gcd(m, n)
+    return SubordinateProfile(n // g, g, location, basis)
 
 
 def count_bounds(crust):
@@ -98,7 +97,8 @@ def determine_types(profile, deficit, candidates):
     fiber with sigma >= 2 singular points must be I_sigma (all nodes),
     while a fiber with a single singular point of Milnor number mu is
     I_1 (mu = 1), II (mu = 2) or III (mu = 3).  ``candidates`` is
-    enumerate_multisets(deficit), which the single-point case filters.
+    enumerate_multisets(deficit), filtered to the multisets of ``fibers``
+    parts of the allowed kinds.
 
     Returns the list of compatible multisets (a singleton when forced).
     Raises ValueError when no distribution fits.
@@ -111,23 +111,16 @@ def determine_types(profile, deficit, candidates):
             "deficit %d below the %d predicted singularities" % (deficit, fibers * sigma)
         )
     if sigma >= 2:
-        if fibers * sigma != deficit:
-            raise ValueError(
-                "infeasible: %d fibers of type I_%d need deficit %d, not %d"
-                % (fibers, sigma, fibers * sigma, deficit)
-            )
-        return [multiset(*[FiberClass("I", sigma)] * fibers)]
-    single_point = {FiberClass("I", 1), FiberClass("II"), FiberClass("III")}
-    found = [
-        ms
-        for ms in candidates
-        if len(ms) == fibers and single_point.issuperset(ms)
-    ]
-    if not found:
-        raise ValueError(
-            "infeasible: cannot split deficit %d into %d Milnor numbers <= 3"
-            % (deficit, fibers)
+        kinds = {FiberClass("I", sigma)}
+        infeasible = "%d fibers of type I_%d need deficit %d, not %d" % (
+            fibers, sigma, fibers * sigma, deficit
         )
+    else:
+        kinds = {FiberClass("I", 1), FiberClass("II"), FiberClass("III")}
+        infeasible = "cannot split deficit %d into %d Milnor numbers <= 3" % (deficit, fibers)
+    found = [ms for ms in candidates if len(ms) == fibers and kinds.issuperset(ms)]
+    if not found:
+        raise ValueError("infeasible: " + infeasible)
     return found
 
 

@@ -116,3 +116,50 @@ def test_setup_worse_everywhere_prints_a_note(bench_compare, tmp_path, capsys):
     del slow["local", "setup_s"]
     assert _run(bench_compare, tmp_path, _bench(), _bench(slow)) == 1
     assert not any(line.startswith("note") for line in capsys.readouterr().out.splitlines())
+
+
+def _scoreboard(forbidden_2, sha):
+    """A scoreboard of two factor rows, with ``forbidden_2`` forbidden
+    two-factor problems and the digest ``sha``."""
+    by_factors = {
+        "1": {"problems": 2, "forbidden": 1, "realizable": 0, "undecided": 1},
+        "2": {"problems": 5, "forbidden": forbidden_2, "realizable": 0, "undecided": 5 - forbidden_2},
+    }
+    by_factors["all"] = {key: sum(row[key] for row in by_factors.values()) for key in by_factors["1"]}
+    return {"by_factors": by_factors, "forbidden_sha256": sha * 64}
+
+
+def test_scoreboard_rows_are_shown_and_never_fail(bench_compare, tmp_path, capsys):
+    old, new = _bench(), _bench()
+    old["scoreboard"], new["scoreboard"] = _scoreboard(3, "a"), _scoreboard(0, "b")
+    assert _run(bench_compare, tmp_path, old, new) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    board = [row[1:5] for row in rows if row[0] == "scoreboard"]
+    assert board == [
+        ["problems:1", "2", "2", "+0"],
+        ["forbidden:1", "1", "1", "+0"],
+        ["undecided:1", "1", "1", "+0"],
+        ["problems:2", "5", "5", "+0"],
+        ["forbidden:2", "3", "0", "-3"],
+        ["undecided:2", "2", "5", "+3"],
+        ["problems:all", "7", "7", "+0"],
+        ["forbidden:all", "4", "1", "-3"],
+        ["realizable:all", "0", "0", "+0"],
+        ["undecided:all", "3", "6", "+3"],
+        ["forbidden_sha", "aaaaaaaa", "bbbbbbbb", "changed"],
+    ]
+    assert all(row[5:] == ["-", "info"] for row in rows if row[0] == "scoreboard")
+    # an old file without a scoreboard: every count is missing, and a loss
+    # beyond a bound still decides the exit code alone
+    del old["scoreboard"]
+    slow = _bench({("catalog", "run_s"): 2.0})
+    slow["scoreboard"] = new["scoreboard"]
+    assert _run(bench_compare, tmp_path, old, slow) == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["scoreboard", "forbidden_sha", "missing", "bbbbbbbb", "missing", "-", "info"] in rows
+    assert ["scoreboard", "undecided:all", "missing", "6", "missing", "-", "info"] in rows
+
+
+def test_no_scoreboard_rows_without_a_scoreboard(bench_compare, tmp_path, capsys):
+    assert _run(bench_compare, tmp_path, _bench(), _bench()) == 0
+    assert "scoreboard" not in capsys.readouterr().out

@@ -13,14 +13,22 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
 ENVIRONMENT = {"cpu_model": "cpu", "nproc": 2, "python": "3.11.7", "source_sha256": "ab"}
+SCOREBOARD = {"by_factors": {}, "forbidden_sha256": "cd"}
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def bench_record(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load()
     monkeypatch.setattr(module, "ROOT", tmp_path)
+    # the sweep takes about a second; test_scoreboard_of_the_normalised_sweep runs it
+    monkeypatch.setattr(module, "scoreboard", lambda: SCOREBOARD)
     return module
 
 
@@ -73,6 +81,7 @@ def test_writes_every_workload_and_trace(bench_record, tmp_path, monkeypatch):
     assert bench["note"] == "a note"
     assert bench["command"] == bench_record.COMMAND
     assert bench["environment"] == ENVIRONMENT
+    assert bench["scoreboard"] == SCOREBOARD
     assert list(bench["results"]) == list(bench_record.WORKLOADS)
     want = "perfbench/run.py --workload %s --seed 1 --seconds 20 --trace %d"
     for workload, runs in bench["results"].items():
@@ -118,3 +127,28 @@ def test_a_failed_run_writes_no_file(bench_record, tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         "error: perfbench/run.py --workload catalog"
     )
+
+
+# The normalised sweep by factor count: problems, forbidden, realizable, undecided
+SCOREBOARD_COUNTS = {
+    "1": (23, 21, 0, 2),
+    "2": (359, 199, 0, 160),
+    "3": (1183, 2, 0, 1181),
+    "4": (2333, 0, 0, 2333),
+    "5": (3228, 0, 0, 3228),
+    "6+": (13082, 0, 0, 13082),
+    "all": (20208, 222, 0, 19986),
+}
+# sha256 of the 222 forbidden problems, "TARGET = PART PART ..." sorted
+FORBIDDEN_SHA256 = "5305a76be8267a143c7664e8612b03ef6e74655a96e3fb9d98fc1fa588dd291b"
+
+
+def test_scoreboard_of_the_normalised_sweep():
+    """A problem that moves between verdicts, or an added or lost problem,
+    changes a count or the digest of the forbidden problems."""
+    board = _load().scoreboard()
+    keys = ("problems", "forbidden", "realizable", "undecided")
+    assert board["by_factors"] == {
+        row: dict(zip(keys, counts)) for row, counts in SCOREBOARD_COUNTS.items()
+    }
+    assert board["forbidden_sha256"] == FORBIDDEN_SHA256

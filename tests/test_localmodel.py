@@ -10,17 +10,21 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
 
 import barkfib
+from barkfib.cli import main
 from barkfib.localmodel import (
     CLUSTER_TOL,
     CoreSectionData,
     LocalCurveSpec,
+    _prefactor,
     essential_zeros,
     singular_points,
     singular_s_values,
@@ -142,6 +146,40 @@ def test_small_singular_values_keep_their_own_points(m, n, l, t):
     spec = LocalCurveSpec(m, n, l, t, 1.0)
     for s in singular_s_values(spec):
         assert len(singular_points(spec, s)) == gcd(m, n)
+
+
+def _exact_prefactor(l, m, n, mbar, nbar):
+    """The prefactor's definition in exact rationals."""
+    ln = l * n
+    return Fraction(ln, ln - m) ** (l * nbar) * Fraction(ln - m, m) ** mbar
+
+
+# (l, m, n): the localcheck grid of the local benchmark (l <= 3, n <= 8,
+# m <= 24, m > l*n), the l*n > m side that core data reaches, and large m
+PREFACTOR_CASES = [
+    (l, m, n) for l in range(1, 5) for n in range(1, 12) for m in range(1, 25) if l * n != m
+] + [(l, m, n) for l in (1, 2) for n in (1, 2, 7) for m in (999, 10007, 30030)]
+
+
+def test_prefactor_agrees_with_its_exact_definition():
+    assert sum(l * n < m for l, m, n in PREFACTOR_CASES) > 300
+    assert sum(l * n > m for l, m, n in PREFACTOR_CASES) > 300
+    for l, m, n in PREFACTOR_CASES:
+        g = gcd(m, n)
+        want = _exact_prefactor(l, m, n, m // g, n // g)
+        got = _prefactor(l, m, n, m // g, n // g)
+        assert got.imag == 0
+        assert abs(Fraction(got.real) - want) <= Fraction(1, 10**12) * abs(want), (l, m, n)
+
+
+def test_localcheck_with_a_large_m_answers_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["localcheck", "--m", "4000000", "--n", "1"]) == 0
+    assert time.perf_counter() - start < 0.1
+    out = capsys.readouterr().out
+    assert out.endswith("ok: 1 singular value(s), expected 1; 1 point(s) each, expected 1\n")
+    # s = -(1/(m-1)) * ((m-1)/m)^m, about -1/(e*m)
+    assert out.startswith("s = -9.19698718e-08")
 
 
 def test_resultant_vanishes_only_at_singular_values():

@@ -1,6 +1,8 @@
 """Counting laws, type determination, and the report pipeline."""
 
+import hashlib
 import json
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -12,6 +14,8 @@ from barkfib.crust import (
     StellarFiber,
     Subbranch,
     crust_from_json,
+    crust_to_json,
+    enumerate_simple_crusts,
 )
 from barkfib.kodaira import euler, parse_fiber
 from barkfib.splitting import enumerate_multisets, multiset
@@ -122,6 +126,33 @@ def test_predict_rejects_two_proportional_subbranches():
     with pytest.raises(HypothesisError) as err:
         predict_counts(crust)
     assert err.value.condition == "proportional_count"
+
+
+# Every simple crust of the 7 stellar models at l = 1..3, by the regime that
+# counts it or the hypothesis it fails, and a digest of one line per crust
+# (model, l, crust JSON, then the profile or the failed condition).
+CENSUS_REGIMES = {"Chi1": 74, "ProportionalChi0": 22, "tau_zero_degree": 31, "branch_count": 11}
+CENSUS_SHA256 = "4b088a771601b5e01ca72dcd6cdf47ab9d7ff82138ddb7f1ab007ccc187be32f"
+
+
+def test_census_of_counting_regimes():
+    lines, regimes = [], Counter()
+    for name in ("II", "III", "IV", "II*", "III*", "IV*", "I0*"):
+        for l in (1, 2, 3):
+            for crust in enumerate_simple_crusts(STELLAR_MODELS[name], l):
+                try:
+                    p = predict_counts(crust)
+                except HypothesisError as err:
+                    regimes[err.condition] += 1
+                    out = err.condition
+                else:
+                    regimes[p.basis] += 1
+                    out = "%d %d %s %s" % (p.num_fibers, p.sings_per_fiber, p.location, p.basis)
+                crust_json = json.dumps(crust_to_json(crust), sort_keys=True)
+                lines.append("%s l=%d %s -> %s" % (name, l, crust_json, out))
+    assert len(lines) == 138
+    assert regimes == CENSUS_REGIMES
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CENSUS_SHA256
 
 
 # ------------------------------------------------------------ type pinning

@@ -13,12 +13,16 @@ file is printed as ``missing`` and counts as worse.  After each workload's
 ``peak_rss_mb`` row, a row ``attempted`` gives the calls the untraced runs
 made in all, old and new, since that metric grows with the number of calls;
 it is information only, marked ``info``, and is left out when neither file
-records it.  When ``setup_s`` is worse than its bound on every workload,
-a ``note`` line follows the table: ``setup_s`` is process start-up wall
-time, which nothing corrects for the machine's load, so a change on all
-workloads at once most likely reads the machine, and the parent should be
-recorded again in the same session as the change.  Exits 1 when any
-metric is worse than its bound, and 0 otherwise; the note changes neither.
+records it.  The ``scoreboard`` rows that follow the workloads are
+information too: the normalised sweep's problems and verdicts for each
+factor count that either file counts some in, and for all, then the first
+8 hex digits of the forbidden problems' sha256.  When ``setup_s`` is worse
+than its bound on every workload, a ``note`` line follows the table:
+``setup_s`` is process start-up wall time, which nothing corrects for the
+machine's load, so a change on all workloads at once most likely reads the
+machine, and the parent should be recorded again in the same session as
+the change.  Exits 1 when any metric is worse than its bound, and 0
+otherwise; the note and the info rows change neither.
 """
 
 import argparse
@@ -61,6 +65,26 @@ def compare(old, new, spec):
     return rows
 
 
+def scoreboard_rows(old, new):
+    """One row (name, old, new) per scoreboard count "KEY:FACTORS", where
+    KEY is problems or a verdict, kept when FACTORS is "all" or either file
+    counts some, then "forbidden_sha" with the first 8 hex digits of each
+    forbidden_sha256.  A file without a scoreboard reads None, and there
+    are no rows when neither file has one."""
+    boards = [bench.get("scoreboard") for bench in (old, new)]
+    if boards == [None, None]:
+        return []
+    tables = [board and board["by_factors"] for board in boards]
+    rows = []
+    for factors, counts in next(filter(None, tables)).items():
+        for key in counts:
+            a, b = (table and table[factors][key] for table in tables)
+            if factors == "all" or a or b:
+                rows.append(("%s:%s" % (key, factors), a, b))
+    digests = (board and board["forbidden_sha256"][:8] for board in boards)
+    return rows + [("forbidden_sha", *digests)]
+
+
 def _cell(value):
     return "missing" if value is None else "%.4g" % value
 
@@ -98,6 +122,22 @@ def main(argv=None):
                     "-",
                     "info",
                 ))
+    for name, a, b in scoreboard_rows(old, new):
+        if None in (a, b):
+            change = "missing"
+        elif isinstance(a, int):
+            change = "%+d" % (b - a)
+        else:
+            change = "same" if a == b else "changed"
+        print("%-16s %-14s %10s %10s %9s %6s  %s" % (
+            "scoreboard",
+            name,
+            "missing" if a is None else a,
+            "missing" if b is None else b,
+            change,
+            "-",
+            "info",
+        ))
     setup = [row[-1] for row in rows if row[1] == "setup_s"]
     if setup and all(setup):
         print(

@@ -15,9 +15,13 @@ T = 0 it has the same layout with each metric's median over the three runs,
 ``attempted`` and ``failed`` summed over them, and the three result lines
 under ``runs``.  If any run exits non-zero or reports ``correct: false`` the
 script exits 1 and writes no file.
+
+The file also holds ``scoreboard``: the verdicts of the normalised sweep
+by factor count (see ``scoreboard()``), computed in process.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -25,8 +29,18 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402  stdlib-only module
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+from workloads import WORKLOADS, sweep_pairs  # noqa: E402  stdlib-only module
+
+from barkfib.kodaira import FiberClass, parse_fiber  # noqa: E402
+from barkfib.splitting import (  # noqa: E402
+    FORBIDDEN,
+    decomposition_verdict,
+    enumerate_multisets,
+    euler_deficit,
+    multiset,
+)
+
 COMMAND = "python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace T"
 ENVIRONMENT_KEYS = ("cpu_model", "nproc", "python", "source_sha256")
 # untraced runs per workload, whose medians are recorded
@@ -65,6 +79,41 @@ def median_result(runs):
     }
 
 
+# The scoreboard's verdicts and its factor-count rows; "realizable" stays 0
+# until some rule decides a problem realizable.
+VERDICTS = ("forbidden", "realizable", "undecided")
+FACTOR_ROWS = ("1", "2", "3", "4", "5", "6+")
+
+
+def scoreboard():
+    """Verdicts of the normalised sweep: every (original, main) pair of
+    perfbench's ``sweep_pairs()`` with each of its ``enumerate_multisets``
+    candidates, the I0 factors dropped, and each problem (original,
+    canonical factor multiset) counted once.  Returns ``by_factors``, which
+    maps each of FACTOR_ROWS, and "all", to its problems and their count
+    by verdict, and ``forbidden_sha256``, the sha256 of the forbidden
+    problems' lines "TARGET = PART PART ...", sorted and joined by newlines.
+    """
+    identity = FiberClass("I", 0)
+    problems = set()
+    for names in sweep_pairs():
+        original, main = map(parse_fiber, names)
+        for ms in enumerate_multisets(euler_deficit(original, main)):
+            problems.add((original, multiset(*(f for f in (main, *ms) if f != identity))))
+    factors = {row: dict.fromkeys(("problems",) + VERDICTS, 0) for row in FACTOR_ROWS}
+    forbidden = []
+    for target, parts in problems:
+        verdict, _ = decomposition_verdict(target, parts)
+        counts = factors[FACTOR_ROWS[min(len(parts), len(FACTOR_ROWS)) - 1]]
+        counts["problems"] += 1
+        counts[verdict] += 1
+        if verdict == FORBIDDEN:
+            forbidden.append("%s = %s" % (target, " ".join(map(str, parts))))
+    digest = hashlib.sha256("\n".join(sorted(forbidden)).encode()).hexdigest()
+    factors["all"] = {key: sum(c[key] for c in factors.values()) for key in factors["1"]}
+    return {"by_factors": factors, "forbidden_sha256": digest}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pr", type=int, help="number in the file name BENCH_<pr>.json")
@@ -90,6 +139,7 @@ def main(argv=None):
         "command": COMMAND,
         "environment": {key: environment[key] for key in ENVIRONMENT_KEYS},
         "results": results,
+        "scoreboard": scoreboard(),
     }
     path = ROOT / ("BENCH_%d.json" % args.pr)
     path.write_text(json.dumps(bench, indent=1) + "\n")
