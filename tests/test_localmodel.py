@@ -6,17 +6,23 @@ closed-form implementation must land on them, not the other way round.
 """
 
 import cmath
+import json
+import math
 import os
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import barkfib
 from barkfib.cli import main
@@ -24,6 +30,7 @@ from barkfib.localmodel import (
     CLUSTER_TOL,
     CoreSectionData,
     LocalCurveSpec,
+    _nth_roots,
     _prefactor,
     essential_zeros,
     singular_points,
@@ -180,6 +187,73 @@ def test_localcheck_with_a_large_m_answers_at_once(capsys):
     assert out.endswith("ok: 1 singular value(s), expected 1; 1 point(s) each, expected 1\n")
     # s = -(1/(m-1)) * ((m-1)/m)^m, about -1/(e*m)
     assert out.startswith("s = -9.19698718e-08")
+
+
+def test_real_singular_value_has_no_imaginary_part(capsys):
+    assert main(["localcheck", "--m", "100000", "--n", "1"]) == 0
+    assert capsys.readouterr().out.startswith("s = -3.67881281e-06+0i: 1 singular point(s)\n")
+    assert main(["localcheck", "--m", "100000", "--n", "1", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["singular_values"]
+    assert row["s"][1] == 0.0
+
+
+@given(
+    st.floats(1e-300, 1e300),
+    st.booleans(),
+    # a real w as a float, a complex, or a complex with imaginary part -0.0
+    st.sampled_from([float, complex, lambda x: complex(x, -0.0)]),
+    st.integers(1, 64),
+)
+def test_nth_roots_of_a_real_number_are_real_on_the_real_axis(magnitude, negative, kind, k):
+    w = kind(-magnitude if negative else magnitude)
+    r = abs(w) ** (1.0 / k)
+    rotated = [r * cmath.exp(1j * (cmath.phase(w) + 2 * cmath.pi * j) / k) for j in range(k)]
+    on_axis = [j for j, z in enumerate(rotated) if abs(z.imag) <= 1e-12 * r]
+    assert len(on_axis) == (1 if k % 2 else 0 if negative else 2)
+    for j, (got, want) in enumerate(zip(_nth_roots(w, k), rotated)):
+        if j in on_axis:
+            assert got.real == want.real and math.copysign(1, got.imag) == 1
+            assert got.imag == 0.0
+        else:
+            assert got == want
+
+
+# (m, n, l, t) -> (singular values, points each): the gcd law at m where
+# the factors of dF/dzeta grow like |zeta|^m, beyond any absolute scale
+LARGE_M_CASES = {
+    ("1400", "8", "1", "-2+1i"): (1, 8),
+    ("3177", "11", "2", "1.16289+0i"): (11, 1),
+    ("4664", "3", "3", "-1.05579-0.0520531i"): (3, 1),
+    ("2244", "17", "3", "3.38924+0i"): (1, 17),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_M_CASES), ids="-".join)
+def test_localcheck_at_large_m_finds_every_singular_point(capsys, case):
+    m, n, l, t = case
+    values, points = LARGE_M_CASES[case]
+    assert main(["localcheck", "--m", m, "--n", n, "--l", l, "--t=" + t]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "ok: %d singular value(s), expected %d; %d point(s) each, expected %d"
+        % (values, values, points, points)
+    )
+
+
+def test_localcheck_at_large_m_never_raises(capsys):
+    """Every call prints ok, or exits 2 with one error line."""
+    ts = ["1", "-2+1i", "1.16289", "-1.10577", "-1.05579-0.0520531i", "3.38924", "-7.49402e-07-2.38283i"]
+    codes = Counter()
+    for m, n, l, t in product(
+        [1000, 2244, 3177, 3400, 4096, 4643, 4664], [1, 3, 8, 11, 17], range(1, 5), ts
+    ):
+        code = main(["localcheck", "--m", str(m), "--n", str(n), "--l", str(l), "--t=" + t])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out.splitlines()[-1].startswith("ok: ")
+        else:
+            assert (code, err) == (2, "error: singular values out of floating-point range\n")
+        codes[code] += 1
+    assert codes == {0: 672, 2: 308}
 
 
 def test_resultant_vanishes_only_at_singular_values():
@@ -375,6 +449,21 @@ def test_subordinate_values_from_core_data():
     for bad in ("oo", "infinity"):
         with pytest.raises(ValueError):
             replace(core, attach_points=((0, 5), (1, 3), (bad, 2)))
+
+
+@pytest.mark.parametrize(
+    "m0,n0,zero",
+    [
+        # the prefactor underflows to 0, which would give the one value s = 0
+        (200001, 200, 1j),
+        # |tau(zero)|^mbar0 = sqrt(2)^1000001 overflows a float
+        (1000001, 500, 0.5 + 0.5j),
+    ],
+)
+def test_subordinate_values_out_of_range_raise(m0, n0, zero):
+    core = CoreSectionData(((0, 1),), ((0, 1),), (), m0, n0, 1)
+    with pytest.raises(ValueError, match="singular values out of floating-point range"):
+        subordinate_s_from_core(core, 1.0, [zero])
 
 
 def test_subordinate_values_scale_with_t():
