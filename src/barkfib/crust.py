@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import product as _cartesian
+from operator import index
 from pathlib import Path
 
 from .kodaira import parse_fiber
@@ -43,7 +44,7 @@ class Branch:
     mults: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        object.__setattr__(self, "mults", tuple(index(m) for m in self.mults))
         if self.core_mult < 1:
             raise ValueError("core multiplicity must be positive")
         for i in range(1, self.length + 1):
@@ -114,7 +115,7 @@ class Subbranch:
     sentinel: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(index(v) for v in self.values))
         if self.n0 < 1:
             raise ValueError("n0 must be positive")
         if len(self.values) > self.parent.length:

@@ -13,8 +13,11 @@ Two model situations are verified numerically:
 
 A divisor point at infinity, given as "inf" or a non-finite number, is
 stored as "inf".  Roots are found in pure Python by Aberth-Ehrlich
-iteration with one Newton polish step.  One rule, ``_near``, decides
-"the same point": within 1e-7 relative to a reference value.  Each
+iteration with one Newton polish step.  One rule, ``_groups``, decides
+"the same point": within CLUSTER_TOL of a group's first member, in the
+unit its caller names: the data's spread for essential zeros, which are
+found in their data's own frame and so move with it under z -> a*z + b,
+and their own modulus for subordinate invariants and s values.  Each
 test of a singular point is relative to the scale of what it measures.
 """
 
@@ -22,6 +25,7 @@ import cmath
 import sys
 from dataclasses import dataclass
 from math import exp, gcd, log, log1p
+from operator import index
 
 CLUSTER_TOL = 1e-7
 RESIDUAL_TOL = 1e-9
@@ -32,18 +36,18 @@ def _sort_key(z):
     return (round(z.real, 9), round(z.imag, 9))
 
 
-def _near(ref, z):
-    """Whether z is the same point as ref, on the scale of ref."""
-    return abs(z - ref) <= CLUSTER_TOL * (1 + abs(ref))
-
-
-def _distinct(values):
-    """The values, in order, without those _near one already kept."""
-    kept = []
-    for v in values:
-        if not any(_near(u, v) for u in kept):
-            kept.append(v)
-    return kept
+def _groups(values, unit):
+    """The values, in order, in groups of "the same point": each joins the
+    first group whose first member g lies within CLUSTER_TOL * unit(g)."""
+    groups = []
+    for z in values:
+        for group in groups:
+            if abs(z - group[0]) <= CLUSTER_TOL * unit(group[0]):
+                group.append(z)
+                break
+        else:
+            groups.append([z])
+    return groups
 
 
 @dataclass(frozen=True)
@@ -192,7 +196,7 @@ class CoreSectionData:
 
     def __post_init__(self):
         for name in ("attach_points", "sigma_divisor", "extra_zeros"):
-            cleaned = tuple((_normal_point(p), int(o)) for p, o in getattr(self, name))
+            cleaned = tuple((_normal_point(p), index(o)) for p, o in getattr(self, name))
             object.__setattr__(self, name, cleaned)
 
     def degree_consistent(self):
@@ -300,42 +304,38 @@ def essential_zeros(data):
     """Zeros of K(z) = n0*sigma'*tau + m0*sigma*tau' away from the
     divisors of sigma and tau, with multiplicity (repeated entries).
 
-    The numerator of the logarithmic-derivative sum is assembled exactly
-    from the divisor data, root-found by Aberth-Ehrlich iteration, Newton
-    polished once, clustered, and filtered against all data points.  No
-    degree consistency is assumed of the input.
+    The numerator of the logarithmic-derivative sum is built in the frame
+    w = (z - c)/r, c the first finite data point and r the largest distance
+    of one from c (1 if none), trimmed of leading coefficients within 1e-12
+    of the largest, root-found by Aberth-Ehrlich iteration and Newton
+    polished once.  A zero grouped with a data point is dropped; each other
+    group gives its mean once per member.  No degree consistency is assumed.
     """
     support = _logderiv_support(data)
-    points = list(support)
-    if not points:
+    if not support:
         return []
-    coeffs = [0j] * len(points)
-    for alpha in points:
-        term = _poly_from_roots([p for p in points if p is not alpha])
-        coeffs = [c + support[alpha] * t for c, t in zip(coeffs, term)]
-    scale = max(max(abs(c) for c in coeffs), 1.0)
-    while coeffs and abs(coeffs[0]) <= 1e-12 * scale:
+    avoid = [p for p, _ in _finite(data.attach_points + data.sigma_divisor + data.extra_zeros)]
+    c = avoid[0]
+    r = max(abs(p - c) for p in avoid) or 1.0
+    terms = [((p - c) / r, weight) for p, weight in support.items()]
+    coeffs = [0j] * len(terms)
+    for alpha, weight in terms:
+        term = _poly_from_roots([p for p, _ in terms if p is not alpha])
+        coeffs = [a + weight * b for a, b in zip(coeffs, term)]
+    top = max(abs(a) for a in coeffs)
+    while abs(coeffs[0]) <= 1e-12 * top:
         del coeffs[0]
     if len(coeffs) <= 1:
         return []
-    polished = []
-    for r in _aberth_roots(coeffs):
-        p, dp = _horner(coeffs, r)
-        polished.append(r - p / dp if dp != 0 else r)
-    avoid = [p for p, _ in _finite(data.attach_points + data.sigma_divisor + data.extra_zeros)]
-    kept = [r for r in polished if not any(_near(r, a) for a in avoid)]
-    kept.sort(key=_sort_key)
-    clustered = []
-    for r in kept:
-        if clustered and _near(r, clustered[-1][0] / clustered[-1][1]):
-            total, count = clustered[-1]
-            clustered[-1] = (total + r, count + 1)
-        else:
-            clustered.append((r, 1))
-    out = []
-    for total, count in clustered:
-        out.extend([total / count] * count)
-    return out
+    roots = []
+    for w in _aberth_roots(coeffs):
+        p, dp = _horner(coeffs, w)
+        roots.append(w - p / dp if dp != 0 else w)
+    avoid = [(p - c) / r for p in avoid]
+    groups = [g for g in _groups(avoid + roots, lambda w: 1.0) if g[0] not in avoid]
+    zeros = [c + r * sum(g) / len(g) for g in groups for _ in g]
+    zeros.sort(key=_sort_key)
+    return zeros
 
 
 def subordinate_s_from_core(data, t, zeros):
@@ -358,11 +358,11 @@ def subordinate_s_from_core(data, t, zeros):
         raise ValueError("need l*n0 != m0")
 
     def right_hand_sides():
-        invariants = _distinct(data.sigma(a) ** nbar0 * data.tau(a) ** mbar0 for a in zeros)
+        invariants = _groups((data.sigma(a) ** nbar0 * data.tau(a) ** mbar0 for a in zeros), abs)
         prefactor = _prefactor(data.l, data.m0, data.n0, mbar0, nbar0)
-        return [prefactor * t**mbar0 * v for v in invariants]
+        return [prefactor * t**mbar0 * group[0] for group in invariants]
 
     batches = _roots_in_range(right_hand_sides, nbar0)
-    s_values = _distinct(s for batch in batches for s in batch)
+    s_values = [group[0] for group in _groups((s for batch in batches for s in batch), abs)]
     s_values.sort(key=_sort_key)
     return s_values, len(batches)

@@ -48,6 +48,13 @@ def test_branch_checks_chain_condition():
         Branch(4, (3, 2))  # (4+2)/3 = 2 ok, (3+0)/2 no
 
 
+def test_branch_refuses_a_non_integral_multiplicity():
+    with pytest.raises(TypeError):
+        Branch(6, (3.7,))  # refused, not truncated to Branch(6, (3,))
+    with pytest.raises(TypeError):
+        Branch(6, (3.0,))
+
+
 def test_branch_mult_conventions():
     b = Branch(6, (4, 2))
     assert b.mult(0) == 6
@@ -93,6 +100,11 @@ def test_subbranch_recurrence_enforced():
         Subbranch(1, (6,), long)  # n_1 > m_1
     with pytest.raises(ValueError):
         Subbranch(0, (), long)
+
+
+def test_subbranch_refuses_a_non_integral_value():
+    with pytest.raises(TypeError):
+        Subbranch(2, (1.9,), Branch(6, (3,)))  # refused, not truncated to (1,)
 
 
 def test_subbranch_sentinel_forced_value():

@@ -189,6 +189,24 @@ def test_localcheck_with_a_large_m_answers_at_once(capsys):
     assert out.startswith("s = -9.19698718e-08")
 
 
+def test_localcheck_summary_gives_the_counts_found(capsys, monkeypatch):
+    # at m = 10^7, zeta^(m - l*n) carries about m*eps of rounding: no point passes
+    assert main(["localcheck", "--m", "10000000", "--n", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "s = -3.6787946e-08+0i: 0 singular point(s)",
+        "FAIL: 1 singular value(s), expected 1; 0 point(s) each, expected 1",
+    ]
+    # unequal counts are listed in order
+    calls = []
+    monkeypatch.setattr(
+        "barkfib.cli.singular_points", lambda spec, s: calls.append(s) or [(0j, s)] * len(calls)
+    )
+    assert main(["localcheck", "--m", "8", "--n", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "FAIL: 3 singular value(s), expected 3; 1 or 2 or 3 point(s) each, expected 1"
+    )
+
+
 def test_real_singular_value_has_no_imaginary_part(capsys):
     assert main(["localcheck", "--m", "100000", "--n", "1"]) == 0
     assert capsys.readouterr().out.startswith("s = -3.67881281e-06+0i: 1 singular point(s)\n")
@@ -357,6 +375,32 @@ def test_essential_zeros_agree_with_numpy_oracle():
         assert_close_sets(got, want)
 
 
+def _preimage(z, a, b):
+    """The point p whose image a*p + b is z, exact up to the rounding of p."""
+    real = (Fraction(z.real) - Fraction(b)) / Fraction(a)
+    return complex(float(real), float(Fraction(z.imag) / Fraction(a)))
+
+
+@pytest.mark.parametrize("a,b", list(product((1e-8, 1e-3, 1e3, 1e6), (0, 1e3, 1e6))))
+def test_essential_zeros_move_with_their_data(a, b):
+    """Mapping the data by z -> a*z + b maps the zeros with it: as many, each
+    within 1e-9 of the data's spread of the image of a zero of the unmapped
+    data (the preimage of what the mapped data hold), or within the one ulp
+    that a float of its size can be off by."""
+    rng = random.Random(61973)
+    for _ in range(50):
+        h, k = rng.randint(3, 6), rng.randint(0, 4)
+        image = [tuple((a * p + b, o) for p, o in d) for d in _generic_divisors(rng, h, k)]
+        got = essential_zeros(CoreSectionData(*image, 2, 1))
+        unmapped = [tuple((_preimage(z, a, b), o) for z, o in d) for d in image]
+        want = [a * w + b for w in essential_zeros(CoreSectionData(*unmapped, 2, 1))]
+        assert len(got) == len(want) == h + k - 2
+        points = [p for d in image for p, _ in d]
+        spread = max(abs(p - points[0]) for p in points)
+        for z in got:
+            assert min(abs(z - w) for w in want) <= 1e-9 * spread + math.ulp(abs(z))
+
+
 @pytest.mark.parametrize(
     "sigma,attach,want",
     [
@@ -464,6 +508,24 @@ def test_subordinate_values_out_of_range_raise(m0, n0, zero):
     core = CoreSectionData(((0, 1),), ((0, 1),), (), m0, n0, 1)
     with pytest.raises(ValueError, match="singular values out of floating-point range"):
         subordinate_s_from_core(core, 1.0, [zero])
+
+
+@pytest.mark.parametrize("t", [1, 1e-3, 1e-5, 1e-6, 1e-8])
+def test_small_subordinate_values_stay_apart(t):
+    """The five-value core at small t: nbar0 * kappa_bar = 5 values with
+    s^5 = -t^6/432, however small they are."""
+    core = CoreSectionData(((0, 5), (1, 3), ("inf", 2)), ((0, 5), (1, 4), ("inf", 3)), (), 6, 5)
+    s_values, kappa = subordinate_s_from_core(core, t, essential_zeros(core))
+    assert (len(s_values), kappa) == (5, 1)
+    for s in s_values:
+        assert abs(s**5 / (-(t**6) / 432) - 1) < 1e-9
+
+
+def test_core_section_data_refuses_non_integral_orders():
+    with pytest.raises(TypeError):  # refused, not truncated to the orders 2 and 1
+        CoreSectionData(((0, 2.5),), ((0, 1), (1, 1.9)), (), 2, 1)
+    with pytest.raises(TypeError):
+        CoreSectionData(((0, 1),), ((0, 1),), ((2, 1.0),), 2, 1)
 
 
 def test_subordinate_values_scale_with_t():
