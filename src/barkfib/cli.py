@@ -190,9 +190,7 @@ def cmd_predict(args):
 
 
 def cmd_localcheck(args):
-    spec = LocalCurveSpec(
-        args.m, args.n, args.l, _parse_complex(args.t), _parse_complex(args.c)
-    )
+    spec = LocalCurveSpec(args.m, args.n, args.l, _parse_complex(args.t))
     values = singular_s_values(spec)
     _, nbar = spec.reduced_pair
     per_value = spec.n // nbar  # gcd(m, n)
@@ -331,8 +329,7 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=1)
-    p.add_argument("--t", default="1", help="complex, e.g. '1+0i'; negative: --t=-2+1i")
-    p.add_argument("--c", default="1", help="complex, e.g. '1+0i'; negative: --c=-2+1i")
+    p.add_argument("--t", default="1", help="t*h(0,0) as a complex, e.g. '1+0i'; negative: --t=-2+1i")
     p.set_defaults(func=cmd_localcheck)
 
     p = sub.add_parser(

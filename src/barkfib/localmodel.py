@@ -2,9 +2,9 @@
 
 Two model situations are verified numerically:
 
-* the hypersurface chart F(z, zeta) = zeta^(m-l*n) * (zeta^n + t*c)^l - s,
-  whose singular fibers and singular points obey closed-form equations in
-  (m, n, l, t, c);
+* the hypersurface chart F(z, zeta) = zeta^(m-l*n) * (zeta^n + t)^l - s,
+  t standing for the product t*h(0, 0), whose singular fibers and singular
+  points obey closed-form equations in (m, n, l, t);
 
 * the core section K(z) = n0*sigma'(z)*tau(z) + m0*sigma(z)*tau'(z),
   whose "essential" zeros (those avoiding the zeros and poles of sigma
@@ -18,7 +18,8 @@ iteration with one Newton polish step.  One rule, ``_groups``, decides
 unit its caller names: the data's spread for essential zeros, which are
 found in their data's own frame and so move with it under z -> a*z + b,
 and their own modulus for subordinate invariants and s values.  Each
-test of a singular point is relative to the scale of what it measures.
+test of a singular point, and the order of each list, is relative to
+the scale of what it measures.
 """
 
 import cmath
@@ -32,8 +33,11 @@ RESIDUAL_TOL = 1e-9
 MAX_SWEEPS = 100
 
 
-def _sort_key(z):
-    return (round(z.real, 9), round(z.imag, 9))
+def _ordered(values):
+    """The values by real, then imaginary part, each rounded to 9 decimals
+    of the largest modulus among them, so the order has no absolute scale."""
+    unit = max(map(abs, values), default=0.0) or 1.0
+    return sorted(values, key=lambda z: (round(z.real / unit, 9), round(z.imag / unit, 9)))
 
 
 def _groups(values, unit):
@@ -54,23 +58,22 @@ def _groups(values, unit):
 class LocalCurveSpec:
     """Exponent data of the local hypersurface model.
 
-    ``m``, ``n``, ``l`` must satisfy m - l*n > 0.  ``c`` is the unit
-    value h(0, 0).
+    ``m``, ``n``, ``l`` must satisfy m - l*n > 0.  ``t`` stands for the
+    product t*h(0, 0), the only way t and the unit value h(0, 0) enter.
     """
 
     m: int
     n: int
     l: int
     t: complex
-    c: complex
 
     def __post_init__(self):
         if min(self.m, self.n, self.l) < 1:
             raise ValueError("m, n, l must be positive")
         if self.m - self.l * self.n <= 0:
             raise ValueError("need m - l*n > 0")
-        if not (cmath.isfinite(self.t) and cmath.isfinite(self.c)):
-            raise ValueError("t and c must be finite")
+        if not cmath.isfinite(self.t):
+            raise ValueError("t must be finite")
 
     @property
     def reduced_pair(self):
@@ -83,7 +86,7 @@ class LocalCurveSpec:
         def F(z, zeta):
             return (
                 zeta ** (self.m - self.l * self.n)
-                * (zeta**self.n + self.t * self.c) ** self.l
+                * (zeta**self.n + self.t) ** self.l
                 - s
             )
 
@@ -134,45 +137,45 @@ def _roots_in_range(right_hand_sides, k):
 def singular_s_values(spec):
     """The nonzero values of s whose fiber is singular.
 
-    With t*c != 0 the singular values are the nbar solutions of
+    With t != 0 the singular values are the nbar solutions of
 
-        s^nbar = (l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar * (t*c)^mbar
+        s^nbar = (l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar * t^mbar
 
     where (mbar, nbar) = (m, n)/gcd(m, n).  Out of float range: ValueError.
     """
-    if spec.t == 0 or spec.c == 0:
-        raise ValueError("t and c must be nonzero (otherwise only s = 0)")
+    if spec.t == 0:
+        raise ValueError("t must be nonzero (otherwise only s = 0)")
     mbar, nbar = spec.reduced_pair
     (roots,) = _roots_in_range(
-        lambda: [_prefactor(spec.l, spec.m, spec.n, mbar, nbar) * (spec.t * spec.c) ** mbar], nbar
+        lambda: [_prefactor(spec.l, spec.m, spec.n, mbar, nbar) * spec.t**mbar], nbar
     )
-    roots.sort(key=_sort_key)
-    return roots
+    return _ordered(roots)
 
 
 def singular_points(spec, s):
     """Singular points (z, zeta) of the fiber over a singular value s.
 
-    Each is (0, zeta) with zeta^n = ((l*n - m)/m)*t*c, and passes two tests,
-    each relative to what it measures: on the fiber, |F| <= RESIDUAL_TOL*|s|;
-    critical, |a + b| <= RESIDUAL_TOL*(|a| + |b|) for the one factor a + b of
-    dF/dzeta that can vanish, a = (m - l*n)*(zeta^n + t*c), b = l*n*zeta^n
-    (the others are nonzero when t*c != 0: zeta^n + t*c = l*n*t*c/m).
+    Each is (0, zeta) with zeta^n = ((l*n - m)/m)*t, on the fiber,
+    |F| <= tol*|s|, and critical, |a + b| <= tol*(|a| + |b|) for the one
+    factor a + b of dF/dzeta that can vanish, a = (m - l*n)*(zeta^n + t),
+    b = l*n*zeta^n (the others are nonzero when t != 0: zeta^n + t = l*n*t/m).
+    Each test is relative to what it measures, with tol = max(RESIDUAL_TOL,
+    4*(m - l*n)*eps): both grow the one rounding of zeta about (m - l*n)-fold.
     Exactly gcd(m, n) of the roots pass on each singular fiber.
     """
-    w = (spec.l * spec.n - spec.m) / spec.m * spec.t * spec.c
+    w = (spec.l * spec.n - spec.m) / spec.m * spec.t
     F = spec.curve(s)
-    points = []
+    tol = max(RESIDUAL_TOL, 4 * (spec.m - spec.l * spec.n) * sys.float_info.epsilon)
+    zetas = []
     for zeta in _nth_roots(w, spec.n):
         # F has no z-dependence in this chart, so dF/dz vanishes identically
-        if abs(F(0.0, zeta)) <= RESIDUAL_TOL * abs(s):
+        if abs(F(0.0, zeta)) <= tol * abs(s):
             power = zeta**spec.n
-            a = (spec.m - spec.l * spec.n) * (power + spec.t * spec.c)
+            a = (spec.m - spec.l * spec.n) * (power + spec.t)
             b = spec.l * spec.n * power
-            if abs(a + b) <= RESIDUAL_TOL * (abs(a) + abs(b)):
-                points.append((0j, zeta))
-    points.sort(key=lambda p: _sort_key(p[1]))
-    return points
+            if abs(a + b) <= tol * (abs(a) + abs(b)):
+                zetas.append(zeta)
+    return [(0j, zeta) for zeta in _ordered(zetas)]
 
 
 @dataclass(frozen=True)
@@ -309,7 +312,8 @@ def essential_zeros(data):
     of one from c (1 if none), trimmed of leading coefficients within 1e-12
     of the largest, root-found by Aberth-Ehrlich iteration and Newton
     polished once.  A zero grouped with a data point is dropped; each other
-    group gives its mean once per member.  No degree consistency is assumed.
+    group gives its mean once per member, in order in the frame.  No degree
+    consistency is assumed.
     """
     support = _logderiv_support(data)
     if not support:
@@ -333,9 +337,7 @@ def essential_zeros(data):
         roots.append(w - p / dp if dp != 0 else w)
     avoid = [(p - c) / r for p in avoid]
     groups = [g for g in _groups(avoid + roots, lambda w: 1.0) if g[0] not in avoid]
-    zeros = [c + r * sum(g) / len(g) for g in groups for _ in g]
-    zeros.sort(key=_sort_key)
-    return zeros
+    return [c + r * w for w in _ordered([sum(g) / len(g) for g in groups for _ in g])]
 
 
 def subordinate_s_from_core(data, t, zeros):
@@ -364,5 +366,4 @@ def subordinate_s_from_core(data, t, zeros):
 
     batches = _roots_in_range(right_hand_sides, nbar0)
     s_values = [group[0] for group in _groups((s for batch in batches for s in batch), abs)]
-    s_values.sort(key=_sort_key)
-    return s_values, len(batches)
+    return _ordered(s_values), len(batches)

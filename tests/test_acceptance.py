@@ -274,7 +274,7 @@ def test_criterion_7_local_model_grid():
     cases = [(m, n, l, t) for m, n, l in specs for t in (1.0, 0.7 - 0.4j)]
     assert len(cases) >= 50
     for m, n, l, t in cases:
-        spec = LocalCurveSpec(m, n, l, t, 1.0)
+        spec = LocalCurveSpec(m, n, l, t)
         values = singular_s_values(spec)
         _, nbar = spec.reduced_pair
         assert len(values) == nbar
@@ -292,7 +292,7 @@ def test_criterion_7_local_model_grid():
     # Resultant cross-check on a sample: Res(g - s, g') vanishes at the
     # reported values and only there.
     for m, n, l in ((5, 2, 1), (6, 4, 1), (7, 3, 2)):
-        for s in singular_s_values(LocalCurveSpec(m, n, l, 1.0, 1.0)):
+        for s in singular_s_values(LocalCurveSpec(m, n, l, 1.0)):
             at_value = resultant_at(m, n, l, 1.0, s)
             generic = resultant_at(m, n, l, 1.0, s * 1.37 + 0.11)
             assert at_value <= 1e-7 * generic

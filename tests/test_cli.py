@@ -341,9 +341,7 @@ def test_predict_bad_bark_multiplicity_exits_2(capsys, subbranches, json_flag):
 
 
 def test_localcheck(capsys):
-    code, record = run_json(
-        capsys, ["localcheck", "--m", "6", "--n", "4", "--t", "1+0i", "--c", "1"]
-    )
+    code, record = run_json(capsys, ["localcheck", "--m", "6", "--n", "4", "--t", "1+0i"])
     assert code == 0
     assert record["ok"] is True
     assert len(record["singular_values"]) == 2  # nbar = 4/gcd(6,4)
@@ -357,7 +355,7 @@ def test_localcheck_negative_complex_with_equals(capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("ok:")
 
 
-_NOT_FINITE = "t and c must be finite"
+_NOT_FINITE = "t must be finite"
 _OUT_OF_RANGE = "singular values out of floating-point range"
 
 
@@ -370,7 +368,7 @@ _OUT_OF_RANGE = "singular values out of floating-point range"
                 (["--m", "3", "--t", "nan"], _NOT_FINITE),
                 (["--m", "3", "--t", "inf"], _NOT_FINITE),
                 (["--m", "3", "--t=-inf"], _NOT_FINITE),
-                (["--m", "3", "--c", "nan"], _NOT_FINITE),
+                (["--m", "3", "--t=1+nani"], _NOT_FINITE),
                 # finite t whose singular values overflow, or underflow to 0
                 (["--m", "3", "--t=1e308+1e308i"], _OUT_OF_RANGE),
                 (["--m", "24", "--t=1e200"], _OUT_OF_RANGE),
@@ -387,6 +385,16 @@ def test_localcheck_non_finite_exits_2(capsys, args, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: " + message]
+
+
+def test_localcheck_has_no_c_option(capsys):
+    # t stands for t*h(0, 0): there is no separate unit value to pass
+    assert main(["localcheck", "--m", "3", "--n", "1", "--c", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: barkfib ")
+    assert captured.err.splitlines()[-1] == "barkfib: error: unrecognized arguments: --c 1"
+    assert "Traceback" not in captured.err
 
 
 def test_report_full_catalog(capsys):
@@ -738,7 +746,6 @@ _FUZZ = st.one_of(
         (["predict", "II", "--crust={}"], {0, 1}),
         (["predict", "I0*", "--crust={}"], {0, 1}),
         (["localcheck", "--m", "3", "--n", "2", "--t={}"], {0, 1}),
-        (["localcheck", "--m", "3", "--n", "2", "--c={}"], {0, 1}),
     ],
     ids=[
         "classify-mat",
@@ -749,7 +756,6 @@ _FUZZ = st.one_of(
         "predict-II",
         "predict-I0*",
         "localcheck-t",
-        "localcheck-c",
     ],
 )
 @given(text=_FUZZ)

@@ -40,7 +40,8 @@ from barkfib.localmodel import (
 
 from oracle_local import critical_values, essential_zeros_oracle, resultant_at
 
-# (m, n, l, t, c) -> sorted singular s, frozen from the oracle run
+# (m, n, l, t, c) -> sorted singular s, frozen from the oracle run with
+# h(0, 0) = c; the spec takes the product t*c as its t
 FROZEN_SINGULAR_VALUES = {
     (3, 1, 1, 1.0, 1.0): [0.148148148148 + 0j],
     (2, 1, 1, 1.0, 1.0): [-0.25 + 0j],
@@ -70,19 +71,19 @@ def assert_close_sets(got, want, tol=1e-9):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        LocalCurveSpec(2, 1, 2, 1.0, 1.0)  # m - l*n = 0
+        LocalCurveSpec(2, 1, 2, 1.0)  # m - l*n = 0
     with pytest.raises(ValueError):
-        LocalCurveSpec(0, 1, 1, 1.0, 1.0)
+        LocalCurveSpec(0, 1, 1, 1.0)
 
 
 def test_reduced_pair():
-    assert LocalCurveSpec(6, 4, 1, 1.0, 1.0).reduced_pair == (3, 2)
-    assert LocalCurveSpec(5, 2, 2, 1.0, 1.0).reduced_pair == (5, 2)
+    assert LocalCurveSpec(6, 4, 1, 1.0).reduced_pair == (3, 2)
+    assert LocalCurveSpec(5, 2, 2, 1.0).reduced_pair == (5, 2)
 
 
 def test_singular_values_domain_errors():
     with pytest.raises(ValueError):
-        singular_s_values(LocalCurveSpec(3, 1, 1, 0.0, 1.0))
+        singular_s_values(LocalCurveSpec(3, 1, 1, 0.0))
 
 
 # ---------------------------------------------------------- singular fibers
@@ -91,13 +92,13 @@ def test_singular_values_domain_errors():
 @pytest.mark.parametrize("key", sorted(FROZEN_SINGULAR_VALUES))
 def test_singular_values_match_frozen_oracle(key):
     m, n, l, t, c = key
-    got = singular_s_values(LocalCurveSpec(m, n, l, t, c))
+    got = singular_s_values(LocalCurveSpec(m, n, l, t * c))
     assert_close_sets(got, FROZEN_SINGULAR_VALUES[key])
 
 
 def test_singular_value_count_is_reduced_index():
     for m, n, l in [(3, 1, 1), (5, 2, 1), (6, 4, 1), (8, 3, 2), (7, 3, 2)]:
-        spec = LocalCurveSpec(m, n, l, 1.0, 1.0)
+        spec = LocalCurveSpec(m, n, l, 1.0)
         _, nbar = spec.reduced_pair
         assert len(singular_s_values(spec)) == nbar
 
@@ -110,13 +111,13 @@ def test_singular_values_agree_with_live_oracle():
         l = 1 if m - 2 * n <= 0 else rng.choice([1, 2])
         t = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
         c = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
-        got = singular_s_values(LocalCurveSpec(m, n, l, t, c))
+        got = singular_s_values(LocalCurveSpec(m, n, l, t * c))
         want = critical_values(m, n, l, t * c)
         assert_close_sets(got, want, tol=1e-7)
 
 
 def test_singular_points_land_on_fiber():
-    spec = LocalCurveSpec(3, 1, 1, 1.0, 1.0)
+    spec = LocalCurveSpec(3, 1, 1, 1.0)
     (s,) = singular_s_values(spec)
     points = singular_points(spec, s)
     assert len(points) == 1
@@ -128,19 +129,19 @@ def test_singular_points_land_on_fiber():
 
 @pytest.mark.parametrize("m,n,l", [(6, 4, 1), (6, 3, 1), (8, 4, 1), (4, 2, 1), (6, 2, 2)])
 def test_singular_point_count_is_gcd(m, n, l):
-    spec = LocalCurveSpec(m, n, l, 1.0, 1.0)
+    spec = LocalCurveSpec(m, n, l, 1.0)
     for s in singular_s_values(spec):
         assert len(singular_points(spec, s)) == gcd(m, n)
 
 
 def test_no_singular_points_without_t_c():
-    """With t*c = 0 the only candidate is zeta = 0, which lies on the fiber s = 0 only."""
-    assert singular_points(LocalCurveSpec(3, 1, 1, 0.0, 1.0), 0.5) == []
+    """With t = 0 the only candidate is zeta = 0, which lies on the fiber s = 0 only."""
+    assert singular_points(LocalCurveSpec(3, 1, 1, 0.0), 0.5) == []
 
 
 def test_singular_points_separate_fibers_near_zero():
     # |s| = 1.48e-16: an absolute tolerance puts s, 2s and -s on one fiber
-    spec = LocalCurveSpec(3, 1, 1, 1e-5, 1.0)
+    spec = LocalCurveSpec(3, 1, 1, 1e-5)
     (s,) = singular_s_values(spec)
     assert len(singular_points(spec, s)) == 1
     assert singular_points(spec, 2 * s) == singular_points(spec, -s) == []
@@ -150,7 +151,7 @@ def test_singular_points_separate_fibers_near_zero():
     "m,n,l,t", [(3, 2, 1, 1e-6), (7, 2, 1, 1e-3 + 2e-3j), (13, 2, 1, -0.05 - 0.001j)]
 )
 def test_small_singular_values_keep_their_own_points(m, n, l, t):
-    spec = LocalCurveSpec(m, n, l, t, 1.0)
+    spec = LocalCurveSpec(m, n, l, t)
     for s in singular_s_values(spec):
         assert len(singular_points(spec, s)) == gcd(m, n)
 
@@ -190,10 +191,10 @@ def test_localcheck_with_a_large_m_answers_at_once(capsys):
 
 
 def test_localcheck_summary_gives_the_counts_found(capsys, monkeypatch):
-    # at m = 10^7, zeta^(m - l*n) carries about m*eps of rounding: no point passes
-    assert main(["localcheck", "--m", "10000000", "--n", "1"]) == 1
+    monkeypatch.setattr("barkfib.cli.singular_points", lambda spec, s: [])
+    assert main(["localcheck", "--m", "3", "--n", "1"]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "s = -3.6787946e-08+0i: 0 singular point(s)",
+        "s = 0.148148148+0i: 0 singular point(s)",
         "FAIL: 1 singular value(s), expected 1; 0 point(s) each, expected 1",
     ]
     # unequal counts are listed in order
@@ -205,6 +206,38 @@ def test_localcheck_summary_gives_the_counts_found(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[-1] == (
         "FAIL: 3 singular value(s), expected 3; 1 or 2 or 3 point(s) each, expected 1"
     )
+
+
+def test_localcheck_at_m_ten_million_finds_its_point(capsys):
+    # zeta^(m - l*n) carries about (m - l*n)*eps of rounding, past RESIDUAL_TOL
+    assert main(["localcheck", "--m", "10000000", "--n", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "s = -3.6787946e-08+0i: 1 singular point(s)",
+        "ok: 1 singular value(s), expected 1; 1 point(s) each, expected 1",
+    ]
+
+
+@pytest.mark.parametrize("m", [10**7, 10**8])
+def test_singular_points_at_large_m_still_separate_fibers(m):
+    spec = LocalCurveSpec(m, 1, 1, 1.0)
+    (s,) = singular_s_values(spec)
+    assert len(singular_points(spec, s)) == 1
+    assert singular_points(spec, s * (1 + 1e-6)) == singular_points(spec, s * (1 - 1e-6)) == []
+
+
+def _phases(values):
+    return [round(cmath.phase(z), 9) for z in values]
+
+
+def test_order_has_no_absolute_scale():
+    want = _phases(singular_s_values(LocalCurveSpec(7, 5, 1, 1.0)))
+    assert want == sorted(want, key=lambda p: (round(math.cos(p), 9), round(math.sin(p), 9)))
+    for t in (1e-12, 1e12):
+        assert _phases(singular_s_values(LocalCurveSpec(7, 5, 1, t))) == want
+    core = CoreSectionData(((0, 5), (1, 3), ("inf", 2)), ((0, 5), (1, 4), ("inf", 3)), (), 6, 5)
+    zeros = essential_zeros(core)
+    orders = [_phases(subordinate_s_from_core(core, t, zeros)[0]) for t in (1.0, 1e-8)]
+    assert len(orders[0]) == 5 and orders[0] == orders[1]
 
 
 def test_real_singular_value_has_no_imaginary_part(capsys):
@@ -276,7 +309,7 @@ def test_localcheck_at_large_m_never_raises(capsys):
 
 def test_resultant_vanishes_only_at_singular_values():
     m, n, l, tc = 5, 2, 1, 1.0
-    spec = LocalCurveSpec(m, n, l, 1.0, 1.0)
+    spec = LocalCurveSpec(m, n, l, 1.0)
     for s in singular_s_values(spec):
         generic = resultant_at(m, n, l, tc, s * 1.37 + 0.11)
         assert resultant_at(m, n, l, tc, s) < 1e-7 * generic
