@@ -107,8 +107,9 @@ def _nth_roots(w, k):
 
 
 def _log_ratio(p, q):
-    """log(p/q) of positive integers, by log1p (accurate near 1) where p/q >= 1/2."""
-    return log1p((p - q) / q) if 2 * p >= q else log(p / q)
+    """log(p/q) of positive integers, by log1p (accurate near 1) where p/q >= 1/2,
+    and as log(p) - log(q), exact for big ints, where p/q underflows to 0."""
+    return log1p((p - q) / q) if 2 * p >= q else log(p / q) if p / q else log(p) - log(q)
 
 
 def _prefactor(l, m, n, mbar, nbar):
@@ -161,8 +162,11 @@ def singular_points(spec, s):
     b = l*n*zeta^n (the others are nonzero when t != 0: zeta^n + t = l*n*t/m).
     Each test is relative to what it measures, with tol = max(RESIDUAL_TOL,
     4*(m - l*n)*eps): both grow the one rounding of zeta about (m - l*n)-fold.
-    Exactly gcd(m, n) of the roots pass on each singular fiber.
+    Exactly gcd(m, n) of the roots pass on each singular fiber.  ValueError
+    from tol = 1 on, where the critical test holds for any a and b.
     """
+    if 4 * (spec.m - spec.l * spec.n) >= 1 / sys.float_info.epsilon:
+        raise ValueError("singular points out of floating-point precision")
     w = (spec.l * spec.n - spec.m) / spec.m * spec.t
     F = spec.curve(s)
     tol = max(RESIDUAL_TOL, 4 * (spec.m - spec.l * spec.n) * sys.float_info.epsilon)

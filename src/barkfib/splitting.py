@@ -86,7 +86,8 @@ def enumerate_multisets(deficit):
     each sequence of them after its own extensions, gives each sequence
     its small rest with more III first, then more I3, then more II (the
     part count then fixes the I2s and I1s), and appends each candidate to
-    the list of its part count.
+    the list of its part count.  A rest up to 10 is read from _SMALL,
+    which holds those loops' own output for it.
 
     Raises:
         ValueError: if ``deficit`` is negative, or above MAX_DEFICIT, whose
@@ -106,6 +107,11 @@ def enumerate_multisets(deficit):
         # big: the big parts so far, ascending; none above top; rest to split
         for n in range(min(top, rest), 3, -1):
             walk((_I[n],) + big, n, rest - n)
+        if rest < len(_SMALL):
+            count = len(big)
+            for part_count, low, high in _SMALL[rest]:
+                adds[count + part_count](low + big + high)
+            return
         for n_III in range(rest // 3, -1, -1):
             rest_III, iiis = rest - 3 * n_III, _IIIS[n_III]
             count_III = len(big) + n_III
@@ -119,6 +125,23 @@ def enumerate_multisets(deficit):
 
     walk((), deficit, deficit)
     return list(chain.from_iterable(by_count))
+
+
+def _small_row(rest):
+    """The candidates of deficit ``rest`` with no part above I3, in the
+    order enumerate_multisets lists them, as (part count, I_n parts,
+    II/III parts)."""
+    row = []
+    for ms in enumerate_multisets(rest):
+        low = tuple(f for f in ms if f.kind == "I")
+        if all(f.n <= 3 for f in low):
+            row.append((len(ms), low, ms[len(low):]))
+    return row
+
+
+_SMALL = []  # _small_row(r) for r = 0..10, each built from the rows below
+for _rest in range(11):
+    _SMALL.append(_small_row(_rest))
 
 
 def _fiber_trace(f):

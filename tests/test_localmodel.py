@@ -30,6 +30,7 @@ from barkfib.localmodel import (
     CLUSTER_TOL,
     CoreSectionData,
     LocalCurveSpec,
+    _log_ratio,
     _nth_roots,
     _prefactor,
     essential_zeros,
@@ -305,6 +306,38 @@ def test_localcheck_at_large_m_never_raises(capsys):
             assert (code, err) == (2, "error: singular values out of floating-point range\n")
         codes[code] += 1
     assert codes == {0: 672, 2: 308}
+
+
+def test_log_ratio_reads_a_quotient_below_the_floats():
+    # 1/10**400 underflows to 0.0; the logarithm of each big int does not
+    assert 1 / 10**400 == 0.0
+    assert _log_ratio(1, 10**400) == pytest.approx(-400 * math.log(10), rel=1e-15)
+
+
+def test_localcheck_past_the_float_quotient_exits_2(capsys):
+    assert main(["localcheck", "--m", str(10**400), "--n", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: singular values out of floating-point range\n")
+
+
+@pytest.mark.parametrize("m,n", [(10**18 + 1, 2), (12 * 10**14 + 1, 2)])
+def test_localcheck_past_float_precision_exits_2(capsys, m, n):
+    # m - l*n >= 2**50: tol = 4*(m - l*n)*eps reaches 1, and every critical test holds
+    assert main(["localcheck", "--m", str(m), "--n", str(n)]) == 2
+    assert capsys.readouterr() == ("", "error: singular points out of floating-point precision\n")
+
+
+@pytest.mark.parametrize("m,n", [(10**15 + 1, 2), (10**8, 1)])
+def test_localcheck_within_float_precision_is_ok(capsys, m, n):
+    assert main(["localcheck", "--m", str(m), "--n", str(n)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("ok: ")
+
+
+def test_singular_points_refuse_tol_one():
+    # tol = 4*(m - l*n)*eps reaches 1 at m - l*n = 2**50
+    below, at = LocalCurveSpec(2**50 + 1, 2, 1, 1.0), LocalCurveSpec(2**50 + 2, 2, 1, 1.0)
+    assert len(singular_points(below, singular_s_values(below)[0])) == 1
+    with pytest.raises(ValueError, match="out of floating-point precision"):
+        singular_points(at, singular_s_values(at)[0])
 
 
 def test_resultant_vanishes_only_at_singular_values():

@@ -21,6 +21,7 @@ from barkfib.splitting import (
     UNDECIDED,
     FactorizationWitness,
     SearchBudgetExceeded,
+    _SMALL,
     _shift_admissible,
     all_witnesses,
     decomposition_verdict,
@@ -119,6 +120,21 @@ def oracle_enumerate_multisets(deficit):
 @pytest.mark.parametrize("deficit", range(31))
 def test_enumeration_matches_sort_oracle(deficit):
     assert enumerate_multisets(deficit) == oracle_enumerate_multisets(deficit)
+
+
+def test_small_rest_table_is_the_oracle_small_candidates():
+    # the walk serves each rest up to 10 from _SMALL: its rows must be the
+    # candidates with no part above I3, in order, whatever built them
+    for rest, rows in enumerate(_SMALL):
+        small = [
+            ms for ms in oracle_enumerate_multisets(rest)
+            if all(f.kind != "I" or f.n <= 3 for f in ms)
+        ]
+        assert [low + high for _, low, high in rows] == small
+        assert [count for count, _, _ in rows] == [len(ms) for ms in small]
+        assert all(f.kind == "I" for _, low, _ in rows for f in low)
+        assert all(f.kind != "I" for _, _, high in rows for f in high)
+    assert len(_SMALL) == 11 and sum(map(len, _SMALL)) == 221
 
 
 def candidate_counts(top):
