@@ -25,7 +25,7 @@ the scale of what it measures.
 import cmath
 import sys
 from dataclasses import dataclass
-from math import exp, gcd, log, log1p
+from math import exp, gcd, inf, log, log1p
 from operator import index
 
 CLUSTER_TOL = 1e-7
@@ -96,10 +96,15 @@ class LocalCurveSpec:
 def _nth_roots(w, k):
     if w == 0:
         return [0j]
-    r = abs(w) ** (1.0 / k)
-    theta = cmath.phase(w)
+    return _roots_at(abs(w) ** (1.0 / k), cmath.phase(w), k, w.imag == 0)
+
+
+def _roots_at(r, theta, k, real):
+    """The k values r*exp(i*(theta + 2*pi*j)/k), j = 0..k-1: the k-th
+    roots of a number of modulus r**k and phase theta, which is real when
+    ``real``; the roots of a real number on the real axis are made real."""
     roots = [r * cmath.exp(1j * (theta + 2 * cmath.pi * j) / k) for j in range(k)]
-    if w.imag == 0:  # the rotation leaves ~1e-16 on the real roots: zero it
+    if real:  # the rotation leaves ~1e-16 on the real roots: zero it
         for j in range(k):
             if (2 * j + round(theta / cmath.pi)) % k == 0:
                 roots[j] = complex(roots[j].real, 0.0)
@@ -112,22 +117,34 @@ def _log_ratio(p, q):
     return log1p((p - q) / q) if 2 * p >= q else log(p / q) if p / q else log(p) - log(q)
 
 
+def _log_prefactor(l, m, n, mbar, nbar):
+    """(log|p|, p < 0) of p = (l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar;
+    both bases are negative when l*n < m."""
+    ln, d = l * n, abs(l * n - m)
+    log_magnitude = l * nbar * _log_ratio(ln, d) + mbar * _log_ratio(d, m)
+    return log_magnitude, ln < m and (l * nbar + mbar) % 2 == 1
+
+
 def _prefactor(l, m, n, mbar, nbar):
     """(l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar as a complex, from its
-    logarithm; both bases are negative when l*n < m.  Raises OverflowError
-    when it does not fit a float."""
-    ln, d = l * n, abs(l * n - m)
-    magnitude = exp(l * nbar * _log_ratio(ln, d) + mbar * _log_ratio(d, m))
-    return complex(-magnitude if ln < m and (l * nbar + mbar) % 2 else magnitude)
+    logarithm.  Raises OverflowError when it does not fit a float."""
+    log_magnitude, negative = _log_prefactor(l, m, n, mbar, nbar)
+    magnitude = exp(log_magnitude)
+    return complex(-magnitude if negative else magnitude)
+
+
+def _normal(x):
+    """Is x a normal float, neither 0, nor a subnormal too coarse to tell
+    values apart, nor past the largest float?"""
+    return sys.float_info.min <= x <= sys.float_info.max
 
 
 def _roots_in_range(right_hand_sides, k):
     """The k-th roots of each value right_hand_sides() lists, one list each;
-    ValueError if that overflows or a value's magnitude is no normal float
-    (0, or a subnormal too coarse to tell the fibers apart)."""
+    ValueError if that overflows or a value's magnitude is no normal float."""
     try:
         values = right_hand_sides()
-        in_range = all(sys.float_info.min <= abs(w) <= sys.float_info.max for w in values)
+        in_range = all(_normal(abs(w)) for w in values)
     except OverflowError:
         in_range = False
     if not in_range:
@@ -142,15 +159,30 @@ def singular_s_values(spec):
 
         s^nbar = (l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar * t^mbar
 
-    where (mbar, nbar) = (m, n)/gcd(m, n).  Out of float range: ValueError.
+    where (mbar, nbar) = (m, n)/gcd(m, n).  Where s^nbar is a normal float
+    the values are its nbar-th roots; where it is not, they are read from
+    its logarithm, so only values that are no normal float themselves
+    raise ValueError (out of float range).
     """
     if spec.t == 0:
         raise ValueError("t must be nonzero (otherwise only s = 0)")
     mbar, nbar = spec.reduced_pair
-    (roots,) = _roots_in_range(
-        lambda: [_prefactor(spec.l, spec.m, spec.n, mbar, nbar) * spec.t**mbar], nbar
-    )
-    return _ordered(roots)
+    try:
+        w = _prefactor(spec.l, spec.m, spec.n, mbar, nbar) * spec.t**mbar
+    except OverflowError:
+        w = inf
+    if _normal(abs(w)):
+        return _ordered(_nth_roots(w, nbar))
+    try:
+        log_magnitude, negative = _log_prefactor(spec.l, spec.m, spec.n, mbar, nbar)
+        log_magnitude += mbar * log(abs(spec.t))
+        theta = mbar * cmath.phase(spec.t) + (cmath.pi if negative else 0.0)
+        r = exp(log_magnitude / nbar)
+    except OverflowError:
+        r = inf
+    if not _normal(r):
+        raise ValueError("singular values out of floating-point range")
+    return _ordered(_roots_at(r, theta, nbar, spec.t.imag == 0))
 
 
 def singular_points(spec, s):
@@ -163,7 +195,8 @@ def singular_points(spec, s):
     Each test is relative to what it measures, with tol = max(RESIDUAL_TOL,
     4*(m - l*n)*eps): both grow the one rounding of zeta about (m - l*n)-fold.
     Exactly gcd(m, n) of the roots pass on each singular fiber.  ValueError
-    from tol = 1 on, where the critical test holds for any a and b.
+    from tol = 1 on, where the critical test holds for any a and b, and
+    where a factor of F overflows although s fits.
     """
     if 4 * (spec.m - spec.l * spec.n) >= 1 / sys.float_info.epsilon:
         raise ValueError("singular points out of floating-point precision")
@@ -173,7 +206,11 @@ def singular_points(spec, s):
     zetas = []
     for zeta in _nth_roots(w, spec.n):
         # F has no z-dependence in this chart, so dF/dz vanishes identically
-        if abs(F(0.0, zeta)) <= tol * abs(s):
+        try:
+            residual = abs(F(0.0, zeta))
+        except OverflowError:  # a factor of F leaves the floats, though s fits
+            raise ValueError("singular points out of floating-point range") from None
+        if residual <= tol * abs(s):
             power = zeta**spec.n
             a = (spec.m - spec.l * spec.n) * (power + spec.t)
             b = spec.l * spec.n * power

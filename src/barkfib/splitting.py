@@ -10,8 +10,7 @@ of the original monodromy into conjugates of the factors' standard matrices.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from math import isqrt
 
 from .kodaira import FiberClass, euler, parse_fiber, standard_entries, standard_monodromy
@@ -86,8 +85,10 @@ def enumerate_multisets(deficit):
     each sequence of them after its own extensions, gives each sequence
     its small rest with more III first, then more I3, then more II (the
     part count then fixes the I2s and I1s), and appends each candidate to
-    the list of its part count.  A rest up to 10 is read from _SMALL,
-    which holds those loops' own output for it.
+    the list of its part count.  A rest up to 10 is read whole, big parts
+    included, from _SMALL[rest][top], the rows of that rest with no I_n
+    above I_max(top, 3), which these loops built at import; so a deficit
+    up to 10 is one pass over one row.  Each call builds its own list.
 
     Raises:
         ValueError: if ``deficit`` is negative, or above MAX_DEFICIT, whose
@@ -105,13 +106,13 @@ def enumerate_multisets(deficit):
 
     def walk(big, top, rest):
         # big: the big parts so far, ascending; none above top; rest to split
-        for n in range(min(top, rest), 3, -1):
-            walk((_I[n],) + big, n, rest - n)
         if rest < len(_SMALL):
             count = len(big)
-            for part_count, low, high in _SMALL[rest]:
+            for part_count, low, high in _SMALL[rest][min(top, rest)]:
                 adds[count + part_count](low + big + high)
             return
+        for n in range(min(top, rest), 3, -1):
+            walk((_I[n],) + big, n, rest - n)
         for n_III in range(rest // 3, -1, -1):
             rest_III, iiis = rest - 3 * n_III, _IIIS[n_III]
             count_III = len(big) + n_III
@@ -127,21 +128,20 @@ def enumerate_multisets(deficit):
     return list(chain.from_iterable(by_count))
 
 
-def _small_row(rest):
-    """The candidates of deficit ``rest`` with no part above I3, in the
-    order enumerate_multisets lists them, as (part count, I_n parts,
-    II/III parts)."""
-    row = []
+def _small_rows(rest):
+    """The candidates of deficit ``rest``, in the order enumerate_multisets
+    lists them, as (part count, I_n parts, II/III parts): one row for each
+    top = 0..rest, of those with no I_n above I_max(top, 3)."""
+    entries = []  # (largest n of an I_n part, row entry) per candidate
     for ms in enumerate_multisets(rest):
         low = tuple(f for f in ms if f.kind == "I")
-        if all(f.n <= 3 for f in low):
-            row.append((len(ms), low, ms[len(low):]))
-    return row
+        entries.append((low[-1].n if low else 0, (len(ms), low, ms[len(low):])))
+    return [[entry for n, entry in entries if n <= max(top, 3)] for top in range(rest + 1)]
 
 
-_SMALL = []  # _small_row(r) for r = 0..10, each built from the rows below
+_SMALL = []  # _small_rows(r) for r = 0..10, each built from the rows below
 for _rest in range(11):
-    _SMALL.append(_small_row(_rest))
+    _SMALL.append(_small_rows(_rest))
 
 
 def _fiber_trace(f):
@@ -277,49 +277,56 @@ def decomposition_verdict(target, parts):
     when it passes.  Returns (verdict, reasons): the first forbidding
     rule's reason alone, or the reason of every other rule that passed.
     """
-    parts = list(parts)
+    parts = tuple(parts)
     central = _is_central(target)
     if len(parts) > rule_reach(target):
-        checks = []
+        rules = ()
     elif len(parts) == 1:
-        checks = [_class_rule(target, *parts)]
+        rules = [(_class_rule, target, *parts)]
     elif central and len(parts) == 2:
-        checks = [_central_pair_rule(*parts)]
+        rules = [(_central_pair_rule, *parts)]
     else:
-        rule = _central_triple_rule if central else partial(_trace_shift_rule, target)
-        checks = (
-            rule(p.n, *parts[:i], *parts[i + 1:])
-            for i, p in enumerate(parts)
-            if p.kind == "I" and p.n
-        )
+        rules = []
+        for i, p in enumerate(parts):
+            if p.kind == "I" and p.n:
+                others = parts[:i] + parts[i + 1:]
+                rules.append(
+                    (_central_triple_rule, p.n, *others) if central
+                    else (_trace_shift_rule, target, p.n, *others)
+                )
     reasons = []
-    for verdict, reason in chain(checks, [_euler_rule(target, parts)]):
+    for rule, *args in rules:
+        verdict, reason = rule(*args)
         if verdict == FORBIDDEN:
             return FORBIDDEN, [reason]
-        if reason:
-            reasons.append(reason)
+        reasons.append(reason)
+    verdict, reason = _euler_rule(target, parts)
+    if verdict == FORBIDDEN:
+        return FORBIDDEN, [reason]
     return UNDECIDED, reasons or [_NO_RULE % len(parts)]
 
 
 def screen_candidates(target, main, candidates):
-    """(survivors, excluded) of ``candidates``, subordinate multisets in
-    enumerate_multisets order, for the factor lists ``main`` plus each one.
+    """(survivors, excluded) of ``candidates``, a tuple of subordinate
+    multisets in enumerate_multisets order, for the factor lists ``main``
+    plus each one.
 
-    ``excluded`` pairs each forbidden candidate with its rule's reason, and
-    both lists keep the candidates' order.  Candidates come fewest parts
-    first, so decomposition_verdict is asked only about those within
+    ``survivors`` is one tuple: the candidates no rule forbids, then every
+    later one as a slice of ``candidates``.  ``excluded`` is a list pairing
+    each forbidden candidate with its rule's reason.  Both keep the
+    candidates' order.  Candidates come fewest parts first, so
+    decomposition_verdict is asked only about those within
     rule_reach(target); every later one survives without a call.
     """
     cut = bisect_right(candidates, rule_reach(target) - 1, key=len)
-    survivors, excluded = [], []
-    for ms in islice(candidates, cut):
+    kept, excluded = [], []
+    for ms in candidates[:cut]:
         verdict, reasons = decomposition_verdict(target, (main, *ms))
         if verdict == FORBIDDEN:
             excluded.append((ms, reasons[0]))
         else:
-            survivors.append(ms)
-    survivors += islice(candidates, cut, None)
-    return survivors, excluded
+            kept.append(ms)
+    return (*kept, *candidates[cut:]), excluded
 
 
 @dataclass(frozen=True)

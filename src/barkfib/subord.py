@@ -163,17 +163,19 @@ def full_report(original, main, crust=None):
     """Determine the subordinate fibers of a splitting, as far as the
     exact methods reach.
 
-    Pipeline: Euler deficit -> candidate multisets -> obstructions
-    -> (when a simple crust of the original fiber's stellar model, with
-    valid counting hypotheses, is supplied) exact counts and type
-    determination.  When the counting hypotheses fail, the obstruction
-    survivors are reported with chi-based bounds quoted as evidence only;
-    when the counts fit no survivor, or no multiset at all, the survivors
-    are kept and the evidence says why.
+    Pipeline: Euler deficit -> candidate multisets, made a tuple once ->
+    obstructions, whose survivors come back as one tuple -> (when a simple
+    crust of the original fiber's stellar model, with valid counting
+    hypotheses, is supplied) exact counts and type determination.  The
+    report holds the candidate and survivor tuples as they are.  When the
+    counting hypotheses fail, the obstruction survivors are reported with
+    chi-based bounds quoted as evidence only; when the counts fit no
+    survivor, or no multiset at all, the survivors are kept and the
+    evidence says why.
     """
     deficit = euler_deficit(original, main)
     evidence = ["euler deficit %d" % deficit]
-    candidates = enumerate_multisets(deficit)
+    candidates = tuple(enumerate_multisets(deficit))
     survivors, excluded = screen_candidates(original, main, candidates)
     for ms, reason in excluded:
         name = "+".join(str(f) for f in ms) or "(none)"
@@ -205,7 +207,7 @@ def full_report(original, main, crust=None):
                 typed, conflict = (), "counting result infeasible (%s)" % err
             else:
                 conflict = "counting result conflicts with obstruction survivors"
-            narrowed = [ms for ms in survivors if ms in typed]
+            narrowed = tuple(ms for ms in survivors if ms in typed)
             if narrowed:
                 final = narrowed
             else:
@@ -216,9 +218,9 @@ def full_report(original, main, crust=None):
         original,
         main,
         deficit,
-        tuple(candidates),
+        candidates,
         tuple(excluded),
-        tuple(final),
+        final,
         tuple(evidence),
         profile,
     )

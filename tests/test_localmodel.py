@@ -305,7 +305,8 @@ def test_localcheck_at_large_m_never_raises(capsys):
         else:
             assert (code, err) == (2, "error: singular values out of floating-point range\n")
         codes[code] += 1
-    assert codes == {0: 672, 2: 308}
+    # 160 of the calls that print ok have an s^nbar past the floats but an s within them
+    assert codes == {0: 832, 2: 148}
 
 
 def test_log_ratio_reads_a_quotient_below_the_floats():
@@ -317,6 +318,33 @@ def test_log_ratio_reads_a_quotient_below_the_floats():
 def test_localcheck_past_the_float_quotient_exits_2(capsys):
     assert main(["localcheck", "--m", str(10**400), "--n", "1"]) == 2
     assert capsys.readouterr() == ("", "error: singular values out of floating-point range\n")
+
+
+@pytest.mark.parametrize("t", ["3", "0.3", "-3+1i"])
+def test_localcheck_reads_values_whose_power_leaves_the_floats(capsys, t):
+    # s^7 = prefactor*t^1000 overflows at |t| = 3 and underflows at 0.3, though s fits
+    assert main(["localcheck", "--m", "1000", "--n", "7", "--t=" + t]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "ok: 7 singular value(s), expected 7; 1 point(s) each, expected 1"
+    )
+
+
+def test_singular_values_past_their_power_solve_it():
+    # s^7 = (7/-993)^7 * (-993/1000)^1000 * 3^1000, negative as 7 + 1000 is odd
+    values = singular_s_values(LocalCurveSpec(1000, 7, 1, 3.0))
+    log_power = 7 * math.log(7 / 993) + 1000 * math.log(993 / 1000) + 1000 * math.log(3)
+    assert len(values) == 7 and abs(values[0]) > 1e65
+    for s in values:
+        assert 7 * math.log(abs(s)) == pytest.approx(log_power, rel=1e-14)
+        assert cmath.exp(7j * cmath.phase(s)) == pytest.approx(-1, abs=1e-12)
+    assert [s for s in values if s.imag == 0] == [values[0]] and values[0].real < 0
+
+
+def test_localcheck_refuses_points_whose_factor_overflows(capsys):
+    # |s| ~ e^700 fits, but the factor zeta^(m - l*n) ~ e^719 of F does not
+    argv = ["localcheck", "--m", "19851", "--n", "22", "--l", "4", "--t=2+1i"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: singular points out of floating-point range\n")
 
 
 @pytest.mark.parametrize("m,n", [(10**18 + 1, 2), (12 * 10**14 + 1, 2)])

@@ -122,19 +122,23 @@ def test_enumeration_matches_sort_oracle(deficit):
     assert enumerate_multisets(deficit) == oracle_enumerate_multisets(deficit)
 
 
-def test_small_rest_table_is_the_oracle_small_candidates():
-    # the walk serves each rest up to 10 from _SMALL: its rows must be the
-    # candidates with no part above I3, in order, whatever built them
-    for rest, rows in enumerate(_SMALL):
-        small = [
-            ms for ms in oracle_enumerate_multisets(rest)
-            if all(f.kind != "I" or f.n <= 3 for f in ms)
-        ]
-        assert [low + high for _, low, high in rows] == small
-        assert [count for count, _, _ in rows] == [len(ms) for ms in small]
-        assert all(f.kind == "I" for _, low, _ in rows for f in low)
-        assert all(f.kind != "I" for _, _, high in rows for f in high)
-    assert len(_SMALL) == 11 and sum(map(len, _SMALL)) == 221
+def test_small_rest_table_rows_are_the_oracle_candidates_up_to_each_top():
+    # the walk reads each rest up to 10 whole from _SMALL[rest][top]: its rows
+    # must be the candidates with no I_n above I_max(top, 3), in order
+    assert len(_SMALL) == 11
+    for rest, by_top in enumerate(_SMALL):
+        assert len(by_top) == rest + 1
+        candidates = oracle_enumerate_multisets(rest)
+        for top, rows in enumerate(by_top):
+            want = [
+                ms for ms in candidates
+                if all(f.kind != "I" or f.n <= max(top, 3) for f in ms)
+            ]
+            assert [low + high for _, low, high in rows] == want
+            assert [count for count, _, _ in rows] == [len(ms) for ms in want]
+            assert all(f.kind == "I" for _, low, _ in rows for f in low)
+            assert all(f.kind != "I" for _, _, high in rows for f in high)
+    assert sum(len(by_top[min(rest, 3)]) for rest, by_top in enumerate(_SMALL)) == 221
 
 
 def candidate_counts(top):
@@ -395,6 +399,18 @@ def test_realized_splittings_never_flagged():
         parts = [base for base, _ in w.factors]
         verdict, _ = decomposition_verdict(w.target, parts)
         assert verdict == UNDECIDED, label
+
+
+@pytest.mark.parametrize("parts", [["I1", "I2"], ["I2", "I1"]])
+def test_a_trace_rule_that_forbids_is_the_one_reason(parts):
+    # the Euler number mod 12 rule forbids these too (1 + 2 is not 2 mod 12),
+    # but it runs after the trace rules
+    k, other = F(parts[0]).n, parts[1]
+    verdict, reasons = decomposition_verdict(F("II"), [F(p) for p in parts])
+    assert verdict == FORBIDDEN
+    assert reasons == [
+        "trace shift rule: trace(II)-trace(%s) = -1 admits no valid multiple of %d" % (other, k)
+    ]
 
 
 def test_verdict_carries_reason_strings():
