@@ -214,6 +214,7 @@ def cmd_localcheck(args):
         "m": args.m,
         "n": args.n,
         "l": args.l,
+        "t": _c(spec.t),
         "singular_values": rows,
         "ok": ok,
     }

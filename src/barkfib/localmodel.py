@@ -11,6 +11,9 @@ Two model situations are verified numerically:
   and tau) locate the subordinate fibers and are bounded by the core
   invariant chi.
 
+Every singular value s is read from the logarithm of s^nbar and its unit,
+one route for the chart and for core data, so only an s that is itself
+no normal float is out of range; no call lists more than MAX_ROOTS roots.
 A divisor point at infinity, given as "inf" or a non-finite number, is
 stored as "inf".  Roots are found in pure Python by Aberth-Ehrlich
 iteration with one Newton polish step.  One rule, ``_groups``, decides
@@ -31,6 +34,9 @@ from operator import index
 CLUSTER_TOL = 1e-7
 RESIDUAL_TOL = 1e-9
 MAX_SWEEPS = 100
+# the most roots one call lists: far past the largest n any test, example or
+# benchmark query asks for (22), far below the memory of 10^9 complex values
+MAX_ROOTS = 10**5
 
 
 def _ordered(values):
@@ -68,6 +74,8 @@ class LocalCurveSpec:
     t: complex
 
     def __post_init__(self):
+        for name in ("m", "n", "l"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if min(self.m, self.n, self.l) < 1:
             raise ValueError("m, n, l must be positive")
         if self.m - self.l * self.n <= 0:
@@ -102,7 +110,10 @@ def _nth_roots(w, k):
 def _roots_at(r, theta, k, real):
     """The k values r*exp(i*(theta + 2*pi*j)/k), j = 0..k-1: the k-th
     roots of a number of modulus r**k and phase theta, which is real when
-    ``real``; the roots of a real number on the real axis are made real."""
+    ``real``; the roots of a real number on the real axis are made real.
+    ValueError past MAX_ROOTS, before any root is built."""
+    if k > MAX_ROOTS:
+        raise ValueError("%d roots: more than MAX_ROOTS = %d" % (k, MAX_ROOTS))
     roots = [r * cmath.exp(1j * (theta + 2 * cmath.pi * j) / k) for j in range(k)]
     if real:  # the rotation leaves ~1e-16 on the real roots: zero it
         for j in range(k):
@@ -125,31 +136,34 @@ def _log_prefactor(l, m, n, mbar, nbar):
     return log_magnitude, ln < m and (l * nbar + mbar) % 2 == 1
 
 
-def _prefactor(l, m, n, mbar, nbar):
-    """(l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar as a complex, from its
-    logarithm.  Raises OverflowError when it does not fit a float."""
-    log_magnitude, negative = _log_prefactor(l, m, n, mbar, nbar)
-    magnitude = exp(log_magnitude)
-    return complex(-magnitude if negative else magnitude)
-
-
 def _normal(x):
     """Is x a normal float, neither 0, nor a subnormal too coarse to tell
     values apart, nor past the largest float?"""
     return sys.float_info.min <= x <= sys.float_info.max
 
 
-def _roots_in_range(right_hand_sides, k):
-    """The k-th roots of each value right_hand_sides() lists, one list each;
-    ValueError if that overflows or a value's magnitude is no normal float."""
+def _unit_power(z, k):
+    """(z/|z|)^k, exactly +-1 for a real z however large k is."""
+    if z.imag == 0:
+        return -1.0 if z.real < 0 and k % 2 else 1.0
+    return (z / abs(z)) ** k
+
+
+def _singular_values(l, m, n, t, scale=1):
+    """The nbar roots s of s^nbar = p * t^mbar * scale, p as in ``_log_prefactor``
+    and (mbar, nbar) = (m, n)/gcd(m, n), read from its logarithm and its unit,
+    so the power may leave the floats: ValueError only where |s| is no normal float."""
+    g = gcd(m, n)
+    mbar, nbar = m // g, n // g
     try:
-        values = right_hand_sides()
-        in_range = all(_normal(abs(w)) for w in values)
+        log_magnitude, negative = _log_prefactor(l, m, n, mbar, nbar)
+        r = exp((log_magnitude + mbar * log(abs(t)) + log(abs(scale))) / nbar)
+        unit = (-1.0 if negative else 1.0) * _unit_power(t, mbar) * (scale / abs(scale))
     except OverflowError:
-        in_range = False
-    if not in_range:
+        r = inf
+    if not _normal(r):
         raise ValueError("singular values out of floating-point range")
-    return [_nth_roots(w, k) for w in values]
+    return _roots_at(r, cmath.phase(unit), nbar, unit.imag == 0)
 
 
 def singular_s_values(spec):
@@ -159,30 +173,12 @@ def singular_s_values(spec):
 
         s^nbar = (l*n/(l*n - m))^(l*nbar) * ((l*n - m)/m)^mbar * t^mbar
 
-    where (mbar, nbar) = (m, n)/gcd(m, n).  Where s^nbar is a normal float
-    the values are its nbar-th roots; where it is not, they are read from
-    its logarithm, so only values that are no normal float themselves
-    raise ValueError (out of float range).
+    where (mbar, nbar) = (m, n)/gcd(m, n), read from its logarithm, so
+    only values that are no normal float themselves raise ValueError.
     """
     if spec.t == 0:
         raise ValueError("t must be nonzero (otherwise only s = 0)")
-    mbar, nbar = spec.reduced_pair
-    try:
-        w = _prefactor(spec.l, spec.m, spec.n, mbar, nbar) * spec.t**mbar
-    except OverflowError:
-        w = inf
-    if _normal(abs(w)):
-        return _ordered(_nth_roots(w, nbar))
-    try:
-        log_magnitude, negative = _log_prefactor(spec.l, spec.m, spec.n, mbar, nbar)
-        log_magnitude += mbar * log(abs(spec.t))
-        theta = mbar * cmath.phase(spec.t) + (cmath.pi if negative else 0.0)
-        r = exp(log_magnitude / nbar)
-    except OverflowError:
-        r = inf
-    if not _normal(r):
-        raise ValueError("singular values out of floating-point range")
-    return _ordered(_roots_at(r, theta, nbar, spec.t.imag == 0))
+    return _ordered(_singular_values(spec.l, spec.m, spec.n, spec.t))
 
 
 def singular_points(spec, s):
@@ -399,12 +395,13 @@ def subordinate_s_from_core(data, t, zeros):
     mbar0, nbar0 = data.m0 // g, data.n0 // g
     if data.l * data.n0 == data.m0:
         raise ValueError("need l*n0 != m0")
-
-    def right_hand_sides():
-        invariants = _groups((data.sigma(a) ** nbar0 * data.tau(a) ** mbar0 for a in zeros), abs)
-        prefactor = _prefactor(data.l, data.m0, data.n0, mbar0, nbar0)
-        return [prefactor * t**mbar0 * group[0] for group in invariants]
-
-    batches = _roots_in_range(right_hand_sides, nbar0)
+    try:
+        invariants = [data.sigma(a) ** nbar0 * data.tau(a) ** mbar0 for a in zeros]
+    except OverflowError:
+        invariants = [inf]
+    if not all(_normal(abs(v)) for v in invariants):
+        raise ValueError("singular values out of floating-point range")
+    groups = _groups(invariants, abs)
+    batches = [_singular_values(data.l, data.m0, data.n0, t, group[0]) for group in groups]
     s_values = [group[0] for group in _groups((s for batch in batches for s in batch), abs)]
     return _ordered(s_values), len(batches)

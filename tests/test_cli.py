@@ -344,6 +344,7 @@ def test_localcheck(capsys):
     code, record = run_json(capsys, ["localcheck", "--m", "6", "--n", "4", "--t", "1+0i"])
     assert code == 0
     assert record["ok"] is True
+    assert (record["m"], record["n"], record["l"], record["t"]) == (6, 4, 1, [1.0, 0.0])
     assert len(record["singular_values"]) == 2  # nbar = 4/gcd(6,4)
     for row in record["singular_values"]:
         assert len(row["points"]) == 2  # gcd(6,4)

@@ -6,6 +6,7 @@ closed-form implementation must land on them, not the other way round.
 """
 
 import cmath
+import decimal
 import json
 import math
 import os
@@ -28,11 +29,12 @@ import barkfib
 from barkfib.cli import main
 from barkfib.localmodel import (
     CLUSTER_TOL,
+    MAX_ROOTS,
     CoreSectionData,
     LocalCurveSpec,
+    _log_prefactor,
     _log_ratio,
     _nth_roots,
-    _prefactor,
     essential_zeros,
     singular_points,
     singular_s_values,
@@ -176,9 +178,9 @@ def test_prefactor_agrees_with_its_exact_definition():
     for l, m, n in PREFACTOR_CASES:
         g = gcd(m, n)
         want = _exact_prefactor(l, m, n, m // g, n // g)
-        got = _prefactor(l, m, n, m // g, n // g)
-        assert got.imag == 0
-        assert abs(Fraction(got.real) - want) <= Fraction(1, 10**12) * abs(want), (l, m, n)
+        log_magnitude, negative = _log_prefactor(l, m, n, m // g, n // g)
+        got = -math.exp(log_magnitude) if negative else math.exp(log_magnitude)
+        assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * abs(want), (l, m, n)
 
 
 def test_localcheck_with_a_large_m_answers_at_once(capsys):
@@ -338,6 +340,35 @@ def test_singular_values_past_their_power_solve_it():
         assert 7 * math.log(abs(s)) == pytest.approx(log_power, rel=1e-14)
         assert cmath.exp(7j * cmath.phase(s)) == pytest.approx(-1, abs=1e-12)
     assert [s for s in values if s.imag == 0] == [values[0]] and values[0].real < 0
+
+
+@pytest.mark.parametrize("m,n,t", [(1000, 7, -3 + 0j), (1000, 1, -1.10577 + 0j)])
+def test_real_negative_t_keeps_its_real_singular_value_at_large_m(m, n, t):
+    # s^nbar = prefactor*t^1000 is real and negative: its real root stays real,
+    # whether the power leaves the floats (-3) or not (-1.10577)
+    values = singular_s_values(LocalCurveSpec(m, n, 1, t))
+    assert [s for s in values if s.imag == 0] == [values[0]] and values[0].real < 0
+
+
+def test_local_curve_spec_refuses_non_integral_exponents():
+    for args in [(3.5, 1, 1), (3, 1.0, 1), (3, 1, "1")]:
+        with pytest.raises(TypeError):  # refused here, not later in gcd
+            LocalCurveSpec(*args, 1.0)
+
+
+def test_singular_values_past_max_roots_raise_before_building_them(capsys, monkeypatch):
+    # m = n + 1 = MAX_ROOTS + 2: nbar = MAX_ROOTS + 1, |s| near 1
+    spec = LocalCurveSpec(MAX_ROOTS + 2, MAX_ROOTS + 1, 1, 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(cmath, "exp", None)  # building a root would call it
+        message = "^%d roots: more than MAX_ROOTS = %d$" % (MAX_ROOTS + 1, MAX_ROOTS)
+        with pytest.raises(ValueError, match=message):
+            singular_s_values(spec)
+    assert main(["localcheck", "--m", str(MAX_ROOTS + 2), "--n", str(MAX_ROOTS + 1)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: %d roots: more than MAX_ROOTS = %d\n" % (MAX_ROOTS + 1, MAX_ROOTS),
+    )
 
 
 def test_localcheck_refuses_points_whose_factor_overflows(capsys):
@@ -592,8 +623,6 @@ def test_subordinate_values_from_core_data():
 @pytest.mark.parametrize(
     "m0,n0,zero",
     [
-        # the prefactor underflows to 0, which would give the one value s = 0
-        (200001, 200, 1j),
         # |tau(zero)|^mbar0 = sqrt(2)^1000001 overflows a float
         (1000001, 500, 0.5 + 0.5j),
     ],
@@ -602,6 +631,36 @@ def test_subordinate_values_out_of_range_raise(m0, n0, zero):
     core = CoreSectionData(((0, 1),), ((0, 1),), (), m0, n0, 1)
     with pytest.raises(ValueError, match="singular values out of floating-point range"):
         subordinate_s_from_core(core, 1.0, [zero])
+
+
+def test_subordinate_values_below_their_power_solve_it():
+    # s^200 = (200/-199801)^200 * (-199801/200001)^200001 * 1j^200 * (1/1j)^200001:
+    # the prefactor underflows to 0, but each s has modulus near e^-7.9
+    core = CoreSectionData(((0, 1),), ((0, 1),), (), 200001, 200, 1)
+    values, kappa = subordinate_s_from_core(core, 1.0, [1j])
+    assert (len(values), kappa) == (200, 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        log_power = float(200 * (D(200) / D(199801)).ln() + 200001 * (D(199801) / D(200001)).ln())
+    for s in values:
+        assert 200 * math.log(abs(s)) == pytest.approx(log_power, rel=1.4e-15)
+        # the invariant's phase is computed directly, as -pi/2 * 200001
+        assert cmath.exp(200j * cmath.phase(s)) == pytest.approx(1j, abs=1e-9)
+    assert len({(round(s.real, 12), round(s.imag, 12)) for s in values}) == 200
+
+
+@pytest.mark.parametrize(
+    "m0,n0,t",
+    [(1000, 7, 3.0), (3, 1, 1.0), (8, 3, 1 + 0j), (5, 2, -2 + 1j), (7, 4, 0.5 + 0.5j), (24, 8, -3.0)],
+)
+def test_subordinate_values_at_invariant_one_are_the_chart_values(m0, n0, t):
+    # sigma(1) = tau(1) = 1: the invariant is exactly 1, and both take one route
+    core = CoreSectionData(((0, 1),), ((0, 1),), (), m0, n0, 1)
+    assert subordinate_s_from_core(core, t, [1]) == (
+        singular_s_values(LocalCurveSpec(m0, n0, 1, t)),
+        1,
+    )
 
 
 @pytest.mark.parametrize("t", [1, 1e-3, 1e-5, 1e-6, 1e-8])
