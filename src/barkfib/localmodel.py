@@ -104,21 +104,25 @@ class LocalCurveSpec:
 def _nth_roots(w, k):
     if w == 0:
         return [0j]
-    return _roots_at(abs(w) ** (1.0 / k), cmath.phase(w), k, w.imag == 0)
+    return _roots_at(abs(w) ** (1.0 / k), cmath.phase(w), k, w.imag == 0 or w.real == 0)
 
 
-def _roots_at(r, theta, k, real):
+def _roots_at(r, theta, k, axis):
     """The k values r*exp(i*(theta + 2*pi*j)/k), j = 0..k-1: the k-th
-    roots of a number of modulus r**k and phase theta, which is real when
-    ``real``; the roots of a real number on the real axis are made real.
-    ValueError past MAX_ROOTS, before any root is built."""
+    roots of a number of modulus r**k and phase theta, which lies on the
+    real or imaginary axis when ``axis``; then the roots on an axis are
+    made exact there.  ValueError past MAX_ROOTS, before any root is built."""
     if k > MAX_ROOTS:
         raise ValueError("%d roots: more than MAX_ROOTS = %d" % (k, MAX_ROOTS))
     roots = [r * cmath.exp(1j * (theta + 2 * cmath.pi * j) / k) for j in range(k)]
-    if real:  # the rotation leaves ~1e-16 on the real roots: zero it
+    if axis:  # the rotation leaves ~1e-16 off the axis: zero it
+        quarter = round(theta / (cmath.pi / 2))  # theta in quarter turns
         for j in range(k):
-            if (2 * j + round(theta / cmath.pi)) % k == 0:
+            turn = (quarter + 4 * j) % (2 * k)  # root j's angle in quarter turns, times k
+            if turn == 0:
                 roots[j] = complex(roots[j].real, 0.0)
+            elif turn == k:
+                roots[j] = complex(0.0, roots[j].imag)
     return roots
 
 
@@ -143,9 +147,11 @@ def _normal(x):
 
 
 def _unit_power(z, k):
-    """(z/|z|)^k, exactly +-1 for a real z however large k is."""
+    """(z/|z|)^k, exactly +-1 or +-i for a z on an axis however large k is."""
     if z.imag == 0:
         return -1.0 if z.real < 0 and k % 2 else 1.0
+    if z.real == 0:
+        return (1, 1j, -1, complex(0, -1))[k % 4 if z.imag > 0 else -k % 4]
     return (z / abs(z)) ** k
 
 
@@ -163,7 +169,7 @@ def _singular_values(l, m, n, t, scale=1):
         r = inf
     if not _normal(r):
         raise ValueError("singular values out of floating-point range")
-    return _roots_at(r, cmath.phase(unit), nbar, unit.imag == 0)
+    return _roots_at(r, cmath.phase(unit), nbar, unit.imag == 0 or unit.real == 0)
 
 
 def singular_s_values(spec):
@@ -396,7 +402,11 @@ def subordinate_s_from_core(data, t, zeros):
     if data.l * data.n0 == data.m0:
         raise ValueError("need l*n0 != m0")
     try:
-        invariants = [data.sigma(a) ** nbar0 * data.tau(a) ** mbar0 for a in zeros]
+        invariants = []
+        for a in zeros:
+            sigma, tau = data.sigma(a), data.tau(a)
+            magnitude = abs(sigma) ** nbar0 * abs(tau) ** mbar0
+            invariants.append(magnitude * _unit_power(sigma, nbar0) * _unit_power(tau, mbar0))
     except OverflowError:
         invariants = [inf]
     if not all(_normal(abs(v)) for v in invariants):

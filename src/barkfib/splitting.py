@@ -87,8 +87,9 @@ def enumerate_multisets(deficit):
     part count then fixes the I2s and I1s), and appends each candidate to
     the list of its part count.  A rest up to 10 is read whole, big parts
     included, from _SMALL[rest][top], the rows of that rest with no I_n
-    above I_max(top, 3), which these loops built at import; so a deficit
-    up to 10 is one pass over one row.  Each call builds its own list.
+    above I_max(top, 3), which these loops built at import.  A deficit up
+    to 10 is a copy of its row of _WHOLE, the rows _SMALL[d][d] joined
+    into whole candidates once at import.  Each call gets its own list.
 
     Raises:
         ValueError: if ``deficit`` is negative, or above MAX_DEFICIT, whose
@@ -101,6 +102,8 @@ def enumerate_multisets(deficit):
             "deficit %d has more than 10**6 candidate multisets; the largest "
             "deficit enumerated is %d" % (deficit, MAX_DEFICIT)
         )
+    if deficit < len(_WHOLE):
+        return list(_WHOLE[deficit])
     by_count = [[] for _ in range(deficit + 1)]
     adds = [candidates.append for candidates in by_count]
 
@@ -140,8 +143,10 @@ def _small_rows(rest):
 
 
 _SMALL = []  # _small_rows(r) for r = 0..10, each built from the rows below
+_WHOLE = []  # the candidates of each deficit r <= 10, joined once _SMALL is built
 for _rest in range(11):
     _SMALL.append(_small_rows(_rest))
+_WHOLE.extend([low + high for _, low, high in rows[-1]] for rows in _SMALL)
 
 
 def _fiber_trace(f):

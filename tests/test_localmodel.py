@@ -35,6 +35,9 @@ from barkfib.localmodel import (
     _log_prefactor,
     _log_ratio,
     _nth_roots,
+    _ordered,
+    _singular_values,
+    _unit_power,
     essential_zeros,
     singular_points,
     singular_s_values,
@@ -251,6 +254,17 @@ def test_real_singular_value_has_no_imaginary_part(capsys):
     assert row["s"][1] == 0.0
 
 
+def test_imaginary_singular_values_have_no_real_part(capsys):
+    # s^2 = -4/27 and s = t^1001 * 1001^-1001 * 1000^1000 at t = i: both on the imaginary axis
+    assert main(["localcheck", "--m", "3", "--n", "2"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "s = 0-0.384900179i: 1 singular point(s)\ns = 0+0.384900179i: 1 singular point(s)\n"
+    )
+    assert main(["localcheck", "--m", "1001", "--n", "1", "--t=1i", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["singular_values"]
+    assert row["s"][0] == 0.0 and row["s"][1] > 0
+
+
 @given(
     st.floats(1e-300, 1e300),
     st.booleans(),
@@ -260,16 +274,41 @@ def test_real_singular_value_has_no_imaginary_part(capsys):
 )
 def test_nth_roots_of_a_real_number_are_real_on_the_real_axis(magnitude, negative, kind, k):
     w = kind(-magnitude if negative else magnitude)
+    on_real, on_imaginary = _assert_exact_on_the_axes(w, k)
+    assert on_real == (1 if k % 2 else 0 if negative else 2)
+    assert on_imaginary == (2 if k % 4 == (2 if negative else 0) else 0)
+
+
+@given(
+    st.floats(1e-300, 1e300),
+    st.booleans(),
+    # an imaginary w, with real part 0.0 or -0.0
+    st.sampled_from([0.0, -0.0]),
+    st.integers(1, 64),
+)
+def test_nth_roots_of_an_imaginary_number_are_exact_on_the_axes(magnitude, negative, real, k):
+    w = complex(real, -magnitude if negative else magnitude)
+    assert _assert_exact_on_the_axes(w, k) == (0, k % 2)
+
+
+def _assert_exact_on_the_axes(w, k):
+    """Each k-th root of w on an axis is exactly there, with the other part
+    of the rotated value; every other root is the rotated value.  Returns
+    the number of roots on the real and on the imaginary axis."""
     r = abs(w) ** (1.0 / k)
     rotated = [r * cmath.exp(1j * (cmath.phase(w) + 2 * cmath.pi * j) / k) for j in range(k)]
-    on_axis = [j for j, z in enumerate(rotated) if abs(z.imag) <= 1e-12 * r]
-    assert len(on_axis) == (1 if k % 2 else 0 if negative else 2)
+    on_real = [j for j, z in enumerate(rotated) if abs(z.imag) <= 1e-12 * r]
+    on_imaginary = [j for j, z in enumerate(rotated) if abs(z.real) <= 1e-12 * r]
     for j, (got, want) in enumerate(zip(_nth_roots(w, k), rotated)):
-        if j in on_axis:
-            assert got.real == want.real and math.copysign(1, got.imag) == 1
-            assert got.imag == 0.0
+        if j in on_real:
+            assert got.real == want.real and got.imag == 0.0
+            assert math.copysign(1, got.imag) == 1
+        elif j in on_imaginary:
+            assert got.imag == want.imag and got.real == 0.0
+            assert math.copysign(1, got.real) == 1
         else:
             assert got == want
+    return len(on_real), len(on_imaginary)
 
 
 # (m, n, l, t) -> (singular values, points each): the gcd law at m where
@@ -645,9 +684,29 @@ def test_subordinate_values_below_their_power_solve_it():
         log_power = float(200 * (D(200) / D(199801)).ln() + 200001 * (D(199801) / D(200001)).ln())
     for s in values:
         assert 200 * math.log(abs(s)) == pytest.approx(log_power, rel=1.4e-15)
-        # the invariant's phase is computed directly, as -pi/2 * 200001
-        assert cmath.exp(200j * cmath.phase(s)) == pytest.approx(1j, abs=1e-9)
+        # the invariant is exactly -1j, so s^200 lies on the phase of i to rounding
+        assert cmath.exp(200j * cmath.phase(s)) == pytest.approx(1j, abs=1e-12)
     assert len({(round(s.real, 12), round(s.imag, 12)) for s in values}) == 200
+
+
+@pytest.mark.parametrize("alpha,invariant", [(1j, -1j), (-1j, 1j), (-1, -1)], ids=["i", "-i", "-1"])
+def test_subordinate_invariant_on_an_axis_is_exact(alpha, invariant):
+    # sigma = z, tau = 1/z: the invariant alpha^200 * alpha^-200001, a direct
+    # complex power about 4e-11 off the axis at alpha = 1j, is exactly on it
+    core = CoreSectionData(((0, 1),), ((0, 1),), (), 200001, 200, 1)
+    assert subordinate_s_from_core(core, 1.0, [alpha]) == (
+        _ordered(_singular_values(1, 200001, 200, 1.0, invariant)),
+        1,
+    )
+
+
+def test_unit_power_on_an_axis_is_exact():
+    for z in (2.5j, -0.5j, complex(-0.0, 3.0), -7.0, 1e300):
+        unit, want = z / abs(z), 1
+        for k in range(13):
+            assert _unit_power(z, k) == want
+            assert _unit_power(z, 4 * 10**6 + k) == want
+            want *= unit  # a product by +-1 or +-1j is exact
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from barkfib.splitting import (
     FactorizationWitness,
     SearchBudgetExceeded,
     _SMALL,
+    _WHOLE,
     _shift_admissible,
     all_witnesses,
     decomposition_verdict,
@@ -139,6 +140,26 @@ def test_small_rest_table_rows_are_the_oracle_candidates_up_to_each_top():
             assert all(f.kind == "I" for _, low, _ in rows for f in low)
             assert all(f.kind != "I" for _, _, high in rows for f in high)
     assert sum(len(by_top[min(rest, 3)]) for rest, by_top in enumerate(_SMALL)) == 221
+
+
+@pytest.mark.parametrize("deficit", range(11))
+def test_small_deficits_are_the_joined_rows_of_the_table(deficit):
+    got = enumerate_multisets(deficit)
+    assert got == oracle_report.enumerate_multisets(deficit)
+    assert got == [low + high for _, low, high in _SMALL[deficit][deficit]]
+
+
+def test_small_deficit_lists_are_each_calls_own():
+    # the table is built once at import, the 345 candidates of deficits 0..10,
+    # and a caller that changes its list changes neither the table nor a later call
+    assert len(_WHOLE) == 11 and sum(map(len, _WHOLE)) == 345
+    first = enumerate_multisets(9)
+    want = list(first)
+    first.reverse()
+    first.append(())
+    del first[:3]
+    assert enumerate_multisets(9) == want
+    assert _WHOLE[9] == want
 
 
 def candidate_counts(top):
