@@ -219,11 +219,15 @@ def core_section_exists(fiber, n0, first_values):
 class SimpleCrust:
     """A crust whose core section exists and all of whose subbranches
     classify as A_l, B_l, or C_l.  Construction is the one test of
-    simplicity: it checks l, then the core section, as the cheaper test."""
+    simplicity: it checks l, then the core section, as the cheaper test, and
+    keeps what that found: ``fiber`` and ``core_zeros``, the core section's
+    extra zeros."""
 
     n0: int
     subbranches: tuple
     l: int
+    fiber: StellarFiber = field(init=False, repr=False, compare=False)
+    core_zeros: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subbranches", tuple(self.subbranches))
@@ -237,9 +241,12 @@ class SimpleCrust:
         for sb in self.subbranches:
             if sb.n0 != self.n0:
                 raise ValueError("subbranch n0 disagrees with crust n0")
-        exists, _ = self.core_section()
+        fiber = StellarFiber(m0, tuple(sb.parent for sb in self.subbranches))
+        exists, zeros = core_section_exists(fiber, self.n0, self.first_values())
         if not exists:
             raise ValueError("crust admits no core section (r0 > r0')")
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "core_zeros", zeros)
         for sb in self.subbranches:
             if not classify_subbranch(sb, self.l):
                 raise ValueError(
@@ -247,15 +254,8 @@ class SimpleCrust:
                     % (list(sb.values), self.l)
                 )
 
-    def fiber(self):
-        m0 = self.subbranches[0].parent.core_mult
-        return StellarFiber(m0, tuple(sb.parent for sb in self.subbranches))
-
     def first_values(self):
         return tuple(sb.value(1) if sb.nu >= 1 else 0 for sb in self.subbranches)
-
-    def core_section(self):
-        return core_section_exists(self.fiber(), self.n0, self.first_values())
 
     def proportional_subbranches(self):
         return tuple(sb for sb in self.subbranches if is_proportional(sb))

@@ -104,18 +104,18 @@ class LocalCurveSpec:
 def _nth_roots(w, k):
     if w == 0:
         return [0j]
-    return _roots_at(abs(w) ** (1.0 / k), cmath.phase(w), k, w.imag == 0 or w.real == 0)
+    return _roots_at(abs(w) ** (1.0 / k), w, k)
 
 
-def _roots_at(r, theta, k, axis):
-    """The k values r*exp(i*(theta + 2*pi*j)/k), j = 0..k-1: the k-th
-    roots of a number of modulus r**k and phase theta, which lies on the
-    real or imaginary axis when ``axis``; then the roots on an axis are
-    made exact there.  ValueError past MAX_ROOTS, before any root is built."""
+def _roots_at(r, w, k):
+    """The k values r*exp(i*(theta + 2*pi*j)/k), j = 0..k-1: the k-th roots of a
+    number of modulus r**k and phase theta, that of the nonzero w.  When w is on an
+    axis, the roots on an axis are made exact there.  ValueError past MAX_ROOTS."""
     if k > MAX_ROOTS:
         raise ValueError("%d roots: more than MAX_ROOTS = %d" % (k, MAX_ROOTS))
+    theta = cmath.phase(w)
     roots = [r * cmath.exp(1j * (theta + 2 * cmath.pi * j) / k) for j in range(k)]
-    if axis:  # the rotation leaves ~1e-16 off the axis: zero it
+    if w.imag == 0 or w.real == 0:  # the rotation leaves ~1e-16 off the axis: zero it
         quarter = round(theta / (cmath.pi / 2))  # theta in quarter turns
         for j in range(k):
             turn = (quarter + 4 * j) % (2 * k)  # root j's angle in quarter turns, times k
@@ -169,7 +169,7 @@ def _singular_values(l, m, n, t, scale=1):
         r = inf
     if not _normal(r):
         raise ValueError("singular values out of floating-point range")
-    return _roots_at(r, cmath.phase(unit), nbar, unit.imag == 0 or unit.real == 0)
+    return _roots_at(r, unit, nbar)
 
 
 def singular_s_values(spec):

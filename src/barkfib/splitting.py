@@ -87,9 +87,8 @@ def enumerate_multisets(deficit):
     part count then fixes the I2s and I1s), and appends each candidate to
     the list of its part count.  A rest up to 10 is read whole, big parts
     included, from _SMALL[rest][top], the rows of that rest with no I_n
-    above I_max(top, 3), which these loops built at import.  A deficit up
-    to 10 is a copy of its row of _WHOLE, the rows _SMALL[d][d] joined
-    into whole candidates once at import.  Each call gets its own list.
+    above I_max(top, 3).  Returns a tuple: at a deficit up to 10 it is the
+    row _WHOLE[deficit] itself, which the loops alone built at import.
 
     Raises:
         ValueError: if ``deficit`` is negative, or above MAX_DEFICIT, whose
@@ -103,15 +102,20 @@ def enumerate_multisets(deficit):
             "deficit enumerated is %d" % (deficit, MAX_DEFICIT)
         )
     if deficit < len(_WHOLE):
-        return list(_WHOLE[deficit])
+        return _WHOLE[deficit]
+    return _walk(deficit, _SMALL)
+
+
+def _walk(deficit, small):
+    """enumerate_multisets(deficit) by the loops, each rest below len(small) read whole."""
     by_count = [[] for _ in range(deficit + 1)]
     adds = [candidates.append for candidates in by_count]
 
     def walk(big, top, rest):
         # big: the big parts so far, ascending; none above top; rest to split
-        if rest < len(_SMALL):
+        if rest < len(small):
             count = len(big)
-            for part_count, low, high in _SMALL[rest][min(top, rest)]:
+            for part_count, low, high in small[rest][min(top, rest)]:
                 adds[count + part_count](low + big + high)
             return
         for n in range(min(top, rest), 3, -1):
@@ -128,25 +132,22 @@ def enumerate_multisets(deficit):
                         adds[count + nodal_count](nodal + tail)
 
     walk((), deficit, deficit)
-    return list(chain.from_iterable(by_count))
+    return tuple(chain.from_iterable(by_count))
 
 
-def _small_rows(rest):
-    """The candidates of deficit ``rest``, in the order enumerate_multisets
-    lists them, as (part count, I_n parts, II/III parts): one row for each
-    top = 0..rest, of those with no I_n above I_max(top, 3)."""
+def _small_rows(rest, candidates):
+    """The ``candidates`` of deficit ``rest``, in their order, as (part count,
+    I_n parts, II/III parts): one row for each top = 0..rest, of those with
+    no I_n above I_max(top, 3)."""
     entries = []  # (largest n of an I_n part, row entry) per candidate
-    for ms in enumerate_multisets(rest):
+    for ms in candidates:
         low = tuple(f for f in ms if f.kind == "I")
         entries.append((low[-1].n if low else 0, (len(ms), low, ms[len(low):])))
     return [[entry for n, entry in entries if n <= max(top, 3)] for top in range(rest + 1)]
 
 
-_SMALL = []  # _small_rows(r) for r = 0..10, each built from the rows below
-_WHOLE = []  # the candidates of each deficit r <= 10, joined once _SMALL is built
-for _rest in range(11):
-    _SMALL.append(_small_rows(_rest))
-_WHOLE.extend([low + high for _, low, high in rows[-1]] for rows in _SMALL)
+_WHOLE = tuple(_walk(d, ()) for d in range(11))  # each deficit d <= 10, by the loops alone
+_SMALL = tuple(_small_rows(d, row) for d, row in enumerate(_WHOLE))
 
 
 def _fiber_trace(f):

@@ -49,23 +49,21 @@ def core_invariant(crust):
     """chi of a simple crust: (h - v) + k - 2, with h, v and k read from
     the crust (g0 = 0, and every ord term taken as 0, which gives the
     largest chi the crust allows)."""
-    _, k = crust.core_section()
-    return crust.fiber().h - len(crust.proportional_subbranches()) + k - 2
+    return crust.fiber.h - len(crust.proportional_subbranches()) + crust.core_zeros - 2
 
 
 def predict_counts(crust):
     """Exact subordinate counts in the two tractable regimes, for a
-    simple crust of the stellar fiber ``crust.fiber()``: the gcd law read
+    simple crust of the stellar fiber ``crust.fiber``: the gcd law read
     at the regime's pair (m, n).
 
     Raises HypothesisError (with .condition set) unless the fiber has
     three branches, the core section has no extra zero, and at most one
     subbranch is proportional.
     """
-    fiber = crust.fiber()
+    fiber, k = crust.fiber, crust.core_zeros
     if fiber.h != 3:
         raise HypothesisError("branch_count")
-    _, k = crust.core_section()
     if k != 0:
         raise HypothesisError("tau_zero_degree", "core section has %d extra zero(s)" % k)
     props = crust.proportional_subbranches()
@@ -86,7 +84,7 @@ def count_bounds(crust):
     """Upper bounds (max fibers, max singularities per fiber) from chi,
     with m0 the core multiplicity and n0 the crust's core value."""
     chi = core_invariant(crust)
-    g = gcd(crust.fiber().core_mult, crust.n0)
+    g = gcd(crust.fiber.core_mult, crust.n0)
     return ((crust.n0 // g) * chi, g * chi)
 
 
@@ -163,7 +161,7 @@ def full_report(original, main, crust=None):
     """Determine the subordinate fibers of a splitting, as far as the
     exact methods reach.
 
-    Pipeline: Euler deficit -> candidate multisets, made a tuple once ->
+    Pipeline: Euler deficit -> candidate multisets, one tuple ->
     obstructions, whose survivors come back as one tuple -> (when a simple
     crust of the original fiber's stellar model, with valid counting
     hypotheses, is supplied) exact counts and type determination.  The
@@ -175,7 +173,7 @@ def full_report(original, main, crust=None):
     """
     deficit = euler_deficit(original, main)
     evidence = ["euler deficit %d" % deficit]
-    candidates = tuple(enumerate_multisets(deficit))
+    candidates = enumerate_multisets(deficit)
     survivors, excluded = screen_candidates(original, main, candidates)
     for ms, reason in excluded:
         name = "+".join(str(f) for f in ms) or "(none)"

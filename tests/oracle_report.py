@@ -2,7 +2,7 @@
 ``full_report``.
 
 ``int_partitions`` is the recursive partition generator, and
-``enumerate_multisets`` the candidate list built from it with one tuple
+``enumerate_multisets`` the candidate tuple built from it with one tuple
 concatenation per run and one sort of (key, multiset) pairs, the key
 summing ``order_weights`` over the parts.  ``full_report`` asks
 ``decomposition_verdict`` about every candidate, however many factors it
@@ -78,7 +78,7 @@ def enumerate_multisets(deficit):
                     head + (I_n[3],) * (k3 - a3) + big + (II,) * a2 + (III,) * a3,
                 ))
     keyed.sort(key=itemgetter(0))
-    return [ms for _, ms in keyed]
+    return tuple(ms for _, ms in keyed)
 
 
 def full_report(original, main, crust=None):
@@ -133,7 +133,7 @@ def full_report(original, main, crust=None):
         original,
         main,
         deficit,
-        tuple(candidates),
+        candidates,
         tuple(excluded),
         tuple(final),
         tuple(evidence),

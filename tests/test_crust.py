@@ -250,7 +250,7 @@ def test_simple_crust_accepts_catalog_data():
         1,
     )
     assert crust.first_values() == (5, 3, 2)
-    assert crust.core_section() == (True, 0)
+    assert crust.fiber == fiber and crust.core_zeros == 0
     assert crust.proportional_subbranches() == ()
 
 

@@ -24,6 +24,7 @@ from barkfib.splitting import (
     _SMALL,
     _WHOLE,
     _shift_admissible,
+    _walk,
     all_witnesses,
     decomposition_verdict,
     enumerate_multisets,
@@ -66,7 +67,7 @@ def test_euler_deficit_errors():
 
 
 def test_enumerate_deficit_zero_is_the_empty_candidate():
-    assert enumerate_multisets(0) == [()]
+    assert enumerate_multisets(0) == ((),)
     with pytest.raises(ValueError):
         enumerate_multisets(-1)
 
@@ -115,7 +116,7 @@ def oracle_enumerate_multisets(deficit):
                 ms += [FiberClass("III")] * a3 + [FiberClass("I", 3)] * (k3 - a3)
                 out.append(multiset(*ms))
     out.sort(key=lambda ms: (len(ms), [_part_key(f) for f in sorted(ms, key=_part_key)]))
-    return out
+    return tuple(out)
 
 
 @pytest.mark.parametrize("deficit", range(31))
@@ -146,20 +147,24 @@ def test_small_rest_table_rows_are_the_oracle_candidates_up_to_each_top():
 def test_small_deficits_are_the_joined_rows_of_the_table(deficit):
     got = enumerate_multisets(deficit)
     assert got == oracle_report.enumerate_multisets(deficit)
-    assert got == [low + high for _, low, high in _SMALL[deficit][deficit]]
+    assert got == tuple(low + high for _, low, high in _SMALL[deficit][deficit])
 
 
-def test_small_deficit_lists_are_each_calls_own():
+def test_small_deficits_are_the_table_rows_themselves():
     # the table is built once at import, the 345 candidates of deficits 0..10,
-    # and a caller that changes its list changes neither the table nor a later call
+    # and a call at deficit <= 10 hands out its row, a tuple, with no copy
     assert len(_WHOLE) == 11 and sum(map(len, _WHOLE)) == 345
-    first = enumerate_multisets(9)
-    want = list(first)
-    first.reverse()
-    first.append(())
-    del first[:3]
-    assert enumerate_multisets(9) == want
-    assert _WHOLE[9] == want
+    for deficit in range(11):
+        assert type(_WHOLE[deficit]) is tuple
+        assert enumerate_multisets(deficit) is _WHOLE[deficit]
+    for deficit in (11, 12, 20):
+        assert type(enumerate_multisets(deficit)) is tuple
+
+
+@pytest.mark.parametrize("deficit", range(11, 26))
+def test_the_table_path_matches_the_loops_alone(deficit):
+    # the loops with no table stay the one definition of the order
+    assert _walk(deficit, ()) == enumerate_multisets(deficit)
 
 
 def candidate_counts(top):

@@ -276,7 +276,7 @@ def test_report_json_shape():
 
 def test_report_counts_on_the_crusts_own_model():
     crust = crust_for("3.2")
-    assert crust.fiber() == STELLAR_MODELS["III"]
+    assert crust.fiber == STELLAR_MODELS["III"] and crust.core_zeros == 0
     rep = full_report(F("III"), F("I1"), crust=crust)
     assert type_names(rep.determined) == ["I2"]
 
