@@ -44,6 +44,7 @@ class Branch:
     mults: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "core_mult", index(self.core_mult))
         object.__setattr__(self, "mults", tuple(index(m) for m in self.mults))
         if self.core_mult < 1:
             raise ValueError("core multiplicity must be positive")
@@ -115,6 +116,7 @@ class Subbranch:
     sentinel: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n0", index(self.n0))
         object.__setattr__(self, "values", tuple(index(v) for v in self.values))
         if self.n0 < 1:
             raise ValueError("n0 must be positive")
@@ -231,6 +233,8 @@ class SimpleCrust:
 
     def __post_init__(self):
         object.__setattr__(self, "subbranches", tuple(self.subbranches))
+        for name in ("n0", "l"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.l < 1:
             raise ValueError("bark multiplicity must be positive")
         if not self.subbranches:

@@ -244,6 +244,8 @@ class CoreSectionData:
         for name in ("attach_points", "sigma_divisor", "extra_zeros"):
             cleaned = tuple((_normal_point(p), index(o)) for p, o in getattr(self, name))
             object.__setattr__(self, name, cleaned)
+        for name in ("m0", "n0", "l"):
+            object.__setattr__(self, name, index(getattr(self, name)))
 
     def degree_consistent(self):
         """deg div(tau) = -n0/m0 * deg div(sigma), the global constraint

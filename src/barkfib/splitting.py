@@ -85,10 +85,8 @@ def enumerate_multisets(deficit):
     each sequence of them after its own extensions, gives each sequence
     its small rest with more III first, then more I3, then more II (the
     part count then fixes the I2s and I1s), and appends each candidate to
-    the list of its part count.  A rest up to 10 is read whole, big parts
-    included, from _SMALL[rest][top], the rows of that rest with no I_n
-    above I_max(top, 3).  Returns a tuple: at a deficit up to 10 it is the
-    row _WHOLE[deficit] itself, which the loops alone built at import.
+    the list of its part count.  Returns a tuple: at a deficit up to 10 it
+    is the row _WHOLE[deficit] itself, which that walk built at import.
 
     Raises:
         ValueError: if ``deficit`` is negative, or above MAX_DEFICIT, whose
@@ -103,21 +101,16 @@ def enumerate_multisets(deficit):
         )
     if deficit < len(_WHOLE):
         return _WHOLE[deficit]
-    return _walk(deficit, _SMALL)
+    return _walk(deficit)
 
 
-def _walk(deficit, small):
-    """enumerate_multisets(deficit) by the loops, each rest below len(small) read whole."""
+def _walk(deficit):
+    """enumerate_multisets(deficit), built by the loops with no table."""
     by_count = [[] for _ in range(deficit + 1)]
     adds = [candidates.append for candidates in by_count]
 
     def walk(big, top, rest):
         # big: the big parts so far, ascending; none above top; rest to split
-        if rest < len(small):
-            count = len(big)
-            for part_count, low, high in small[rest][min(top, rest)]:
-                adds[count + part_count](low + big + high)
-            return
         for n in range(min(top, rest), 3, -1):
             walk((_I[n],) + big, n, rest - n)
         for n_III in range(rest // 3, -1, -1):
@@ -135,19 +128,7 @@ def _walk(deficit, small):
     return tuple(chain.from_iterable(by_count))
 
 
-def _small_rows(rest, candidates):
-    """The ``candidates`` of deficit ``rest``, in their order, as (part count,
-    I_n parts, II/III parts): one row for each top = 0..rest, of those with
-    no I_n above I_max(top, 3)."""
-    entries = []  # (largest n of an I_n part, row entry) per candidate
-    for ms in candidates:
-        low = tuple(f for f in ms if f.kind == "I")
-        entries.append((low[-1].n if low else 0, (len(ms), low, ms[len(low):])))
-    return [[entry for n, entry in entries if n <= max(top, 3)] for top in range(rest + 1)]
-
-
-_WHOLE = tuple(_walk(d, ()) for d in range(11))  # each deficit d <= 10, by the loops alone
-_SMALL = tuple(_small_rows(d, row) for d, row in enumerate(_WHOLE))
+_WHOLE = tuple(_walk(d) for d in range(11))  # the candidates of each deficit d <= 10
 
 
 def _fiber_trace(f):

@@ -95,10 +95,10 @@ def determine_types(profile, deficit, candidates):
     fiber with sigma >= 2 singular points must be I_sigma (all nodes),
     while a fiber with a single singular point of Milnor number mu is
     I_1 (mu = 1), II (mu = 2) or III (mu = 3).  ``candidates`` is
-    enumerate_multisets(deficit), filtered to the multisets of ``fibers``
-    parts of the allowed kinds.
+    enumerate_multisets(deficit), unfiltered.
 
-    Returns the list of compatible multisets (a singleton when forced).
+    Returns the list of compatible multisets, those of ``candidates``
+    with ``fibers`` parts all of the allowed kinds (a singleton when forced).
     Raises ValueError when no distribution fits.
     """
     fibers, sigma = profile.num_fibers, profile.sings_per_fiber

@@ -53,6 +53,8 @@ def test_branch_refuses_a_non_integral_multiplicity():
         Branch(6, (3.7,))  # refused, not truncated to Branch(6, (3,))
     with pytest.raises(TypeError):
         Branch(6, (3.0,))
+    with pytest.raises(TypeError):
+        Branch(6.0, (3,))
 
 
 def test_branch_mult_conventions():
@@ -105,6 +107,8 @@ def test_subbranch_recurrence_enforced():
 def test_subbranch_refuses_a_non_integral_value():
     with pytest.raises(TypeError):
         Subbranch(2, (1.9,), Branch(6, (3,)))  # refused, not truncated to (1,)
+    with pytest.raises(TypeError):
+        Subbranch(2.0, (1,), Branch(6, (3,)))
 
 
 def test_subbranch_sentinel_forced_value():
@@ -252,6 +256,17 @@ def test_simple_crust_accepts_catalog_data():
     assert crust.first_values() == (5, 3, 2)
     assert crust.fiber == fiber and crust.core_zeros == 0
     assert crust.proportional_subbranches() == ()
+
+
+def test_simple_crust_refuses_a_non_integral_n0_or_l():
+    # a float n0 would reach gcd in predict_counts and "n0": 5.0 in its JSON
+    fiber = STELLAR_MODELS["II*"]
+    values = ((5,), (3, 1), (2,))
+    subbranches = tuple(Subbranch(5, v, b) for v, b in zip(values, fiber.branches))
+    with pytest.raises(TypeError):
+        SimpleCrust(5.0, subbranches, 1)
+    with pytest.raises(TypeError):
+        SimpleCrust(5, subbranches, 1.0)
 
 
 def test_simple_crust_rejects_truncated_proportional():

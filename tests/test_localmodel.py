@@ -738,6 +738,9 @@ def test_core_section_data_refuses_non_integral_orders():
         CoreSectionData(((0, 2.5),), ((0, 1), (1, 1.9)), (), 2, 1)
     with pytest.raises(TypeError):
         CoreSectionData(((0, 1),), ((0, 1),), ((2, 1.0),), 2, 1)
+    for m0, n0, l in ((2.0, 1, 1), (2, 1.0, 1), (2, 1, 1.0)):
+        with pytest.raises(TypeError):
+            CoreSectionData(((0, 1),), ((0, 1),), (), m0, n0, l)
 
 
 def test_subordinate_values_scale_with_t():
